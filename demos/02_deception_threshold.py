@@ -15,7 +15,6 @@ import numpy as np
 from sociallearn import (
     Hypothesis,
     Role,
-    asymptotic_rate,
     bsc_model,
     deception_verdict,
     erdos_renyi_adjacency,
@@ -62,7 +61,7 @@ def main():
         print(f"  margin = sum(r) - s{j}           = {margin:+.4f}")
         print(f"  verdict: {verdict.value}\n")
 
-    predicted = asymptotic_rate(net, agents, None, Hypothesis.THETA1)
+    predicted = report.margin(Hypothesis.THETA1)
     horizon = 4000
     finals = run_finals(net, agents, Hypothesis.THETA1, horizon, seeds=range(10))
     empirical = float(np.mean(-finals / horizon))

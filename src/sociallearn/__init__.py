@@ -78,7 +78,6 @@ from .analysis import (
     DeceptionReport,
     Verdict,
     adversary_contribution,
-    asymptotic_rate,
     critical_parameter,
     deception_verdict,
     homogeneous_centrality_margin,

@@ -38,7 +38,6 @@ __all__ = [
     "normal_divergence",
     "adversary_contribution",
     "deception_verdict",
-    "asymptotic_rate",
     "critical_parameter",
     "homogeneous_centrality_margin",
 ]
@@ -200,21 +199,6 @@ def deception_verdict(
         cost1=-m1,
         cost2=-m2,
     )
-
-
-def asymptotic_rate(
-    net: Network,
-    agents: Sequence[AgentConfig],
-    plan: AttackPlan | None,
-    theta_true: Hypothesis,
-) -> float:
-    """Predicted common limit of (1/i) * ln(mu(theta_wrong)/mu(theta_true)).
-
-    Equals the verdict margin for the true state: negative means the wrong
-    state's belief decays (the network learns the truth).
-    """
-    report = deception_verdict(net, agents, plan)
-    return report.margin(theta_true)
 
 
 def critical_parameter(

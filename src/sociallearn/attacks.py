@@ -35,7 +35,6 @@ alphabets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -260,17 +259,21 @@ def _floored_simplex_minimize(
         k = int(np.argmin(vals))
         return full[k], float(vals[k])
 
-    axes = [np.linspace(lo, hi, m_axis)] * (n - 1)
-    cands = np.array(list(itertools.product(*axes)))
+    def grid(axes: list[np.ndarray]) -> np.ndarray:
+        # every combination, last axis fastest: the order of itertools.product
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n - 1)
+
+    cands = grid([np.linspace(lo, hi, m_axis)] * (n - 1))
     x, v = best_of(cands)
     width = hi - lo
     for _ in range(rounds):
         width *= 0.5
-        axes = [
-            np.linspace(max(lo, c - width / 2.0), min(hi, c + width / 2.0), m_axis)
-            for c in x[: n - 1]
-        ]
-        cands = np.array(list(itertools.product(*axes)))
+        cands = grid(
+            [
+                np.linspace(max(lo, c - width / 2.0), min(hi, c + width / 2.0), m_axis)
+                for c in x[: n - 1]
+            ]
+        )
         x2, v2 = best_of(cands)
         if x2 is not None and v2 < v:
             x, v = x2, v2

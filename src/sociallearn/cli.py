@@ -23,8 +23,8 @@ import os
 import sys
 
 from .analysis import deception_verdict
-from .config import ExperimentConfig, build_scenario, load_config
-from .errors import SocialLearnError
+from .config import ExperimentConfig, build_scenario, load_config, validate_config
+from .errors import ConfigValidationError, SocialLearnError
 from .simulator import (
     _report_dict,
     emit_results,
@@ -53,7 +53,11 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         o = dataclasses.replace(o, directory=args.out)
     if getattr(args, "format", None) is not None:
         o = dataclasses.replace(o, format=args.format)
-    return dataclasses.replace(cfg, output=o)
+    cfg = dataclasses.replace(cfg, output=o)
+    violations = validate_config(cfg)  # an override such as --seed -1 is a value like any other
+    if violations:
+        raise ConfigValidationError(violations)
+    return cfg
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -97,7 +101,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     scenario = build_scenario(cfg)
-    report = deception_verdict(scenario.net, scenario.agents, scenario.plan)
+    report = deception_verdict(scenario.net, scenario.agents, scenario.plan, u=scenario.perron)
     doc = {
         "config": cfg.to_dict(),
         "deception_report": _report_dict(report),

@@ -39,16 +39,24 @@ One canonical schema (all keys optional unless noted):
       directory: out
       format: structured         # structured | tabular
 
-Validation collects *every* violation before failing, and the echoed
-configuration contains all materialized defaults, so a result file always
-records the exact knobs that produced it.
+The section dataclasses below are the only place a key's name, type and
+default are written; parsing and the echo both walk them. An int field
+needs an integer (``10.7`` is refused, not truncated); a bool field needs
+``true`` or ``false``; a float field also takes an integer, or a number
+written as text (YAML 1.1 reads ``1e-3`` as a string); a list field needs a
+list, and an edge exactly two agents; null selects the default; an unknown
+key is refused, and a model takes only the keys of its ``kind``. Loading
+collects *every* violation, each naming its path, before failing, and the
+echo materializes all defaults, so a result file records the exact knobs
+that produced it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from types import UnionType
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -60,10 +68,11 @@ from .attacks import (
     random_attack,
     unknown_divergence_attack,
 )
-from .errors import ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError, SocialLearnError
 from .learning import AgentConfig
 from .network import (
     Network,
+    PerronVector,
     adversary_centrality,
     complete_adjacency,
     edge_list_adjacency,
@@ -89,6 +98,8 @@ _TOPOLOGY_KINDS = (
 _STRATEGIES = ("none", "unknown_divergences", "known_divergences", "random")
 _SWEEP_PARAMETERS = ("bsc_p", "epsilon", "adversary_centrality")
 _FORMATS = ("structured", "tabular")
+#: the keys each model kind reads, and the only ones it echoes
+_MODEL_KEYS = {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}
 
 
 @dataclass(frozen=True)
@@ -165,63 +176,36 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Complete echo of every knob, defaults materialized."""
-        d: dict[str, Any] = {
-            "topology": {
-                "kind": self.topology.kind,
-                "n_agents": self.topology.n_agents,
-                "edge_prob": self.topology.edge_prob,
-                "seed": self.topology.seed,
-                "hub": self.topology.hub,
-                "edges": [list(e) for e in self.topology.edges],
-                "trust_weight": self.topology.trust_weight,
-                "self_loops": self.topology.self_loops,
-            },
-            "agents": {
-                "n_malicious": self.agents.n_malicious,
-                "model": _model_dict(self.agents.model),
-                "models": [_model_dict(m) for m in self.agents.models] or None,
-            },
-            "attack": {
-                "strategy": self.attack.strategy,
-                "epsilon": self.attack.epsilon,
-                "s1": self.attack.s1,
-                "s2": self.attack.s2,
-                "aggregate_centrality": self.attack.aggregate_centrality,
-                "seed": self.attack.seed,
-            },
-            "experiment": {
-                "theta_true": self.experiment.theta_true,
-                "horizon": self.experiment.horizon,
-                "seeds": list(self.experiment.seeds),
-                "stride": self.experiment.stride,
-                "initial_belief_theta1": (
-                    list(self.experiment.initial_belief_theta1)
-                    if isinstance(self.experiment.initial_belief_theta1, tuple)
-                    else self.experiment.initial_belief_theta1
-                ),
-            },
-            "sweep": (
-                {"parameter": self.sweep.parameter, "values": list(self.sweep.values)}
-                if self.sweep is not None
-                else None
-            ),
-            "output": {
-                "directory": self.output.directory,
-                "format": self.output.format,
-            },
-        }
+        d = _echo(self)
+        d["agents"]["models"] = d["agents"]["models"] or None  # no per-agent list echoes null
         return d
 
     def echo(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
-def _model_dict(m: ModelSpec | None) -> dict[str, Any] | None:
-    if m is None:
-        return None
-    if m.kind == "bsc":
-        return {"kind": "bsc", "p": m.p}
-    return {"kind": "rows", "theta1": list(m.theta1), "theta2": list(m.theta2)}
+#: field name -> type per section, resolved once rather than on every load
+_HINTS = {
+    cls: get_type_hints(cls)
+    for cls in (TopologySpec, ModelSpec, AgentsSpec, AttackSpec, ExperimentSpec,
+                SweepSpec, OutputSpec, ExperimentConfig)
+}
+
+
+def _keys(section: Any) -> Sequence[str]:
+    """The keys a section reads and echoes; a model has only those of its kind."""
+    if isinstance(section, ModelSpec):
+        return _MODEL_KEYS.get(section.kind, tuple(_HINTS[ModelSpec]))
+    return tuple(_HINTS[type(section)])
+
+
+def _echo(value: Any) -> Any:
+    """Plain YAML/JSON data for a section, a tuple or a scalar."""
+    if type(value) in _HINTS:
+        return {key: _echo(getattr(value, key)) for key in _keys(value)}
+    if isinstance(value, tuple):
+        return [_echo(x) for x in value]
+    return value
 
 
 # --- parsing ---------------------------------------------------------------------
@@ -237,7 +221,10 @@ def load_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError(f"top level must be a mapping, got {type(raw).__name__}")
     violations: list[str] = []
-    cfg = _parse(raw, violations)
+    sweep = raw.get("sweep")
+    if isinstance(sweep, dict) and "grid" in sweep:
+        raw = {**raw, "sweep": _expand_grid(sweep, violations)}
+    cfg = _coerce(ExperimentConfig, raw, "", violations)
     if not violations:
         violations.extend(validate_config(cfg))
     if violations:
@@ -245,152 +232,121 @@ def load_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse(raw: dict, violations: list[str]) -> ExperimentConfig:
-    known = {"topology", "agents", "attack", "experiment", "sweep", "output"}
-    for key in raw:
-        if key not in known:
-            violations.append(f"unknown top-level section {key!r}")
-
-    def section(name: str) -> dict:
-        v = raw.get(name) or {}
-        if not isinstance(v, dict):
-            violations.append(f"section {name!r} must be a mapping")
-            return {}
-        return v
-
-    t = section("topology")
-    topology = TopologySpec(
-        kind=str(t.get("kind", "complete")),
-        n_agents=int(t.get("n_agents", 2)),
-        edge_prob=float(t.get("edge_prob", 0.3)),
-        seed=int(t.get("seed", 0)),
-        hub=int(t.get("hub", 0)),
-        edges=tuple(tuple(int(x) for x in e) for e in t.get("edges", []) or []),
-        trust_weight=float(t.get("trust_weight", 0.05)),
-        self_loops=bool(t.get("self_loops", True)),
-    )
-
-    a = section("agents")
-
-    def model_spec(m: Any) -> ModelSpec | None:
-        if m is None:
-            return None
-        if not isinstance(m, dict):
-            violations.append(f"model spec must be a mapping, got {m!r}")
-            return None
-        kind = str(m.get("kind", "bsc"))
-        if kind == "bsc":
-            return ModelSpec(kind="bsc", p=float(m.get("p", 0.8)))
-        if kind == "rows":
-            return ModelSpec(
-                kind="rows",
-                theta1=tuple(float(x) for x in m.get("theta1", [])),
-                theta2=tuple(float(x) for x in m.get("theta2", [])),
-            )
-        violations.append(f"unknown model kind {kind!r}")
-        return None
-
-    agents = AgentsSpec(
-        n_malicious=int(a.get("n_malicious", 0)),
-        model=model_spec(a.get("model")),
-        models=tuple(
-            spec for spec in (model_spec(m) for m in a.get("models", []) or []) if spec
-        ),
-    )
-
-    at = section("attack")
-    attack = AttackSpec(
-        strategy=str(at.get("strategy", "none")),
-        epsilon=float(at.get("epsilon", 1e-3)),
-        s1=None if at.get("s1") is None else float(at.get("s1")),
-        s2=None if at.get("s2") is None else float(at.get("s2")),
-        aggregate_centrality=bool(at.get("aggregate_centrality", False)),
-        seed=int(at.get("seed", 0)),
-    )
-
-    e = section("experiment")
-    init = e.get("initial_belief_theta1", 0.5)
-    experiment = ExperimentSpec(
-        theta_true=str(e.get("theta_true", "theta1")),
-        horizon=int(e.get("horizon", 2000)),
-        seeds=tuple(int(s) for s in e.get("seeds", [0]) or [0]),
-        stride=int(e.get("stride", 1)),
-        initial_belief_theta1=(
-            tuple(float(x) for x in init) if isinstance(init, (list, tuple)) else float(init)
-        ),
-    )
-
-    sweep = None
-    if raw.get("sweep") is not None:
-        s = section("sweep")
-        values: tuple[float, ...] = ()
-        if "values" in s and s["values"] is not None:
-            values = tuple(float(x) for x in s["values"])
-        elif "grid" in s and isinstance(s["grid"], dict):
-            g = s["grid"]
+def _coerce(tp: Any, value: Any, path: str, violations: list[str]) -> Any:
+    """``value`` as type ``tp`` when that loses nothing, else None and a violation."""
+    if tp in (bool, int, float, str):
+        if isinstance(value, bool) != (tp is bool):
+            return _refuse(path, tp.__name__, value, violations)
+        if tp is float and isinstance(value, (int, str)):
             try:
-                start, stop, step_sz = float(g["start"]), float(g["stop"]), float(g["step"])
-                count = int(round((stop - start) / step_sz)) + 1
-                values = tuple(round(start + i * step_sz, 12) for i in range(count))
-            except (KeyError, TypeError, ValueError):
-                violations.append("sweep.grid needs numeric start/stop/step")
-        else:
-            violations.append("sweep needs either 'values' or 'grid'")
-        sweep = SweepSpec(parameter=str(s.get("parameter", "bsc_p")), values=values)
+                value = float(value)
+            except (ValueError, OverflowError):
+                pass
+        if not isinstance(value, tp):
+            return _refuse(path, tp.__name__, value, violations)
+        return value
+    if tp in _HINTS:
+        if not isinstance(value, dict):
+            return _refuse(path, "a mapping", value, violations)
+        hints, given = _HINTS[tp], {}
+        for key, item in value.items():
+            if key in hints and item is not None:  # null selects the default
+                given[key] = _coerce(hints[key], item, f"{path}.{key}".lstrip("."), violations)
+        section = tp(**given)
+        known = _keys(section)
+        for key in value:
+            if key not in known:
+                where = f"{path}.{key}".lstrip(".")
+                violations.append(f"{where} is not a known key; known: {', '.join(known)}")
+        return section
+    args = get_args(tp)
+    if get_origin(tp) is UnionType:
+        # X | None, or scalar | tuple: a list takes the tuple member
+        members = [a for a in args if a is not type(None)]
+        listy = [a for a in members if (get_origin(a) is tuple) == isinstance(value, list)]
+        return _coerce((listy or members)[0], value, path, violations)
+    if not isinstance(value, list):
+        return _refuse(path, "a list", value, violations)
+    if args[-1] is Ellipsis:
+        args = (args[0],) * len(value)
+    elif len(value) != len(args):
+        return _refuse(path, f"a list of {len(args)}", value, violations)
+    return tuple(
+        _coerce(t, x, f"{path}[{i}]", violations) for i, (t, x) in enumerate(zip(args, value))
+    )
 
-    o = section("output")
-    output = OutputSpec(
-        directory=str(o.get("directory", "out")),
-        format=str(o.get("format", "structured")),
-    )
-    return ExperimentConfig(
-        topology=topology,
-        agents=agents,
-        attack=attack,
-        experiment=experiment,
-        sweep=sweep,
-        output=output,
-    )
+
+def _refuse(path: str, wanted: str, value: Any, violations: list[str]) -> None:
+    violations.append(f"{path} must be {wanted}, got {value!r}")
+    return None
+
+
+def _expand_grid(sweep: dict, violations: list[str]) -> dict:
+    """``sweep`` with its ``grid: {start, stop, step}`` shorthand turned into ``values``."""
+    grid = sweep["grid"]
+    sweep = {key: item for key, item in sweep.items() if key != "grid"}
+    if "values" in sweep:
+        violations.append("sweep takes either 'values' or 'grid', not both")
+    try:
+        start, stop, step = (float(grid[key]) for key in ("start", "stop", "step"))
+        count = int(round((stop - start) / step)) + 1
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
+        violations.append("sweep.grid needs numeric start, stop and a non-zero step")
+        return sweep
+    sweep["values"] = [round(start + i * step, 12) for i in range(count)]
+    return sweep
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """Schema-level checks; returns human-readable violations."""
+    """Range and cross-field checks on a typed config; returns every violation."""
     v: list[str] = []
-    t = cfg.topology
+    t, a = cfg.topology, cfg.agents
     if t.kind not in _TOPOLOGY_KINDS:
         v.append(f"topology.kind must be one of {_TOPOLOGY_KINDS}, got {t.kind!r}")
     if t.n_agents < 2:
         v.append("topology.n_agents must be >= 2")
     if t.kind == "erdos_renyi" and not 0.0 < t.edge_prob <= 1.0:
         v.append("topology.edge_prob must lie in (0, 1]")
+    if t.kind == "trust_weighted_complete" and not 0.0 < t.trust_weight * a.n_malicious < 1.0:
+        v.append("topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1")
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
         v.append("topology.hub must index an agent")
     if t.kind == "edge_list":
         for i, j in t.edges:
             if not (0 <= i < t.n_agents and 0 <= j < t.n_agents):
                 v.append(f"edge ({i}, {j}) references a missing agent")
-    a = cfg.agents
     if not 0 <= a.n_malicious < t.n_agents:
         v.append("agents.n_malicious must satisfy 0 <= n_malicious < n_agents")
     if a.models and len(a.models) != t.n_agents:
         v.append(f"agents.models must list one model per agent ({t.n_agents})")
     if not a.models and a.model is None:
         v.append("agents needs a shared 'model' or a per-agent 'models' list")
-    models = _model_list(cfg) if not v else []
+    for m in a.models + ((a.model,) if a.model else ()):
+        if m.kind not in _MODEL_KEYS:
+            v.append(f"agents model kind must be one of {tuple(_MODEL_KEYS)}, got {m.kind!r}")
+    models: list[LikelihoodModel] = []
+    if not v:
+        try:
+            models = _model_list(cfg)
+        except SocialLearnError as exc:  # a bsc p outside (0, 1), rows that are no PMF
+            v.append(f"agents model: {exc}")
     at = cfg.attack
     if at.strategy not in _STRATEGIES:
         v.append(f"attack.strategy must be one of {_STRATEGIES}, got {at.strategy!r}")
-    if models:
-        min_alphabet = min(m.alphabet_size for m in models)
-        if at.strategy != "none" and not 0.0 < at.epsilon < 1.0 / min_alphabet:
-            v.append(
-                f"attack.epsilon must lie in (0, 1/{min_alphabet}) "
-                f"for the smallest alphabet, got {at.epsilon!r}"
-            )
+    min_alphabet = min((m.alphabet_size for m in models), default=0)
+    if min_alphabet and at.strategy != "none" and not 0.0 < at.epsilon < 1.0 / min_alphabet:
+        v.append(
+            f"attack.epsilon must lie in (0, 1/{min_alphabet}) "
+            f"for the smallest alphabet, got {at.epsilon!r}"
+        )
     for name, s in (("s1", at.s1), ("s2", at.s2)):
         if s is not None and (not math.isfinite(s) or s < 0.0):
             v.append(f"attack.{name} must be finite and >= 0")
     e = cfg.experiment
+    for name, seeds in (("topology.seed", [t.seed]), ("attack.seed", [at.seed]),
+                        ("experiment.seeds", e.seeds)):
+        if any(s < 0 for s in seeds):
+            v.append(f"{name} must be >= 0")
     try:
         Hypothesis.from_name(e.theta_true)
     except Exception:
@@ -408,24 +364,28 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     for b in init_values:
         if not 0.0 < b < 1.0:
             v.append("initial beliefs must lie strictly inside (0, 1)")
-    if cfg.sweep is not None:
-        if cfg.sweep.parameter not in _SWEEP_PARAMETERS:
-            v.append(
-                f"sweep.parameter must be one of {_SWEEP_PARAMETERS}, got {cfg.sweep.parameter!r}"
-            )
-        if not cfg.sweep.values:
+    sw = cfg.sweep
+    if sw is not None:
+        if sw.parameter not in _SWEEP_PARAMETERS:
+            v.append(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}, got {sw.parameter!r}")
+        if not sw.values:
             v.append("sweep grid is empty")
-        if cfg.sweep.parameter == "bsc_p":
-            if cfg.agents.model is None or cfg.agents.model.kind != "bsc":
+        if sw.parameter == "bsc_p":
+            if a.model is None or a.model.kind != "bsc":
                 v.append("sweep over bsc_p needs a shared bsc agent model")
-            if any(not 0.5 < p < 1.0 for p in cfg.sweep.values):
+            if any(not 0.5 < p < 1.0 for p in sw.values):
                 v.append("bsc_p sweep values must lie in (0.5, 1)")
-        if cfg.sweep.parameter == "adversary_centrality":
-            if cfg.topology.kind != "trust_weighted_complete":
+        if sw.parameter == "epsilon" and min_alphabet and at.strategy != "none":
+            if any(not 0.0 < x < 1.0 / min_alphabet for x in sw.values):
+                v.append(f"sweep.values must lie in (0, 1/{min_alphabet}) for epsilon")
+        if sw.parameter == "adversary_centrality":
+            if t.kind != "trust_weighted_complete":
                 v.append(
                     "sweep over adversary_centrality needs the "
                     "trust_weighted_complete topology family"
                 )
+            elif any(not 0.0 < x * a.n_malicious < 1.0 for x in sw.values):
+                v.append("sweep.values (trust weights) must lie in (0, 1/n_malicious)")
     if cfg.output.format not in _FORMATS:
         v.append(f"output.format must be one of {_FORMATS}, got {cfg.output.format!r}")
     return v
@@ -441,9 +401,10 @@ def _model_list(cfg: ExperimentConfig) -> list[LikelihoodModel]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Runnable assembly: network, agent configs (forged models bound), plan."""
+    """Runnable assembly: network, Perron vector, agents (forged models bound), plan."""
 
     net: Network
+    perron: PerronVector
     agents: tuple[AgentConfig, ...]
     plan: AttackPlan | None
     theta_true: Hypothesis
@@ -472,7 +433,7 @@ def build_network(cfg: ExperimentConfig) -> Network:
 
 
 def build_plan(
-    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel]
+    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel], u: PerronVector
 ) -> AttackPlan | None:
     """Assemble the forged models the configured strategy prescribes."""
     at = cfg.attack
@@ -506,7 +467,6 @@ def build_plan(
     # known_divergences: the minimal network knowledge is (s1, s2) plus the
     # adversary's own centrality; defaults are computed from the scenario,
     # but both divergences can be supplied externally in the config.
-    u = perron_vector(net)
     if at.s1 is None or at.s2 is None:
         from .analysis import normal_divergence  # local import avoids a cycle
 
@@ -529,9 +489,15 @@ def build_plan(
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
+    """Network, centrality and attack, built once each; a network outside the
+    theory (say, not strongly connected) raises every violation it has."""
     net = build_network(cfg)
+    violations = validate_network(net)
+    if violations:
+        raise ConfigValidationError([f"network {x}" for x in violations])
+    u = perron_vector(net)
     models = _model_list(cfg)
-    plan = build_plan(cfg, net, models)
+    plan = build_plan(cfg, net, models, u)
     forged: dict[int, LikelihoodModel] = {}
     if plan is not None:
         for k, entry in zip(net.malicious_indices, plan.entries):
@@ -544,14 +510,14 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         )
         for k in range(net.n_agents)
     )
-    u = perron_vector(net)
     report_inputs = {
         "adversary_centrality": adversary_centrality(u, net.roles),
         "perron": [float(x) for x in u.as_array()],
-        "violations": [str(x) for x in validate_network(net)],
+        "violations": [],  # kept for the result bytes; such a network is refused above
     }
     return Scenario(
         net=net,
+        perron=u,
         agents=agents,
         plan=plan,
         theta_true=Hypothesis.from_name(cfg.experiment.theta_true),

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import IsolatedAgentError, NoConvergenceError
 
 COLUMN_SUM_TOL = 1e-9
-PERRON_RESIDUAL_TOL = 1e-10
 _POWER_ITER_TOL = 1e-13
 _POWER_ITER_CAP = 10**6
 
@@ -73,7 +72,7 @@ class Violation:
     code: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
 
 
@@ -148,12 +147,11 @@ def erdos_renyi_adjacency(
     matrix, so rejection here guarantees a valid network.
     """
     rng = np.random.default_rng(seed)
+    iu = np.triu_indices(n, 1)  # row-major, so draw k decides the k-th pair (i < j)
     for _ in range(max_tries):
         adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < edge_prob:
-                    adj[i, j] = adj[j, i] = True
+        adj[iu] = rng.random(iu[0].size) < edge_prob
+        adj |= adj.T
         if not require_connected or _connected(adj):
             return adj
     raise NoConvergenceError(

@@ -82,7 +82,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every configured seed and attach the closed-form report."""
     scenario = build_scenario(cfg)
     e = cfg.experiment
-    report = deception_verdict(scenario.net, scenario.agents, scenario.plan)
+    report = deception_verdict(
+        scenario.net, scenario.agents, scenario.plan, u=scenario.perron
+    )
     args = [
         (scenario, e.horizon, seed, e.stride, e.initial_belief_theta1)
         for seed in e.seeds
@@ -147,7 +149,9 @@ def _sweep_point(packed) -> SweepPoint:
     point_cfg = apply_sweep_value(cfg, value)
     scenario = build_scenario(point_cfg)
     e = point_cfg.experiment
-    report = deception_verdict(scenario.net, scenario.agents, scenario.plan)
+    report = deception_verdict(
+        scenario.net, scenario.agents, scenario.plan, u=scenario.perron
+    )
     lam = learning.run_finals(
         scenario.net,
         scenario.agents,
@@ -236,7 +240,9 @@ def _theory_root(cfg: ExperimentConfig, points: tuple[SweepPoint, ...]) -> float
     def margin_of(value: float) -> float:
         point_cfg = apply_sweep_value(cfg, value)
         scenario = build_scenario(point_cfg)
-        report = deception_verdict(scenario.net, scenario.agents, scenario.plan)
+        report = deception_verdict(
+            scenario.net, scenario.agents, scenario.plan, u=scenario.perron
+        )
         return report.margin(theta)
 
     try:

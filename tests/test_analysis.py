@@ -9,7 +9,6 @@ from sociallearn import (
     Hypothesis,
     Verdict,
     adversary_contribution,
-    asymptotic_rate,
     bsc_model,
     critical_parameter,
     deception_verdict,
@@ -210,7 +209,7 @@ class TestAsymptoticRate:
         rng = np.random.default_rng(11)
         net = random_network(rng, 5)
         agents = agents_for(net, [bsc_model(0.8)] * 5)
-        rate = asymptotic_rate(net, agents, None, Hypothesis.THETA1)
+        rate = deception_verdict(net, agents, None).margin(Hypothesis.THETA1)
         assert rate == pytest.approx(-BSC08_KL, abs=1e-12)
 
     def test_sign_matches_verdict(self):
@@ -221,7 +220,7 @@ class TestAsymptoticRate:
             plan = plan_for([models[0]], "unknown", 1e-3)
             agents = agents_for(net, models)
             report = deception_verdict(net, agents, plan)
-            rate = asymptotic_rate(net, agents, plan, Hypothesis.THETA1)
+            rate = report.margin(Hypothesis.THETA1)
             if report.verdict1 is Verdict.MISLED:
                 assert rate > 0
             elif report.verdict1 is Verdict.LEARNS_TRUTH:
@@ -233,7 +232,7 @@ class TestAsymptoticRate:
         plan = plan_for([m], "unknown", 5e-3)
         agents = agents_for(net, [m] * 15)
         report = deception_verdict(net, agents, plan)
-        rate = asymptotic_rate(net, agents, plan, Hypothesis.THETA1)
+        rate = report.margin(Hypothesis.THETA1)
         assert report.verdict1 is Verdict.MISLED and rate > 0
 
 

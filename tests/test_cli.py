@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,18 @@ class TestValidate:
         path = write(tmp_path, "topology: {kind: complete, n_agents: 1}\n")
         assert main(["validate", "--config", path]) == 1
         assert "n_agents" in capsys.readouterr().err
+
+    def test_wrong_type_exits_1_without_traceback(self, tmp_path):
+        path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sociallearn.cli", "validate", "--config", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "topology.n_agents must be int, got 'three'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRun:
@@ -62,6 +76,11 @@ class TestRun:
         assert code == 0
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert [row["seed"] for row in doc["per_seed"]] == [17]
+
+    def test_invalid_override_refused(self, tmp_path, capsys):
+        argv = ["run", "--config", cfg_path("minimal_no_attack.yaml"), "--out", str(tmp_path)]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "experiment.seeds must be >= 0" in capsys.readouterr().err
 
     def test_byte_identical_across_invocations(self, tmp_path):
         argv = [
@@ -125,6 +144,25 @@ attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
 
     def test_no_attack_configured(self, capsys):
         assert main(["attack", "--config", cfg_path("minimal_no_attack.yaml")]) == 1
+
+
+class TestNetworkOutsideTheory:
+    def test_disconnected_network_refused(self, tmp_path, capsys):
+        # two components: the verdict's Perron vector would be meaningless
+        path = write(
+            tmp_path,
+            """
+topology: {kind: edge_list, n_agents: 4, edges: [[0, 1], [2, 3]]}
+agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}
+attack: {strategy: unknown_divergences, epsilon: 1.0e-2}
+experiment: {horizon: 50}
+""",
+        )
+        out = tmp_path / "out"
+        for command in ("run", "predict", "attack"):
+            assert main([command, "--config", path, "--out", str(out)]) == 1
+            assert "NotStronglyConnected" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

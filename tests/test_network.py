@@ -19,6 +19,7 @@ from sociallearn import (
     validate_network,
 )
 from sociallearn.errors import IsolatedAgentError
+from sociallearn.network import _connected
 
 from helpers import random_network
 
@@ -28,6 +29,27 @@ def degree_centrality(adjacency_with_self: np.ndarray) -> np.ndarray:
     fixed vector is exactly degree / total degree (self-loops counted)."""
     deg = adjacency_with_self.sum(axis=0).astype(float)
     return deg / deg.sum()
+
+
+class TestErdosRenyi:
+    def test_same_draws_as_pairwise_loop(self):
+        # reference: one uniform per pair (i < j) in row-major order, rejected
+        # until connected; seeded topologies in configs depend on this order
+        def pairwise(n, edge_prob, seed):
+            rng = np.random.default_rng(seed)
+            while True:
+                adj = np.zeros((n, n), dtype=bool)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < edge_prob:
+                            adj[i, j] = adj[j, i] = True
+                if _connected(adj):
+                    return adj
+
+        for n, edge_prob in ((15, 0.25), (100, 0.1)):
+            for seed in (0, 28, 325, 12345):
+                expected = pairwise(n, edge_prob, seed)
+                assert np.array_equal(erdos_renyi_adjacency(n, edge_prob, seed), expected)
 
 
 class TestUniformCombination:

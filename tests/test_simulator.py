@@ -65,12 +65,52 @@ output: {format: parquet}
             load_config(text)
         assert len(err.value.violations) >= 5
 
-    def test_round_trip_identity(self):
-        text = read_config("nonseparable_asud.yaml")
-        cfg = load_config(text)
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_round_trip_identity(self, name):
+        cfg = load_config(read_config(name))
         again = load_config(cfg.echo())
         assert again.to_dict() == cfg.to_dict()
         assert again.echo() == cfg.echo()
+
+    @pytest.mark.parametrize(
+        "sections, paths",
+        [
+            pytest.param({"topology": {"n_agents": "three"}}, ["topology.n_agents"], id="int-text"),
+            pytest.param({"experiment": {"seeds": 5}}, ["experiment.seeds"], id="list-scalar"),
+            pytest.param(
+                {"topology": {"kind": "edge_list", "edges": [[0]]}},
+                ["topology.edges[0]"],
+                id="edge-one-end",
+            ),
+            pytest.param({"experiment": {"seeds": [-1]}}, ["experiment.seeds"], id="seed-negative"),
+            pytest.param(
+                {"experiment": {"horizon": 10.7, "stride": 2.5}},
+                ["experiment.horizon", "experiment.stride"],
+                id="int-fraction",
+            ),
+            pytest.param({"topology": {"self_loops": "no"}}, ["topology.self_loops"], id="bool-text"),
+            pytest.param(
+                {
+                    "agents": {"n_malicious": 1},
+                    "attack": {"strategy": "unknown_divergences", "epsilon": 0.01},
+                    "sweep": {"parameter": "epsilon", "values": [0.01, 0.7]},
+                },
+                ["sweep.values"],
+                id="epsilon-sweep-range",
+            ),
+            pytest.param({"topology": {"n_agent": 15}}, ["topology.n_agent"], id="unknown-key"),
+        ],
+    )
+    def test_bad_value_is_a_named_violation(self, sections, paths):
+        doc = yaml.safe_load(MINIMAL)
+        for section, fields in sections.items():
+            doc.setdefault(section, {}).update(fields)
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(yaml.safe_dump(doc))
+        violations = err.value.violations
+        assert len(violations) == len(paths)
+        for path in paths:
+            assert any(v.startswith(path + " ") for v in violations), (path, violations)
 
     def test_echo_completeness(self):
         # flipping any knob that affects results must change the echo
