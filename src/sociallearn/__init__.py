@@ -4,7 +4,7 @@ A simulator and analysis library for log-linear non-Bayesian social
 learning with a subset of protocol-following adversaries that corrupt only
 the likelihood models used in their Bayesian update. Provides:
 
-* the belief dynamics (belief-domain and exact log-ratio recursions);
+* the belief dynamics as the exact log-ratio recursion, for one seed or a batch;
 * the closed-form deception threshold (normal sub-network divergence
   versus centrality-weighted adversary contributions) and its verdicts;
 * both constructive attack strategies (known and unknown network
@@ -49,12 +49,8 @@ from .learning import (
     AgentConfig,
     BeliefState,
     Trajectory,
-    adapt,
-    combine,
-    log_ratio_recursion,
     run,
     run_finals,
-    step,
 )
 from .attacks import (
     AttackPlan,

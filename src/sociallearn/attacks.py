@@ -336,23 +336,27 @@ def select_support_pair(model: LikelihoodModel) -> tuple[int, int]:
     """
     if not is_informative(model):
         raise UninformativeModelError("support pair needs an informative model")
+    pairs = _candidate_pairs(model)
+    if not pairs:
+        raise UninformativeModelError("no symbol pair with nonzero determinant")
+    return pairs[0]
+
+
+def _candidate_pairs(model: LikelihoodModel) -> list[tuple[int, int]]:
+    """Every symbol pair with a nonzero determinant, by decreasing |d|, then (i, j)."""
     t1 = model.given_theta1.as_array()
     t2 = model.given_theta2.as_array()
-    best: tuple[float, int, int] | None = None
     n = model.alphabet_size
+    cands = []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             d = t2[j] * t1[i] - t1[j] * t2[i]
-            if d == 0.0:
-                continue
-            key = (-abs(d), i, j)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise UninformativeModelError("no symbol pair with nonzero determinant")
-    return (best[1], best[2])
+            if d != 0.0:
+                cands.append((-abs(d), i, j))
+    cands.sort()
+    return [(i, j) for _, i, j in cands]
 
 
 def _pair_geometry(
@@ -540,22 +544,6 @@ class AttackPlan:
         return tuple(e.forged for e in self.entries)
 
 
-def _candidate_pairs(model: LikelihoodModel) -> list[tuple[int, int, float]]:
-    t1 = model.given_theta1.as_array()
-    t2 = model.given_theta2.as_array()
-    n = model.alphabet_size
-    cands = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = t2[j] * t1[i] - t1[j] * t2[i]
-            if d != 0.0 and t1[j] > 0.0 and t2[j] > 0.0:
-                cands.append((-abs(d), i, j, d))
-    cands.sort()
-    return [(i, j, d) for _, i, j, d in cands]
-
-
 def _midpoint(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
@@ -598,7 +586,9 @@ def known_divergence_attack(
     beta_sel = beta_selector or _midpoint
 
     fallback: tuple[DistortionRegion, float, float] | None = None
-    for i, j, _ in _candidate_pairs(model):
+    for i, j in _candidate_pairs(model):
+        if model.given_theta1[j] == 0.0 or model.given_theta2[j] == 0.0:
+            continue
         geom = _pair_geometry(model, u_k, s1, s2, eps, (i, j))
         if geom.empty:
             continue

@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the package's artifacts:
 
-  validate  check a config, print all violations (exit 1 when invalid)
+  validate  check a config and its network, print all violations (exit 1 when invalid)
   run       Monte Carlo experiment -> trajectory + summary files
   sweep     parameter sweep -> phase curve + crossing/theory-root overlay
   predict   closed-form deception report only, no simulation
@@ -23,7 +23,13 @@ import os
 import sys
 
 from .analysis import deception_verdict
-from .config import ExperimentConfig, build_scenario, load_config, validate_config
+from .config import (
+    ExperimentConfig,
+    build_network,
+    build_scenario,
+    load_config,
+    validate_config,
+)
 from .errors import ConfigValidationError, SocialLearnError
 from .simulator import (
     _report_dict,
@@ -63,6 +69,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = _load(args.config)
+        build_network(cfg)  # refuses a network outside the theory, as every command does
     except SocialLearnError as exc:
         print(str(exc), file=sys.stderr)
         return 1

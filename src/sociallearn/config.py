@@ -412,24 +412,32 @@ class Scenario:
 
 
 def build_network(cfg: ExperimentConfig) -> Network:
+    """The configured network; one outside the theory (say, not strongly
+    connected) raises a ``ConfigValidationError`` listing every violation."""
     t = cfg.topology
     if t.kind == "trust_weighted_complete":
         comb = trust_weighted_complete(t.n_agents, cfg.agents.n_malicious, t.trust_weight)
-        return make_network(comb, cfg.agents.n_malicious)
+    else:
+        comb = uniform_combination(_adjacency(t), t.self_loops)
+    net = make_network(comb, cfg.agents.n_malicious)
+    violations = validate_network(net)
+    if violations:
+        raise ConfigValidationError([f"network {x}" for x in violations])
+    return net
+
+
+def _adjacency(t: TopologySpec) -> np.ndarray:
     if t.kind == "erdos_renyi":
-        adj = erdos_renyi_adjacency(t.n_agents, t.edge_prob, t.seed)
-    elif t.kind == "star":
-        adj = star_adjacency(t.n_agents, t.hub)
-    elif t.kind == "complete":
-        adj = complete_adjacency(t.n_agents)
-    elif t.kind == "ring":
-        adj = ring_adjacency(t.n_agents)
-    elif t.kind == "edge_list":
-        adj = edge_list_adjacency(t.n_agents, t.edges)
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigValidationError([f"unknown topology kind {t.kind!r}"])
-    comb = uniform_combination(adj, t.self_loops)
-    return make_network(comb, cfg.agents.n_malicious)
+        return erdos_renyi_adjacency(t.n_agents, t.edge_prob, t.seed)
+    if t.kind == "star":
+        return star_adjacency(t.n_agents, t.hub)
+    if t.kind == "complete":
+        return complete_adjacency(t.n_agents)
+    if t.kind == "ring":
+        return ring_adjacency(t.n_agents)
+    if t.kind == "edge_list":
+        return edge_list_adjacency(t.n_agents, t.edges)
+    raise ConfigValidationError([f"unknown topology kind {t.kind!r}"])  # pragma: no cover
 
 
 def build_plan(
@@ -489,12 +497,9 @@ def build_plan(
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Network, centrality and attack, built once each; a network outside the
-    theory (say, not strongly connected) raises every violation it has."""
+    """Network, centrality and attack, built once each (see ``build_network``
+    for the networks refused)."""
     net = build_network(cfg)
-    violations = validate_network(net)
-    if violations:
-        raise ConfigValidationError([f"network {x}" for x in violations])
     u = perron_vector(net)
     models = _model_list(cfg)
     plan = build_plan(cfg, net, models, u)

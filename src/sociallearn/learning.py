@@ -7,15 +7,22 @@ but plug a forged likelihood model into the adapt step; their observations
 are still drawn from their true model (only the inference model is faked,
 never the data).
 
-Two equivalent representations are implemented:
+The dynamics are implemented in the log domain only, as the exact linear
+recursion ``lam_i = A^T (llr_i + lam_{i-1})`` on the per-agent log-belief
+ratio ``lam = ln(mu(theta1)/mu(theta2))``; beliefs are a view through the
+logistic map. (Beliefs themselves decay exponentially and underflow on long
+horizons; the belief-domain adapt/combine/step survives only as the test
+suite's reference.) One private kernel, ``_simulate``, runs that recursion
+for every seed at once: ``run`` is its one-seed call and ``run_finals`` its
+many-seed call without records.
 
-  * belief domain -- ``adapt``/``combine``/``step`` operate on (mu(theta1),
-    mu(theta2)) pairs; readable, but underflows on long horizons because
-    beliefs decay exponentially;
-  * log domain -- the exact linear recursion
-    ``lam_i = A^T (llr_i + lam_{i-1})`` on the per-agent log-belief ratio
-    ``lam = ln(mu(theta1)/mu(theta2))``. This is the authoritative
-    representation; beliefs are a view through the logistic map.
+The kernel holds the state as a ``(seeds, n, 1)`` stack and steps it with
+``at @ (lam + llr_i)``. numpy makes one BLAS matrix-vector product per seed
+for that, the same call a lone seed gets, so every seed's column is
+bit-identical whatever batch it runs in. (Neither ``einsum`` nor one
+``(n, seeds)`` matrix product keeps those bits.) Symbols are drawn and turned
+into log-likelihood ratios ``_BLOCK_STEPS`` steps at a time, so memory is
+O(_BLOCK_STEPS * seeds * n) whatever the horizon.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -31,19 +38,18 @@ import numpy as np
 
 from .errors import ZeroLikelihoodError
 from .network import Network, Role
-from .probability import Hypothesis, LikelihoodModel
+from .probability import Hypothesis, LikelihoodModel, sample
 
 __all__ = [
     "AgentConfig",
     "BeliefState",
     "Trajectory",
-    "adapt",
-    "combine",
-    "step",
-    "log_ratio_recursion",
     "run",
     "run_finals",
 ]
+
+#: Steps of symbols drawn per block; bounds the LLR block to this many steps.
+_BLOCK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -111,79 +117,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- belief-domain operations ---------------------------------------------------
-
-def adapt(prior: Sequence[float], likelihood_row: Sequence[float]) -> np.ndarray:
-    """Bayesian update of a 2-state belief pair with one likelihood row.
-
-    ``likelihood_row`` holds the likelihood of the realized symbol under
-    (theta1, theta2); malicious agents pass their forged row, normal agents
-    the true one -- the arithmetic is identical.
-    """
-    prior = np.asarray(prior, dtype=float)
-    row = np.asarray(likelihood_row, dtype=float)
-    unnorm = row * prior
-    z = unnorm.sum()
-    if z == 0.0:
-        raise ZeroLikelihoodError(
-            "likelihood row is zero under both hypotheses for the realized symbol"
-        )
-    return unnorm / z
-
-
-def combine(neighbor_psis: Sequence[Sequence[float]], weights: Sequence[float]) -> np.ndarray:
-    """Weighted geometric-mean fusion of neighbors' intermediate beliefs.
-
-    Computed in the log domain: ln mu(theta) = sum_l w_l ln psi_l(theta),
-    then normalized.
-    """
-    psis = np.asarray(neighbor_psis, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    log_mu = w @ np.log(psis)
-    log_mu -= log_mu.max()
-    mu = np.exp(log_mu)
-    return mu / mu.sum()
-
-
-def step(
-    state: BeliefState,
-    net: Network,
-    agents: Sequence[AgentConfig],
-    observations: Sequence[int],
-) -> BeliefState:
-    """One synchronous round in the belief domain: all adapt, then all combine.
-
-    Observations must have been drawn from each agent's *true* model under
-    the true state; this function only consumes them.
-    """
-    pairs = state.beliefs()
-    psis = np.empty_like(pairs)
-    for k, (agent, symbol) in enumerate(zip(agents, observations)):
-        psis[k] = adapt(pairs[k], agent.inference_model.row(int(symbol)))
-    a = net.combination
-    new_pairs = np.empty_like(pairs)
-    for k in range(net.n_agents):
-        nbrs = np.flatnonzero(a[:, k] > 0.0)
-        new_pairs[k] = combine(psis[nbrs], a[nbrs, k])
-    return BeliefState(np.log(new_pairs[:, 0]) - np.log(new_pairs[:, 1]))
-
-
-# --- log-domain recursion ---------------------------------------------------------
-
-def log_ratio_recursion(
-    lam_prev: np.ndarray, loglik_ratios: np.ndarray, combination: np.ndarray
-) -> np.ndarray:
-    """Exact linear update lam_i = A^T (llr_i + lam_{i-1}).
-
-    ``loglik_ratios[k]`` is ln of agent k's inference-model likelihood ratio
-    (theta1 over theta2) at its realized symbol. Stacks of state columns are
-    supported: shapes (n,) or (n, m).
-    """
-    lam_prev = np.asarray(lam_prev, dtype=float)
-    llr = np.asarray(loglik_ratios, dtype=float)
-    return np.asarray(combination).T @ (lam_prev + llr)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Strided record of one run plus its exact final state.
@@ -230,23 +163,51 @@ def _llr_tables(agents: Sequence[AgentConfig]) -> list[np.ndarray]:
     return tables
 
 
-def _draw_all_symbols(
+def _simulate(
+    net: Network,
     agents: Sequence[AgentConfig],
     theta_true: Hypothesis,
     horizon: int,
-    seed: int,
-    agent_keys: Sequence[int] | None = None,
-) -> list[np.ndarray]:
-    """Observation block per agent: i.i.d. draws from its TRUE model under theta_true."""
-    keys = range(len(agents)) if agent_keys is None else agent_keys
-    blocks = []
-    for agent, key in zip(agents, keys):
-        pmf = agent.true_model.given(theta_true)
-        rng = np.random.default_rng((int(seed), int(key)))
-        cum = np.cumsum(pmf.as_array())
-        idx = np.searchsorted(cum, rng.random(horizon), side="right")
-        blocks.append(np.minimum(idx, pmf.alphabet_size - 1))
-    return blocks
+    seeds: Sequence[int],
+    stride: int,
+    init: Sequence[float] | float,
+    agent_keys: Sequence[int] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run every seed through the log-ratio recursion, ``_BLOCK_STEPS`` steps at a time.
+
+    Returns ``(steps, records, finals)``: the recorded time indices, the
+    ``(seeds, len(steps), n)`` records and the ``(seeds, n)`` final states.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n = net.n_agents
+    if len(agents) != n:
+        raise ValueError("agents list must match the network size")
+    keys = range(n) if agent_keys is None else agent_keys
+    tables = _llr_tables(agents)
+    pmfs = [agent.true_model.given(theta_true) for agent in agents]
+    rngs = [[np.random.default_rng((int(seed), int(key))) for key in keys] for seed in seeds]
+    init = np.broadcast_to(np.asarray(init, dtype=float), (n,))
+    lam = np.tile(BeliefState.from_belief_theta1(init).log_ratio[:, None], (len(rngs), 1, 1))
+
+    steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
+    records = np.empty((len(rngs), len(steps), n))
+    at = net.combination.T
+    llr = np.empty((_BLOCK_STEPS, len(rngs), n, 1))
+    for start in range(0, horizon, _BLOCK_STEPS):
+        size = min(_BLOCK_STEPS, horizon - start)
+        for s, seed_rngs in enumerate(rngs):
+            for k, (table, pmf, rng) in enumerate(zip(tables, pmfs, seed_rngs)):
+                llr[:size, s, k, 0] = table[sample(pmf, rng, size)]
+        if not np.all(np.isfinite(llr[:size])):
+            raise ZeroLikelihoodError(
+                "an inference model assigns zero likelihood to a realized symbol"
+            )
+        for i in range(start + 1, start + size + 1):
+            lam = at @ (lam + llr[i - start - 1])
+            if stride > 0 and i % stride == 0:
+                records[:, i // stride - 1] = lam[..., 0]
+    return steps, records, lam[..., 0]
 
 
 def run(
@@ -265,38 +226,16 @@ def run(
     steps stride, 2*stride, ... <= horizon. Initial beliefs default to
     uniform and must be strictly inside (0, 1).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    n = net.n_agents
-    if len(agents) != n:
-        raise ValueError("agents list must match the network size")
-    init = np.broadcast_to(np.asarray(initial_belief_theta1, dtype=float), (n,))
-    lam = BeliefState.from_belief_theta1(init).log_ratio.copy()
-
-    tables = _llr_tables(agents)
-    blocks = _draw_all_symbols(agents, theta_true, horizon, seed, agent_keys)
-    llr = np.column_stack([tab[blk] for tab, blk in zip(tables, blocks)])
-    if not np.all(np.isfinite(llr)):
-        raise ZeroLikelihoodError(
-            "an inference model assigns zero likelihood to a realized symbol"
-        )
-
-    at = net.combination.T
-    record_steps = [] if stride <= 0 else list(range(stride, horizon + 1, stride))
-    records = np.empty((len(record_steps), n))
-    r = 0
-    for i in range(1, horizon + 1):
-        lam = at @ (lam + llr[i - 1])
-        if r < len(record_steps) and i == record_steps[r]:
-            records[r] = lam
-            r += 1
+    steps, records, finals = _simulate(
+        net, agents, theta_true, horizon, [seed], stride, initial_belief_theta1, agent_keys
+    )
     return Trajectory(
         theta_true=theta_true,
         seed=int(seed),
         horizon=int(horizon),
-        steps=np.asarray(record_steps, dtype=int),
-        log_ratio=records,
-        final_log_ratio=lam,
+        steps=steps,
+        log_ratio=records[0],
+        final_log_ratio=finals[0],
     )
 
 
@@ -310,22 +249,14 @@ def run_finals(
 ) -> np.ndarray:
     """Final log-ratio matrix (n_agents, n_seeds) for a batch of seeds.
 
-    Column ``s`` is bit-identical to ``run(..., seed=seeds[s]).final_log_ratio``
-    because each seed replays the exact single-run recursion (records off).
+    Column ``s`` is bit-identical to ``run(..., seed=seeds[s]).final_log_ratio``:
+    both are the same kernel, and each seed of the stack gets its own gemv.
+    The matrix is C-contiguous, so reductions over it sum in a fixed order.
     """
-    finals = [
-        run(
-            net,
-            agents,
-            theta_true,
-            horizon=horizon,
-            seed=seed,
-            stride=0,
-            initial_belief_theta1=initial_belief_theta1,
-        ).final_log_ratio
-        for seed in seeds
-    ]
-    return np.column_stack(finals)
+    _, _, finals = _simulate(
+        net, agents, theta_true, horizon, seeds, 0, initial_belief_theta1, None
+    )
+    return np.ascontiguousarray(finals.T)
 
 
 def network_average_true_belief(

@@ -1,18 +1,26 @@
-"""Shared generators for randomized property tests (seeded, no hypothesis dep)."""
+"""Shared generators for randomized property tests (seeded, no hypothesis dep),
+and the references the log-domain kernel is checked against: the belief-domain
+adapt/combine/step and a per-step log-domain loop."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from sociallearn import (
     AgentConfig,
+    BeliefState,
     LikelihoodModel,
+    Network,
     erdos_renyi_adjacency,
     is_informative,
     make_network,
     make_pmf,
+    sample,
     uniform_combination,
 )
+from sociallearn.errors import ZeroLikelihoodError
 
 
 def random_pmf(rng: np.random.Generator, n: int, floor: float = 0.0):
@@ -56,3 +64,87 @@ def agents_for(net, models, forged=None) -> tuple[AgentConfig, ...]:
         AgentConfig(role=net.roles[k], true_model=models[k], forged_model=forged.get(k))
         for k in range(net.n_agents)
     )
+
+
+def draw_symbols(agents, theta_true, horizon, seed) -> list[np.ndarray]:
+    """Whole-horizon observation block per agent ``k``, from ``default_rng((seed, k))``."""
+    return [
+        sample(a.true_model.given(theta_true), np.random.default_rng((int(seed), k)), horizon)
+        for k, a in enumerate(agents)
+    ]
+
+
+def reference_run(net, agents, theta_true, horizon, seed, stride):
+    """Per-step log-domain loop over whole-horizon draws: (records, final state)."""
+    tables = [
+        np.log(a.inference_model.given_theta1.as_array())
+        - np.log(a.inference_model.given_theta2.as_array())
+        for a in agents
+    ]
+    blocks = draw_symbols(agents, theta_true, horizon, seed)
+    llr = np.column_stack([tab[blk] for tab, blk in zip(tables, blocks)])
+    at = net.combination.T
+    lam = BeliefState.from_belief_theta1(np.full(net.n_agents, 0.5)).log_ratio.copy()
+    records = []
+    for i in range(1, horizon + 1):
+        lam = at @ (lam + llr[i - 1])
+        if i % stride == 0:
+            records.append(lam)
+    return np.array(records), lam
+
+
+# --- belief-domain reference ------------------------------------------------------
+
+def adapt(prior: Sequence[float], likelihood_row: Sequence[float]) -> np.ndarray:
+    """Bayesian update of a 2-state belief pair with one likelihood row.
+
+    ``likelihood_row`` holds the likelihood of the realized symbol under
+    (theta1, theta2); malicious agents pass their forged row, normal agents
+    the true one -- the arithmetic is identical.
+    """
+    prior = np.asarray(prior, dtype=float)
+    row = np.asarray(likelihood_row, dtype=float)
+    unnorm = row * prior
+    z = unnorm.sum()
+    if z == 0.0:
+        raise ZeroLikelihoodError(
+            "likelihood row is zero under both hypotheses for the realized symbol"
+        )
+    return unnorm / z
+
+
+def combine(neighbor_psis: Sequence[Sequence[float]], weights: Sequence[float]) -> np.ndarray:
+    """Weighted geometric-mean fusion of neighbors' intermediate beliefs.
+
+    Computed in the log domain: ln mu(theta) = sum_l w_l ln psi_l(theta),
+    then normalized.
+    """
+    psis = np.asarray(neighbor_psis, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    log_mu = w @ np.log(psis)
+    log_mu -= log_mu.max()
+    mu = np.exp(log_mu)
+    return mu / mu.sum()
+
+
+def step(
+    state: BeliefState,
+    net: Network,
+    agents: Sequence[AgentConfig],
+    observations: Sequence[int],
+) -> BeliefState:
+    """One synchronous round in the belief domain: all adapt, then all combine.
+
+    Observations must have been drawn from each agent's *true* model under
+    the true state; this function only consumes them.
+    """
+    pairs = state.beliefs()
+    psis = np.empty_like(pairs)
+    for k, (agent, symbol) in enumerate(zip(agents, observations)):
+        psis[k] = adapt(pairs[k], agent.inference_model.row(int(symbol)))
+    a = net.combination
+    new_pairs = np.empty_like(pairs)
+    for k in range(net.n_agents):
+        nbrs = np.flatnonzero(a[:, k] > 0.0)
+        new_pairs[k] = combine(psis[nbrs], a[nbrs, k])
+    return BeliefState(np.log(new_pairs[:, 0]) - np.log(new_pairs[:, 1]))

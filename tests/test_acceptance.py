@@ -39,11 +39,17 @@ from sociallearn import (
 from sociallearn.attacks import select_support_pair
 from sociallearn.cli import main as cli_main
 from sociallearn.errors import AllUninformativeError, FloorViolationError
-from sociallearn.learning import _draw_all_symbols, network_average_true_belief
-from sociallearn.learning import BeliefState, run, step
+from sociallearn.learning import BeliefState, network_average_true_belief, run
 from sociallearn.network import adversary_centrality
 
-from helpers import agents_for, random_model, random_network, random_uninformative_model
+from helpers import (
+    agents_for,
+    draw_symbols,
+    random_model,
+    random_network,
+    random_uninformative_model,
+    step,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -246,7 +252,7 @@ def test_07_dual_representation_consistency():
         horizon = 100
         seed = 1000 + scenario_index
         traj = run(net, agents, Hypothesis.THETA1, horizon, seed=seed)
-        blocks = _draw_all_symbols(agents, Hypothesis.THETA1, horizon, seed)
+        blocks = draw_symbols(agents, Hypothesis.THETA1, horizon, seed)
         state = BeliefState.uniform(n)
         for i in range(horizon):
             state = step(state, net, agents, [int(b[i]) for b in blocks])

@@ -147,22 +147,33 @@ attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
 
 
 class TestNetworkOutsideTheory:
-    def test_disconnected_network_refused(self, tmp_path, capsys):
-        # two components: the verdict's Perron vector would be meaningless
-        path = write(
-            tmp_path,
-            """
+    # two components: the verdict's Perron vector would be meaningless
+    DISCONNECTED = """
 topology: {kind: edge_list, n_agents: 4, edges: [[0, 1], [2, 3]]}
 agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}
 attack: {strategy: unknown_divergences, epsilon: 1.0e-2}
 experiment: {horizon: 50}
-""",
-        )
+"""
+
+    def test_disconnected_network_refused(self, tmp_path, capsys):
+        path = write(tmp_path, self.DISCONNECTED)
         out = tmp_path / "out"
         for command in ("run", "predict", "attack"):
             assert main([command, "--config", path, "--out", str(out)]) == 1
             assert "NotStronglyConnected" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_validate_refuses_disconnected_network(self, tmp_path):
+        path = write(tmp_path, self.DISCONNECTED)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sociallearn.cli", "validate", "--config", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "NotStronglyConnected" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""Belief dynamics: adapt/combine, log recursion, runs, dual representation."""
+"""Belief dynamics: the belief-domain reference, runs, the kernel, dual representation."""
 
 import math
 
@@ -10,23 +10,28 @@ from sociallearn import (
     BeliefState,
     Hypothesis,
     Role,
-    adapt,
     bsc_model,
-    combine,
-    log_ratio_recursion,
     make_model,
     make_network,
     run,
     run_finals,
     star_adjacency,
-    step,
     uniform_combination,
     unknown_divergence_attack,
 )
 from sociallearn.errors import ZeroLikelihoodError
-from sociallearn.learning import _draw_all_symbols, network_average_true_belief
+from sociallearn.learning import _BLOCK_STEPS, network_average_true_belief
 
-from helpers import agents_for, random_model, random_network
+from helpers import (
+    adapt,
+    agents_for,
+    combine,
+    draw_symbols,
+    random_model,
+    random_network,
+    reference_run,
+    step,
+)
 
 
 class TestAdapt:
@@ -60,37 +65,18 @@ class TestCombine:
 
 
 class TestLogRatioRecursion:
-    def test_zero_fixed_point(self):
-        out = log_ratio_recursion(np.zeros(3), np.zeros(3), np.eye(3))
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_scalar_accumulation(self):
-        lam = np.zeros(1)
-        for i in range(1, 8):
-            lam = log_ratio_recursion(lam, np.array([0.37]), np.eye(1))
-            assert lam[0] == pytest.approx(i * 0.37, abs=1e-12)
-
     def test_matches_belief_domain_composition(self):
         rng = np.random.default_rng(77)
         net = random_network(rng, 3)
         models = [random_model(rng, int(rng.integers(2, 5))) for _ in range(3)]
         agents = agents_for(net, models)
         horizon = 50
-        blocks = _draw_all_symbols(agents, Hypothesis.THETA1, horizon, seed=5)
+        traj = run(net, agents, Hypothesis.THETA1, horizon, seed=5, stride=1)
+        blocks = draw_symbols(agents, Hypothesis.THETA1, horizon, seed=5)
         state = BeliefState.uniform(3)
-        lam = state.log_ratio.copy()
         for i in range(horizon):
-            obs = [int(blocks[k][i]) for k in range(3)]
-            state = step(state, net, agents, obs)
-            llr = np.array(
-                [
-                    math.log(agents[k].inference_model.row(obs[k])[0])
-                    - math.log(agents[k].inference_model.row(obs[k])[1])
-                    for k in range(3)
-                ]
-            )
-            lam = log_ratio_recursion(lam, llr, net.combination)
-            assert np.max(np.abs(state.log_ratio - lam)) < 1e-9
+            state = step(state, net, agents, [int(blocks[k][i]) for k in range(3)])
+            assert np.max(np.abs(state.log_ratio - traj.log_ratio[i])) < 1e-9
 
 
 class TestStep:
@@ -122,7 +108,7 @@ class TestStep:
         forged = {0: unknown_divergence_attack(models[0], 0.01)}
         agents = agents_for(net, models, forged)
         state = BeliefState.uniform(4)
-        blocks = _draw_all_symbols(agents, Hypothesis.THETA1, 100, seed=2)
+        blocks = draw_symbols(agents, Hypothesis.THETA1, 100, seed=2)
         for i in range(100):
             state = step(state, net, agents, [int(b[i]) for b in blocks])
             beliefs = state.beliefs()
@@ -168,10 +154,33 @@ class TestRun:
         rng = np.random.default_rng(15)
         net = random_network(rng, 4)
         agents = agents_for(net, [bsc_model(0.7)] * 4)
-        finals = run_finals(net, agents, Hypothesis.THETA1, horizon=150, seeds=[3, 8])
-        for col, seed in enumerate((3, 8)):
-            traj = run(net, agents, Hypothesis.THETA1, horizon=150, seed=seed)
-            assert np.array_equal(finals[:, col], traj.final_log_ratio)
+        for seeds in ([3], [3, 8, 11, 20]):
+            finals = run_finals(net, agents, Hypothesis.THETA1, horizon=150, seeds=seeds)
+            assert finals.shape == (4, len(seeds)) and finals.flags.c_contiguous
+            for col, seed in enumerate(seeds):
+                traj = run(net, agents, Hypothesis.THETA1, horizon=150, seed=seed)
+                assert np.array_equal(finals[:, col], traj.final_log_ratio)
+
+    def test_blocks_match_per_step_loop(self):
+        # a horizon over several symbol blocks, and a stride that does not divide a block
+        rng = np.random.default_rng(18)
+        net = random_network(rng, 5, n_malicious=1)
+        models = [random_model(rng, 3) for _ in range(5)]
+        agents = agents_for(net, models, {0: unknown_divergence_attack(models[0], 1e-2)})
+        horizon = 2 * _BLOCK_STEPS + 7
+        traj = run(net, agents, Hypothesis.THETA1, horizon, seed=21, stride=5)
+        records, final = reference_run(net, agents, Hypothesis.THETA1, horizon, 21, stride=5)
+        assert list(traj.steps) == list(range(5, horizon + 1, 5))
+        assert np.array_equal(traj.log_ratio, records)
+        assert np.array_equal(traj.final_log_ratio, final)
+
+    def test_zero_likelihood_for_drawn_symbol_raises(self):
+        # the forged model rules out symbol 1, which the true model draws half the time
+        net = make_network(np.array([[1.0]]), 1)
+        forged = make_model([1.0, 0.0], [0.5, 0.5])
+        agents = (AgentConfig(role=Role.MALICIOUS, true_model=bsc_model(0.5), forged_model=forged),)
+        with pytest.raises(ZeroLikelihoodError):
+            run(net, agents, Hypothesis.THETA1, horizon=50, seed=0)
 
     def test_stride_and_steps(self):
         rng = np.random.default_rng(16)
