@@ -42,7 +42,7 @@ def main():
         for k in range(net.n_agents)
     )
 
-    u = perron_vector(net).as_array()
+    u = perron_vector(net)
     report = deception_verdict(net, agents)
 
     print("Scenario: 15 agents, BSC p=0.8, 4 adversaries with the optimal")

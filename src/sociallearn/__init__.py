@@ -29,7 +29,6 @@ from .probability import (
 )
 from .network import (
     Network,
-    PerronVector,
     Role,
     Violation,
     adversary_centrality,

@@ -21,9 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import NoSignChangeError
 from .learning import AgentConfig
-from .network import Network, PerronVector, Role, perron_vector
+from .network import Network, Role, perron_vector
 from .probability import (
     Hypothesis,
     LikelihoodModel,
@@ -95,7 +97,7 @@ def normal_divergence(
     net: Network,
     agents: Sequence[AgentConfig],
     j: int,
-    u: PerronVector | None = None,
+    u: np.ndarray | None = None,
 ) -> float:
     """Centrality-weighted KL divergence of the normal sub-network for state j."""
     u = u if u is not None else perron_vector(net)
@@ -104,7 +106,7 @@ def normal_divergence(
         if agent.role is not Role.NORMAL:
             continue
         p, q = _state_pmfs(agent.true_model, j)
-        total += u[k] * kl_divergence(p, q)
+        total += float(u[k]) * kl_divergence(p, q)
     return total
 
 
@@ -154,7 +156,7 @@ def deception_verdict(
     net: Network,
     agents: Sequence[AgentConfig],
     plan: AttackPlan | None = None,
-    u: PerronVector | None = None,
+    u: np.ndarray | None = None,
 ) -> DeceptionReport:
     """Full threshold report for both candidate true states.
 
@@ -168,9 +170,10 @@ def deception_verdict(
     s = {j: normal_divergence(net, agents, j, u) for j in (1, 2)}
     r: dict[int, list[float]] = {1: [], 2: []}
     for k in adv:
+        u_k = float(u[k])
         for j in (1, 2):
-            val = adversary_contribution(u[k], agents[k].true_model, forged[k], j)
-            alt = _contribution_kl_form(u[k], agents[k].true_model, forged[k], j)
+            val = adversary_contribution(u_k, agents[k].true_model, forged[k], j)
+            alt = _contribution_kl_form(u_k, agents[k].true_model, forged[k], j)
             if abs(val - alt) > _KL_FORM_TOL * max(1.0, abs(val)):
                 raise AssertionError(
                     f"KL-form mismatch for adversary {k}, state {j}: {val} vs {alt}"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .analysis import deception_verdict
@@ -37,6 +36,7 @@ from .simulator import (
     emit_sweep_results,
     run_experiment,
     run_sweep,
+    write_json,
 )
 
 
@@ -137,16 +137,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
             }
         )
     doc = {"strategy": scenario.plan.strategy, "epsilon": scenario.plan.eps, "forged": entries}
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "attack.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
-        print(path)
+        print(write_json(doc, args.out, "attack.json"))
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 

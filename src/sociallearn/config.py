@@ -61,6 +61,7 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
+from .analysis import normal_divergence
 from .attacks import (
     AttackPlan,
     AttackPlanEntry,
@@ -72,7 +73,6 @@ from .errors import ConfigParseError, ConfigValidationError, SocialLearnError
 from .learning import AgentConfig
 from .network import (
     Network,
-    PerronVector,
     adversary_centrality,
     complete_adjacency,
     edge_list_adjacency,
@@ -404,7 +404,7 @@ class Scenario:
     """Runnable assembly: network, Perron vector, agents (forged models bound), plan."""
 
     net: Network
-    perron: PerronVector
+    perron: np.ndarray
     agents: tuple[AgentConfig, ...]
     plan: AttackPlan | None
     theta_true: Hypothesis
@@ -441,7 +441,7 @@ def _adjacency(t: TopologySpec) -> np.ndarray:
 
 
 def build_plan(
-    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel], u: PerronVector
+    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel], u: np.ndarray
 ) -> AttackPlan | None:
     """Assemble the forged models the configured strategy prescribes."""
     at = cfg.attack
@@ -476,8 +476,6 @@ def build_plan(
     # adversary's own centrality; defaults are computed from the scenario,
     # but both divergences can be supplied externally in the config.
     if at.s1 is None or at.s2 is None:
-        from .analysis import normal_divergence  # local import avoids a cycle
-
         agents_tmp = tuple(
             AgentConfig(role=net.roles[k], true_model=models[k])
             for k in range(net.n_agents)
@@ -517,7 +515,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     )
     report_inputs = {
         "adversary_centrality": adversary_centrality(u, net.roles),
-        "perron": [float(x) for x in u.as_array()],
+        "perron": [float(x) for x in u],
         "violations": [],  # kept for the result bytes; such a network is refused above
     }
     return Scenario(

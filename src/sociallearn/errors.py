@@ -45,7 +45,11 @@ class IsolatedAgentError(SocialLearnError):
 
 
 class NoConvergenceError(SocialLearnError):
-    """Power iteration failed to converge within the iteration cap."""
+    """A rejection sampler found no acceptable draw within its try cap."""
+
+
+class NoPerronVectorError(SocialLearnError):
+    """The combination matrix has no unique positive fixed vector within tolerance."""
 
 
 # --- learning -----------------------------------------------------------------

@@ -138,12 +138,10 @@ class Trajectory:
 
     def network_average_true_belief(self) -> np.ndarray:
         """Average over agents of the belief in the true state, per record."""
-        sign = 1.0 if self.theta_true is Hypothesis.THETA1 else -1.0
-        return _sigmoid(sign * self.log_ratio).mean(axis=1)
+        return network_average_true_belief(self.log_ratio.T, self.theta_true)
 
     def final_network_average_true_belief(self) -> float:
-        sign = 1.0 if self.theta_true is Hypothesis.THETA1 else -1.0
-        return float(_sigmoid(sign * self.final_log_ratio).mean())
+        return network_average_true_belief(self.final_log_ratio, self.theta_true)
 
     def empirical_rate(self) -> np.ndarray:
         """Per-agent (1/horizon) * ln(mu(theta_wrong)/mu(theta_true)) at the end."""
@@ -262,7 +260,14 @@ def run_finals(
 def network_average_true_belief(
     lam: np.ndarray, theta_true: Hypothesis
 ) -> np.ndarray | float:
-    """Agent-average belief in the true state from log ratios (vector or matrix)."""
-    b1 = _sigmoid(np.asarray(lam, dtype=float))
-    b = b1 if theta_true is Hypothesis.THETA1 else 1.0 - b1
-    return b.mean(axis=0) if b.ndim > 1 else float(b.mean())
+    """Agent-average belief in the true state from log ratios (vector or matrix).
+
+    The belief in theta2 is the logistic of ``-lam``, never ``1 - sigmoid(lam)``,
+    so a deceived network's vanishing belief keeps its digits.
+    """
+    sign = 1.0 if theta_true is Hypothesis.THETA1 else -1.0
+    b = _sigmoid(sign * np.asarray(lam, dtype=float))
+    if b.ndim == 1:
+        return float(b.mean())
+    # one contiguous row per seed sums in the order a lone seed's vector does
+    return np.ascontiguousarray(b.T).mean(axis=1)

@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IsolatedAgentError, NoConvergenceError
+from .errors import IsolatedAgentError, NoConvergenceError, NoPerronVectorError
 
 COLUMN_SUM_TOL = 1e-9
-_POWER_ITER_TOL = 1e-13
-_POWER_ITER_CAP = 10**6
+#: max-norm bound on ``A u - u`` that every returned Perron vector meets.
+PERRON_RESIDUAL_TOL = 1e-12
 
 
 class Role(enum.Enum):
@@ -74,24 +74,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
-
-
-@dataclass(frozen=True, eq=False)
-class PerronVector:
-    """Positive, sum-one fixed vector of the combination matrix."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.u, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "u", arr)
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.u[k])
-
-    def as_array(self) -> np.ndarray:
-        return self.u
 
 
 # --- adjacency builders -------------------------------------------------------
@@ -152,25 +134,11 @@ def erdos_renyi_adjacency(
         adj = np.zeros((n, n), dtype=bool)
         adj[iu] = rng.random(iu[0].size) < edge_prob
         adj |= adj.T
-        if not require_connected or _connected(adj):
+        if not require_connected or _reaches_all(adj):
             return adj
     raise NoConvergenceError(
         f"no connected Erdos-Renyi draw in {max_tries} tries (p={edge_prob})"
     )
-
-
-def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in np.flatnonzero(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
 
 
 # --- combination matrices -------------------------------------------------------
@@ -243,7 +211,6 @@ def validate_network(net: Network) -> list[Violation]:
     """
     out: list[Violation] = []
     a = net.combination
-    n = net.n_agents
 
     if np.any(a < -1e-15) or np.any(a > 1.0 + 1e-12):
         out.append(Violation("EntryOutOfRange", "weights must lie in [0, 1]"))
@@ -263,8 +230,6 @@ def validate_network(net: Network) -> list[Violation]:
         )
     if all(r is Role.MALICIOUS for r in net.roles):
         out.append(Violation("NoNormalAgent", "at least one normal agent required"))
-    if n != len(net.roles):
-        out.append(Violation("RoleLengthMismatch", "roles do not match matrix size"))
     return out
 
 
@@ -284,28 +249,42 @@ def _reaches_all(support: np.ndarray) -> bool:
 
 # --- Perron centrality ------------------------------------------------------------
 
-def perron_vector(net: Network) -> PerronVector:
+def perron_vector(net: Network) -> np.ndarray:
     """Positive fixed vector of A (eigenvalue 1), normalized to sum one.
 
-    Power iteration mirrors the limit construction directly: iterate
-    ``u <- A u`` from the uniform vector until successive iterates differ
-    by < 1e-13 in max-norm.
+    One bordered linear solve: the rows of ``(A - I) u = 0`` with the last
+    one replaced by ``1^T u = 1``. The result is checked, not trusted: a
+    matrix without a unique positive fixed vector raises
+    :class:`NoPerronVectorError`, as does ``|A u - u|`` above
+    ``PERRON_RESIDUAL_TOL`` anywhere. Strong connectivity is checked on the
+    support, because rounding can leave the zero entries of a reducible
+    matrix's fixed vector slightly positive. Returns a read-only array.
     """
     a = net.combination
-    n = net.n_agents
-    u = np.full(n, 1.0 / n)
-    for _ in range(_POWER_ITER_CAP):
-        v = a @ u
-        v = v / v.sum()
-        if float(np.max(np.abs(v - u))) < _POWER_ITER_TOL:
-            return PerronVector(v)
-        u = v
-    raise NoConvergenceError("power iteration did not converge (periodic structure?)")
+    support = a > 0.0
+    if not (_reaches_all(support) and _reaches_all(support.T)):
+        raise NoPerronVectorError("network is not strongly connected")
+    bordered = a - np.eye(net.n_agents)
+    bordered[-1] = 1.0
+    rhs = np.zeros(net.n_agents)
+    rhs[-1] = 1.0
+    try:
+        u = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoPerronVectorError(f"no unique fixed vector: {exc}") from exc
+    if not np.all(u > 0.0):
+        raise NoPerronVectorError("fixed vector is not positive")
+    residual = float(np.max(np.abs(a @ u - u)))
+    if not residual <= PERRON_RESIDUAL_TOL:
+        raise NoPerronVectorError(
+            f"fixed-vector residual {residual!r} exceeds {PERRON_RESIDUAL_TOL!r}"
+        )
+    u.setflags(write=False)
+    return u
 
 
-def adversary_centrality(u: PerronVector | np.ndarray, roles: Sequence[Role]) -> float:
+def adversary_centrality(u: np.ndarray, roles: Sequence[Role]) -> float:
     """Aggregate centrality of the malicious agents, sum of their u entries."""
-    arr = u.as_array() if isinstance(u, PerronVector) else np.asarray(u, dtype=float)
-    if len(arr) != len(roles):
+    if len(u) != len(roles):
         raise ValueError("centrality vector and roles must have equal length")
-    return float(sum(arr[k] for k, r in enumerate(roles) if r is Role.MALICIOUS))
+    return float(sum(u[k] for k, r in enumerate(roles) if r is Role.MALICIOUS))

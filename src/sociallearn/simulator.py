@@ -15,6 +15,7 @@ closed-form deception report, and per-seed summaries.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,6 @@ from .analysis import (
     DeceptionReport,
     critical_parameter,
     deception_verdict,
-    homogeneous_centrality_margin,
     predicted_and_empirical_agree,
 )
 from .config import (
@@ -48,6 +48,7 @@ __all__ = [
     "run_sweep",
     "emit_results",
     "emit_sweep_results",
+    "write_json",
 ]
 
 
@@ -175,8 +176,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     The empirical crossing is the linear interpolation of the mean final
     true-state belief through 0.5 at the first adjacent grid pair where it
     changes side; the theory root bisects the closed-form margin over
-    the grid span. For ``adversary_centrality`` sweeps both the grid and
-    the root are expressed in aggregate-centrality units.
+    the grid span. For ``adversary_centrality`` sweeps both the crossing
+    and the root are expressed in aggregate-centrality units.
     """
     if cfg.sweep is None:
         raise NoSignChangeError("config has no sweep section")
@@ -193,7 +194,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
         for p in points
     ]
     crossing = _interp_crossing(axis, [p.mean_final for p in points])
-    root = _theory_root(cfg, points)
+    root = _theory_root(cfg)
     return SweepResult(
         config=cfg,
         parameter=cfg.sweep.parameter,
@@ -213,42 +214,32 @@ def _interp_crossing(xs: Sequence[float], means: Sequence[float]) -> float | Non
     return None
 
 
-def _theory_root(cfg: ExperimentConfig, points: tuple[SweepPoint, ...]) -> float | None:
-    """Bisection root of the closed-form margin along the sweep axis."""
+def _theory_root(cfg: ExperimentConfig) -> float | None:
+    """Bisection root of the closed-form margin along the sweep axis.
+
+    Each step rebuilds the scenario at the trial value, so per-agent models
+    and every sweep parameter take the one path. An ``adversary_centrality``
+    root is found on the trust-weight axis the grid is written in, then
+    reported as the aggregate centrality of the scenario built at it.
+    """
     sweep = cfg.sweep
     theta = Hypothesis.from_name(cfg.experiment.theta_true)
 
-    if sweep.parameter == "adversary_centrality":
-        # margin is linear in aggregate centrality for shared models
-        point_cfg = apply_sweep_value(cfg, sweep.values[0])
-        scenario = build_scenario(point_cfg)
-        adv0 = scenario.net.malicious_indices[0]
-        forged = scenario.agents[adv0].forged_model
-        true_model = scenario.agents[adv0].true_model
-        if forged is None:
-            return None
-        margin_fn = homogeneous_centrality_margin(
-            true_model, forged, 1 if theta is Hypothesis.THETA1 else 2
-        )
-        lo = min(p.adversary_centrality for p in points)
-        hi = max(p.adversary_centrality for p in points)
-        try:
-            return critical_parameter(margin_fn, (lo, hi))
-        except NoSignChangeError:
-            return None
-
     def margin_of(value: float) -> float:
-        point_cfg = apply_sweep_value(cfg, value)
-        scenario = build_scenario(point_cfg)
+        scenario = build_scenario(apply_sweep_value(cfg, value))
         report = deception_verdict(
             scenario.net, scenario.agents, scenario.plan, u=scenario.perron
         )
         return report.margin(theta)
 
     try:
-        return critical_parameter(margin_of, (min(sweep.values), max(sweep.values)))
+        root = critical_parameter(margin_of, (min(sweep.values), max(sweep.values)))
     except NoSignChangeError:
         return None
+    if sweep.parameter == "adversary_centrality":
+        scenario = build_scenario(apply_sweep_value(cfg, root))
+        return float(scenario.report_inputs["adversary_centrality"])
+    return root
 
 
 # --- result files ------------------------------------------------------------------
@@ -275,81 +266,79 @@ def _report_dict(report: DeceptionReport) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _result_file(out_dir: str, name: str):
+    """Open ``out_dir/name`` for writing; any OS failure is an ``OutputIOError``."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputIOError(f"cannot write results under {out_dir!r}: {exc}") from exc
+
+
+def write_json(doc: dict, out_dir: str, name: str) -> str:
+    """Write ``doc`` as ``out_dir/name`` (sorted keys, indent 2); returns the path."""
+    with _result_file(out_dir, name) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return os.path.join(out_dir, name)
+
+
 def emit_results(result: ExperimentResult, out_dir: str, fmt: str | None = None) -> list[str]:
     """Write result files; returns the created paths (deterministic bytes)."""
     fmt = fmt or result.config.output.format
     written: list[str] = []
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        if fmt == "tabular":
-            path = os.path.join(out_dir, "trajectories.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("step,agent_id,role,belief_theta1,log_ratio,seed\n")
-                for traj in result.trajectories:
-                    beliefs = traj.belief_theta1()
-                    for r, step_idx in enumerate(traj.steps):
-                        for k in range(result.scenario.net.n_agents):
-                            role = result.scenario.net.roles[k].value
-                            fh.write(
-                                f"{int(step_idx)},{k},{role},"
-                                f"{_fmt(beliefs[r, k])},{_fmt(traj.log_ratio[r, k])},"
-                                f"{traj.seed}\n"
-                            )
-            written.append(path)
-        doc = {
-            "config": result.config.to_dict(),
-            "deception_report": _report_dict(result.report),
-            "scenario": result.scenario.report_inputs,
-            "per_seed": result.prediction_table(),
-        }
-        path = os.path.join(out_dir, "summary.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    except OSError as exc:
-        raise OutputIOError(f"cannot write results under {out_dir!r}: {exc}") from exc
+    if fmt == "tabular":
+        with _result_file(out_dir, "trajectories.csv") as fh:
+            fh.write("step,agent_id,role,belief_theta1,log_ratio,seed\n")
+            for traj in result.trajectories:
+                beliefs = traj.belief_theta1()
+                for r, step_idx in enumerate(traj.steps):
+                    for k in range(result.scenario.net.n_agents):
+                        role = result.scenario.net.roles[k].value
+                        fh.write(
+                            f"{int(step_idx)},{k},{role},"
+                            f"{_fmt(beliefs[r, k])},{_fmt(traj.log_ratio[r, k])},"
+                            f"{traj.seed}\n"
+                        )
+        written.append(os.path.join(out_dir, "trajectories.csv"))
+    doc = {
+        "config": result.config.to_dict(),
+        "deception_report": _report_dict(result.report),
+        "scenario": result.scenario.report_inputs,
+        "per_seed": result.prediction_table(),
+    }
+    written.append(write_json(doc, out_dir, "summary.json"))
     return written
 
 
 def emit_sweep_results(result: SweepResult, out_dir: str) -> list[str]:
-    written: list[str] = []
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "sweep.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "parameter,value,adversary_centrality,margin_true,seed,final_true_belief\n"
-            )
-            for p in result.points:
-                for seed, final in zip(result.config.experiment.seeds, p.per_seed_final):
-                    fh.write(
-                        f"{result.parameter},{_fmt(p.value)},"
-                        f"{_fmt(p.adversary_centrality)},{_fmt(p.margin_true)},"
-                        f"{seed},{_fmt(final)}\n"
-                    )
-        written.append(path)
-        doc = {
-            "config": result.config.to_dict(),
-            "parameter": result.parameter,
-            "empirical_crossing": result.empirical_crossing,
-            "theory_root": result.theory_root,
-            "points": [
-                {
-                    "value": p.value,
-                    "adversary_centrality": p.adversary_centrality,
-                    "margin_true": p.margin_true,
-                    "mean_final_true_belief": p.mean_final,
-                    "per_seed_final": list(p.per_seed_final),
-                }
-                for p in result.points
-            ],
-        }
-        path = os.path.join(out_dir, "sweep.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    except OSError as exc:
-        raise OutputIOError(f"cannot write results under {out_dir!r}: {exc}") from exc
-    return written
+    with _result_file(out_dir, "sweep.csv") as fh:
+        fh.write(
+            "parameter,value,adversary_centrality,margin_true,seed,final_true_belief\n"
+        )
+        for p in result.points:
+            for seed, final in zip(result.config.experiment.seeds, p.per_seed_final):
+                fh.write(
+                    f"{result.parameter},{_fmt(p.value)},"
+                    f"{_fmt(p.adversary_centrality)},{_fmt(p.margin_true)},"
+                    f"{seed},{_fmt(final)}\n"
+                )
+    doc = {
+        "config": result.config.to_dict(),
+        "parameter": result.parameter,
+        "empirical_crossing": result.empirical_crossing,
+        "theory_root": result.theory_root,
+        "points": [
+            {
+                "value": p.value,
+                "adversary_centrality": p.adversary_centrality,
+                "margin_true": p.margin_true,
+                "mean_final_true_belief": p.mean_final,
+                "per_seed_final": list(p.per_seed_final),
+            }
+            for p in result.points
+        ],
+    }
+    return [os.path.join(out_dir, "sweep.csv"), write_json(doc, out_dir, "sweep.json")]

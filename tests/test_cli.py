@@ -142,6 +142,20 @@ attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
         for key in ("x1", "x2", "beta", "p1", "p2", "support_pair"):
             assert key in entry["params"]
 
+    def test_unwritable_out_exits_1_without_traceback(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sociallearn.cli", "attack",
+             "--config", cfg_path("nonseparable_askd.yaml"), "--out", str(blocker / "sub")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "error: cannot write results" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_no_attack_configured(self, capsys):
         assert main(["attack", "--config", cfg_path("minimal_no_attack.yaml")]) == 1
 

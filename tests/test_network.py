@@ -18,8 +18,8 @@ from sociallearn import (
     uniform_combination,
     validate_network,
 )
-from sociallearn.errors import IsolatedAgentError
-from sociallearn.network import _connected
+from sociallearn.errors import IsolatedAgentError, SocialLearnError
+from sociallearn.network import PERRON_RESIDUAL_TOL, _reaches_all
 
 from helpers import random_network
 
@@ -43,7 +43,7 @@ class TestErdosRenyi:
                     for j in range(i + 1, n):
                         if rng.random() < edge_prob:
                             adj[i, j] = adj[j, i] = True
-                if _connected(adj):
+                if _reaches_all(adj):
                     return adj
 
         for n, edge_prob in ((15, 0.25), (100, 0.1)):
@@ -112,18 +112,18 @@ class TestValidateNetwork:
 class TestPerronVector:
     def test_doubly_stochastic_2x2(self):
         net = make_network(np.full((2, 2), 0.5), 0)
-        assert np.allclose(perron_vector(net).as_array(), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(perron_vector(net), [0.5, 0.5], atol=1e-12)
 
     def test_three_cycle_uniform(self):
         net = make_network(uniform_combination(ring_adjacency(3), True), 0)
-        assert np.allclose(perron_vector(net).as_array(), 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(perron_vector(net), 1.0 / 3.0, atol=1e-12)
 
     def test_fixed_point_residual(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             net = random_network(rng, int(rng.integers(3, 12)))
-            u = perron_vector(net).as_array()
-            assert np.max(np.abs(net.combination @ u - u)) < 1e-10
+            u = perron_vector(net)
+            assert np.max(np.abs(net.combination @ u - u)) <= PERRON_RESIDUAL_TOL
             assert abs(u.sum() - 1.0) < 1e-12
             assert np.all(u > 0.0)
 
@@ -134,14 +134,14 @@ class TestPerronVector:
             aws = adj.copy()
             np.fill_diagonal(aws, True)
             net = make_network(uniform_combination(adj, True), 0)
-            u = perron_vector(net).as_array()
+            u = perron_vector(net)
             assert np.allclose(u, degree_centrality(aws), atol=1e-11)
 
     def test_limit_of_matrix_powers(self):
         # A^i -> u 1^T and (A^T)^i -> 1 u^T, checked through products at i = 10^4
         rng = np.random.default_rng(23)
         net = random_network(rng, 7)
-        u = perron_vector(net).as_array()
+        u = perron_vector(net)
         v = rng.normal(size=7)
         w, wt = v.copy(), v.copy()
         for _ in range(10**4):
@@ -150,13 +150,46 @@ class TestPerronVector:
         assert np.max(np.abs(w - v.sum() * u)) < 1e-8
         assert np.max(np.abs(wt - float(u @ v))) < 1e-8
 
+    def test_long_path_matches_eigensolver(self):
+        # the 200-agent path under a fixed labelling: slow mixing, so an
+        # iteration stopped on small steps ends far from the fixed vector
+        order = np.random.default_rng(5).permutation(200)
+        adj = np.zeros((200, 200), dtype=bool)
+        adj[order[:-1], order[1:]] = adj[order[1:], order[:-1]] = True
+        net = make_network(uniform_combination(adj, True), 0)
+        u = perron_vector(net)
+        w, v = np.linalg.eig(net.combination)
+        ref = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        ref = ref / ref.sum()
+        assert np.max(np.abs(u - ref)) <= 1e-12
+        assert np.max(np.abs(net.combination @ u - u)) <= PERRON_RESIDUAL_TOL
+
+    def test_reducible_matrix_raises(self):
+        # wrapped in Network directly, so validation never sees it; in the
+        # last, agents 0 and 1 never listen to agent 2, whose fixed-vector
+        # entry the solve leaves at about 1e-15 instead of zero
+        for a in (
+            np.eye(3),
+            np.array([[1.0, 0.5], [0.0, 0.5]]),
+            np.array([[0.1, 0.3, 0.0], [0.9, 0.7, 0.1], [0.0, 0.0, 0.9]]),
+        ):
+            net = Network(a, (Role.NORMAL,) * len(a))
+            with pytest.raises(SocialLearnError):
+                perron_vector(net)
+
+    def test_read_only(self):
+        u = perron_vector(make_network(uniform_combination(star_adjacency(5), True), 1))
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0] = 1.0
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
         net = random_network(rng, 6)
-        u = perron_vector(net).as_array()
+        u = perron_vector(net)
         perm = rng.permutation(6)
         a_p = net.combination[np.ix_(perm, perm)]
-        u_p = perron_vector(make_network(a_p, 0)).as_array()
+        u_p = perron_vector(make_network(a_p, 0))
         assert np.allclose(u_p, u[perm], atol=1e-11)
 
 

@@ -10,10 +10,14 @@ import yaml
 
 from sociallearn import (
     Verdict,
+    build_scenario,
+    homogeneous_centrality_margin,
     load_config,
+    run,
     run_experiment,
     run_sweep,
 )
+from sociallearn.config import apply_sweep_value
 from sociallearn.errors import ConfigParseError, ConfigValidationError
 from sociallearn.simulator import emit_results, emit_sweep_results
 
@@ -275,7 +279,44 @@ class TestRunSweep:
         assert all(b > a for a, b in zip(cents, cents[1:]))
         means = [p.mean_final for p in result.points]
         assert means[0] > 0.95 and means[-1] < 0.05
-        assert result.theory_root is not None
+        # the root is in centrality units, where the shared-model margin is linear
+        adversary = build_scenario(apply_sweep_value(cfg, cfg.sweep.values[0])).agents[0]
+        margin = homogeneous_centrality_margin(adversary.true_model, adversary.forged_model, 1)
+        assert abs(margin(result.theory_root)) < 1e-8
+
+    def test_centrality_root_with_per_agent_models(self):
+        # adversaries at bsc 0.9, normals at bsc 0.6: the margin stays positive
+        # over the whole grid, so there is no root to report
+        models = "  models:\n" + "".join(
+            f"    - {{kind: bsc, p: {0.9 if k < 4 else 0.6}}}\n" for k in range(15)
+        )
+        text = read_config("sweep_centrality.yaml").replace(
+            "  model: {kind: bsc, p: 0.9}\n", models
+        )
+        cfg = _with(load_config(text), horizon=50, seeds=(0,))
+        result = run_sweep(cfg)
+        assert all(p.margin_true > 0.0 for p in result.points)
+        assert result.theory_root is None
+
+    def test_theta2_finals_match_run_bitwise(self):
+        import dataclasses
+
+        # at horizon 100 beliefs are not yet saturated, so the order in which
+        # the agents are summed shows in the last bit
+        cfg = load_config(read_config("sweep_bsc_p.yaml"))
+        cfg = _with_sweep_values(_with(cfg, horizon=100, seeds=(0, 1, 2)), (0.6, 0.9))
+        cfg = dataclasses.replace(
+            cfg, experiment=dataclasses.replace(cfg.experiment, theta_true="theta2")
+        )
+        result = run_sweep(cfg)
+        assert result.points[0].mean_final < 0.5  # deceived: true-state belief vanishes
+        for point in result.points:
+            scenario = build_scenario(apply_sweep_value(cfg, point.value))
+            for seed, final in zip(cfg.experiment.seeds, point.per_seed_final):
+                traj = run(scenario.net, scenario.agents, scenario.theta_true,
+                           horizon=100, seed=seed, stride=0)
+                assert final == traj.final_network_average_true_belief()
+                assert final > 0.0
 
 
 def _with(cfg, horizon=None, seeds=None):
