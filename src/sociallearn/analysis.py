@@ -32,7 +32,6 @@ from .probability import (
     expected_log_ratio,
     kl_divergence,
 )
-from .attacks import AttackPlan
 
 __all__ = [
     "Verdict",
@@ -48,6 +47,10 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 #: agreement required between the expectation form and the KL decomposition.
 _KL_FORM_TOL = 1e-10
+#: bisection stops: |margin| below, bracket width below, or midpoints tried
+_ROOT_MARGIN_TOL = 1e-10
+_ROOT_WIDTH_TOL = 1e-9
+_ROOT_MAX_ITER = 200
 
 
 class Verdict(enum.Enum):
@@ -128,52 +131,29 @@ def _contribution_kl_form(
     return u_k * (kl_divergence(weights, f_j) - kl_divergence(weights, f_other))
 
 
-def _resolve_forged(
-    agents: Sequence[AgentConfig], plan: AttackPlan | None
-) -> dict[int, LikelihoodModel]:
-    """Forged model per malicious index, from the plan else the agent configs.
-
-    An adversary with no forged model anywhere behaves honestly (its true
-    model is used), which contributes its negative true divergence.
-    """
-    malicious = [k for k, a in enumerate(agents) if a.role is Role.MALICIOUS]
-    out: dict[int, LikelihoodModel] = {}
-    if plan is not None:
-        if len(plan.entries) != len(malicious):
-            raise ValueError(
-                f"plan has {len(plan.entries)} entries for {len(malicious)} adversaries"
-            )
-        for k, entry in zip(malicious, plan.entries):
-            out[k] = entry.forged
-    else:
-        for k in malicious:
-            agent = agents[k]
-            out[k] = agent.forged_model if agent.forged_model is not None else agent.true_model
-    return out
-
-
 def deception_verdict(
     net: Network,
     agents: Sequence[AgentConfig],
-    plan: AttackPlan | None = None,
     u: np.ndarray | None = None,
 ) -> DeceptionReport:
     """Full threshold report for both candidate true states.
 
-    Internally recomputes every adversary contribution through the KL
-    decomposition and asserts agreement with the expectation form to 1e-10;
-    a mismatch would indicate numerical corruption, not a modeling choice.
+    Each adversary contributes through ``inference_model``, the forged model
+    its update uses (its true model when it has none). Internally recomputes
+    every adversary contribution through the KL decomposition and asserts
+    agreement with the expectation form to 1e-10; a mismatch would indicate
+    numerical corruption, not a modeling choice.
     """
     u = u if u is not None else perron_vector(net)
-    forged = _resolve_forged(agents, plan)
-    adv = tuple(sorted(forged))
+    adv = tuple(k for k, a in enumerate(agents) if a.role is Role.MALICIOUS)
     s = {j: normal_divergence(net, agents, j, u) for j in (1, 2)}
     r: dict[int, list[float]] = {1: [], 2: []}
     for k in adv:
         u_k = float(u[k])
+        true, forged = agents[k].true_model, agents[k].inference_model
         for j in (1, 2):
-            val = adversary_contribution(u_k, agents[k].true_model, forged[k], j)
-            alt = _contribution_kl_form(u_k, agents[k].true_model, forged[k], j)
+            val = adversary_contribution(u_k, true, forged, j)
+            alt = _contribution_kl_form(u_k, true, forged, j)
             if abs(val - alt) > _KL_FORM_TOL * max(1.0, abs(val)):
                 raise AssertionError(
                     f"KL-form mismatch for adversary {k}, state {j}: {val} vs {alt}"
@@ -205,32 +185,28 @@ def deception_verdict(
 
 
 def critical_parameter(
-    margin_fn: Callable[[float], float],
-    bracket: tuple[float, float],
-    margin_tol: float = 1e-10,
-    width_tol: float = 1e-9,
-    max_iter: int = 200,
+    margin_fn: Callable[[float], float], bracket: tuple[float, float]
 ) -> float:
     """Bisection root of a continuous scalar margin function.
 
-    Stops when |margin| < margin_tol or the bracket width falls below
-    width_tol. Raises :class:`NoSignChangeError` when the endpoints do not
-    straddle zero.
+    Stops when |margin| < ``_ROOT_MARGIN_TOL``, the bracket width falls below
+    ``_ROOT_WIDTH_TOL`` or ``_ROOT_MAX_ITER`` midpoints were tried. Raises
+    :class:`NoSignChangeError` when the endpoints do not straddle zero.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     f_lo, f_hi = margin_fn(lo), margin_fn(hi)
-    if abs(f_lo) < margin_tol:
+    if abs(f_lo) < _ROOT_MARGIN_TOL:
         return lo
-    if abs(f_hi) < margin_tol:
+    if abs(f_hi) < _ROOT_MARGIN_TOL:
         return hi
     if (f_lo > 0) == (f_hi > 0):
         raise NoSignChangeError(
             f"margin has the same sign at both ends: f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = margin_fn(mid)
-        if abs(f_mid) < margin_tol or (hi - lo) < width_tol:
+        if abs(f_mid) < _ROOT_MARGIN_TOL or (hi - lo) < _ROOT_WIDTH_TOL:
             return mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid

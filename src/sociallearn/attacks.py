@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     AllUninformativeError,
     DegeneratePairError,
-    EmptyRegionError,
     EpsilonTooLargeError,
     FloorViolationError,
     OutOfRangeError,
@@ -73,6 +72,9 @@ __all__ = [
 
 _STRICT_MARGIN = 1e-9
 _GRID_POINTS = 768
+#: oracle search: grid points per simplex axis, then window-halving rounds
+_ORACLE_AXIS_POINTS = 13
+_ORACLE_ROUNDS = 48
 
 
 # =============================================================================
@@ -237,7 +239,7 @@ def unknown_divergence_objective(model: LikelihoodModel, forged: LikelihoodModel
 
 
 def _floored_simplex_minimize(
-    z: np.ndarray, eps: float, sign: float, m_axis: int = 13, rounds: int = 48
+    z: np.ndarray, eps: float, sign: float
 ) -> tuple[np.ndarray, float]:
     """Brute-force min of sign * sum z ln(x) over the eps-floored simplex.
 
@@ -263,14 +265,16 @@ def _floored_simplex_minimize(
         # every combination, last axis fastest: the order of itertools.product
         return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n - 1)
 
-    cands = grid([np.linspace(lo, hi, m_axis)] * (n - 1))
+    cands = grid([np.linspace(lo, hi, _ORACLE_AXIS_POINTS)] * (n - 1))
     x, v = best_of(cands)
     width = hi - lo
-    for _ in range(rounds):
+    for _ in range(_ORACLE_ROUNDS):
         width *= 0.5
         cands = grid(
             [
-                np.linspace(max(lo, c - width / 2.0), min(hi, c + width / 2.0), m_axis)
+                np.linspace(
+                    max(lo, c - width / 2.0), min(hi, c + width / 2.0), _ORACLE_AXIS_POINTS
+                )
                 for c in x[: n - 1]
             ]
         )
@@ -280,9 +284,7 @@ def _floored_simplex_minimize(
     return x, sign * v
 
 
-def oracle_optimal_attack(
-    model: LikelihoodModel, eps: float, grid_resolution: int = 13
-) -> tuple[LikelihoodModel, float]:
+def oracle_optimal_attack(model: LikelihoodModel, eps: float) -> tuple[LikelihoodModel, float]:
     """Grid + refinement minimizer of the network-agnostic objective.
 
     Verification oracle for small alphabets (cost grows geometrically with
@@ -293,8 +295,8 @@ def oracle_optimal_attack(
         raise OutOfRangeError("oracle is restricted to alphabets of size <= 4")
     _check_epsilon(eps, model.alphabet_size)
     z = model.given_theta1.as_array() - model.given_theta2.as_array()
-    x1, v1 = _floored_simplex_minimize(z, eps, sign=+1.0, m_axis=grid_resolution)
-    x2, v2 = _floored_simplex_minimize(z, eps, sign=-1.0, m_axis=grid_resolution)
+    x1, v1 = _floored_simplex_minimize(z, eps, sign=+1.0)
+    x2, v2 = _floored_simplex_minimize(z, eps, sign=-1.0)
     forged = LikelihoodModel(make_pmf(x1), make_pmf(x2))
     return forged, float(v1 - v2)
 
@@ -403,6 +405,13 @@ def _pair_geometry(
     )
 
 
+def _check_region_inputs(u_k: float, s1: float, s2: float) -> None:
+    if not 0.0 < u_k < 1.0:
+        raise OutOfRangeError(f"centrality must lie in (0, 1), got {u_k!r}")
+    if not (math.isfinite(s1) and math.isfinite(s2) and s1 >= 0.0 and s2 >= 0.0):
+        raise OutOfRangeError("sub-network divergences must be finite and >= 0")
+
+
 def distortion_region(
     model: LikelihoodModel,
     u_k: float,
@@ -412,10 +421,7 @@ def distortion_region(
     pair: tuple[int, int] | None = None,
 ) -> DistortionRegion:
     """Region geometry for ``pair`` (default: the canonical support pair)."""
-    if not 0.0 < u_k < 1.0:
-        raise OutOfRangeError(f"centrality must lie in (0, 1), got {u_k!r}")
-    if s1 < 0.0 or s2 < 0.0 or not (math.isfinite(s1) and math.isfinite(s2)):
-        raise OutOfRangeError("sub-network divergences must be finite and >= 0")
+    _check_region_inputs(u_k, s1, s2)
     if pair is None:
         pair = select_support_pair(model)
     return _pair_geometry(model, u_k, s1, s2, eps, pair)
@@ -540,50 +546,32 @@ class AttackPlan:
     strategy: str
     eps: float
 
-    def forged_models(self) -> tuple[LikelihoodModel, ...]:
-        return tuple(e.forged for e in self.entries)
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
 
 def known_divergence_attack(
-    model: LikelihoodModel,
-    u_k: float,
-    s1: float,
-    s2: float,
-    eps: float,
-    x1_selector: Callable[[float, float], float] | None = None,
-    beta_selector: Callable[[float, float], float] | None = None,
-    require_floor: bool = False,
+    model: LikelihoodModel, u_k: float, s1: float, s2: float, eps: float
 ) -> AttackPlanEntry:
     """Forged model guaranteed to mislead for both candidate true states.
 
     Scans support pairs by decreasing |determinant|. For each admissible
     pair (epsilon below that pair's feasibility bound) the floor-feasible
-    x1 slice is located on a fixed grid with exact per-x1 intervals;
-    ``x1_selector`` picks within the largest slice (default midpoint) and
-    ``beta_selector`` picks the line slope through the wedge intersection,
-    parameterized over the implied admissible slope interval (default
-    midpoint). When no pair admits a floor-feasible point, the first
+    x1 slice is located on a fixed grid with exact per-x1 intervals; x1 is
+    the midpoint of the largest slice, and the line slope through the wedge
+    intersection is the midpoint of the admissible slope interval that x1
+    implies. When no pair admits a floor-feasible point, the first
     admissible pair's wedge midpoint is returned instead: both deception
     inequalities still hold strictly, but a forged mass sits below the
     floor; ``params['floor_satisfied']`` records which path was taken.
-    With ``require_floor=True`` that fallback becomes an
-    :class:`EmptyRegionError` instead.
 
-    Raises :class:`EpsilonTooLargeError` when epsilon fails the bound for
-    every support pair, :class:`UninformativeModelError` for a model with
-    identical per-hypothesis PMFs.
+    Raises :class:`OutOfRangeError` for a centrality outside (0, 1) or a
+    divergence that is negative or not finite, :class:`EpsilonTooLargeError`
+    when epsilon fails the bound for every support pair, and
+    :class:`UninformativeModelError` for a model with identical
+    per-hypothesis PMFs.
     """
     if not is_informative(model):
         raise UninformativeModelError("deceiving both states needs an informative model")
-    if not 0.0 < u_k < 1.0:
-        raise OutOfRangeError(f"centrality must lie in (0, 1), got {u_k!r}")
+    _check_region_inputs(u_k, s1, s2)
     _check_epsilon(eps, model.alphabet_size)
-    x1_sel = x1_selector or _midpoint
-    beta_sel = beta_selector or _midpoint
 
     fallback: tuple[DistortionRegion, float, float] | None = None
     for i, j in _candidate_pairs(model):
@@ -595,17 +583,13 @@ def known_divergence_attack(
         if fallback is None:
             fallback = (geom, *_wedge_midpoint(geom, model, u_k, s1, s2))
 
-        entry = _construct_on_pair(model, u_k, s1, s2, eps, geom, x1_sel, beta_sel)
+        entry = _construct_on_pair(model, u_k, s1, s2, eps, geom)
         if entry is not None:
             return entry
 
     if fallback is None:
         raise EpsilonTooLargeError(
             "epsilon exceeds the feasibility bound of every support pair"
-        )
-    if require_floor:
-        raise EmptyRegionError(
-            "no support pair admits a floor-respecting deception point at this epsilon"
         )
     geom, fx1, fx2 = fallback
     p1, p2, f1, f2 = _masses_from_x(fx1, fx2, geom, eps, model.alphabet_size)
@@ -644,8 +628,6 @@ def _construct_on_pair(
     s2: float,
     eps: float,
     geom: DistortionRegion,
-    x1_sel: Callable[[float, float], float],
-    beta_sel: Callable[[float, float], float],
 ) -> AttackPlanEntry | None:
     if geom.d_k > 0:
         a, b = geom.x1_prime, geom.x_plus
@@ -669,7 +651,7 @@ def _construct_on_pair(
             runs.append((start, m))
             start = None
     s_idx, e_idx = max(runs, key=lambda r: (r[1] - r[0], -r[0]))
-    x1 = x1_sel(float(grid[s_idx]), float(grid[e_idx - 1]))
+    x1 = 0.5 * (float(grid[s_idx]) + float(grid[e_idx - 1]))
     lo1, hi1 = _floor_x2_interval(np.asarray([x1]), geom, model, u_k, s1, s2, eps)
     lov, hiv = float(lo1[0]), float(hi1[0])
     if not lov < hiv - 1e-12:
@@ -679,7 +661,7 @@ def _construct_on_pair(
     delta = x1 - geom.x1_prime
     beta_a = (lov - geom.x2_prime) / delta
     beta_b = (hiv - geom.x2_prime) / delta
-    beta = beta_sel(min(beta_a, beta_b), max(beta_a, beta_b))
+    beta = 0.5 * (beta_a + beta_b)
     x2 = geom.x2_prime + beta * delta
 
     p1, p2, f1, f2 = _masses_from_x(x1, x2, geom, eps, model.alphabet_size)
@@ -730,8 +712,6 @@ def multi_adversary_known(
     s2: float,
     eps: float,
     aggregate_centrality: bool = False,
-    x1_selector: Callable[[float, float], float] | None = None,
-    beta_selector: Callable[[float, float], float] | None = None,
 ) -> AttackPlan:
     """Known-divergence plan for several adversaries.
 
@@ -764,11 +744,7 @@ def multi_adversary_known(
             )
             continue
         u_eff = u_total if aggregate_centrality else float(u_k)
-        entries.append(
-            known_divergence_attack(
-                m, u_eff, s1, s2, eps, x1_selector, beta_selector
-            )
-        )
+        entries.append(known_divergence_attack(m, u_eff, s1, s2, eps))
     return AttackPlan(entries=tuple(entries), strategy="known_divergences", eps=eps)
 
 

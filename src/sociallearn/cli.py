@@ -21,7 +21,6 @@ import dataclasses
 import json
 import sys
 
-from .analysis import deception_verdict
 from .config import (
     ExperimentConfig,
     build_network,
@@ -68,7 +67,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = _apply_overrides(_load(args.config), args)
         build_network(cfg)  # refuses a network outside the theory, as every command does
     except SocialLearnError as exc:
         print(str(exc), file=sys.stderr)
@@ -81,7 +80,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     result = run_experiment(cfg, jobs=args.jobs)
-    paths = emit_results(result, cfg.output.directory, cfg.output.format)
+    paths = emit_results(result, cfg.output.directory)
     for p in paths:
         print(p)
     theta = result.scenario.theta_true
@@ -108,10 +107,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     scenario = build_scenario(cfg)
-    report = deception_verdict(scenario.net, scenario.agents, scenario.plan, u=scenario.perron)
     doc = {
         "config": cfg.to_dict(),
-        "deception_report": _report_dict(report),
+        "deception_report": _report_dict(scenario.report()),
         "scenario": scenario.report_inputs,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

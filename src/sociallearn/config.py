@@ -61,7 +61,7 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .analysis import normal_divergence
+from .analysis import DeceptionReport, deception_verdict, normal_divergence
 from .attacks import (
     AttackPlan,
     AttackPlanEntry,
@@ -410,6 +410,10 @@ class Scenario:
     theta_true: Hypothesis
     report_inputs: dict
 
+    def report(self) -> DeceptionReport:
+        """The closed-form deception report of this scenario."""
+        return deception_verdict(self.net, self.agents, self.perron)
+
 
 def build_network(cfg: ExperimentConfig) -> Network:
     """The configured network; one outside the theory (say, not strongly
@@ -441,10 +445,12 @@ def _adjacency(t: TopologySpec) -> np.ndarray:
 
 
 def build_plan(
-    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel], u: np.ndarray
+    cfg: ExperimentConfig, net: Network, agents: Sequence[AgentConfig], u: np.ndarray
 ) -> AttackPlan | None:
-    """Assemble the forged models the configured strategy prescribes."""
+    """Assemble the forged models the configured strategy prescribes for the
+    honest ``agents``."""
     at = cfg.attack
+    models = [a.true_model for a in agents]
     malicious = net.malicious_indices
     if at.strategy == "none" or not malicious:
         return None
@@ -475,15 +481,8 @@ def build_plan(
     # known_divergences: the minimal network knowledge is (s1, s2) plus the
     # adversary's own centrality; defaults are computed from the scenario,
     # but both divergences can be supplied externally in the config.
-    if at.s1 is None or at.s2 is None:
-        agents_tmp = tuple(
-            AgentConfig(role=net.roles[k], true_model=models[k])
-            for k in range(net.n_agents)
-        )
-        s1 = at.s1 if at.s1 is not None else normal_divergence(net, agents_tmp, 1, u)
-        s2 = at.s2 if at.s2 is not None else normal_divergence(net, agents_tmp, 2, u)
-    else:
-        s1, s2 = at.s1, at.s2
+    s1 = at.s1 if at.s1 is not None else normal_divergence(net, agents, 1, u)
+    s2 = at.s2 if at.s2 is not None else normal_divergence(net, agents, 2, u)
     return multi_adversary_known(
         [models[k] for k in malicious],
         [u[k] for k in malicious],
@@ -499,20 +498,17 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     for the networks refused)."""
     net = build_network(cfg)
     u = perron_vector(net)
-    models = _model_list(cfg)
-    plan = build_plan(cfg, net, models, u)
-    forged: dict[int, LikelihoodModel] = {}
-    if plan is not None:
-        for k, entry in zip(net.malicious_indices, plan.entries):
-            forged[k] = entry.forged
     agents = tuple(
-        AgentConfig(
-            role=net.roles[k],
-            true_model=models[k],
-            forged_model=forged.get(k),
-        )
-        for k in range(net.n_agents)
+        AgentConfig(role=role, true_model=model)
+        for role, model in zip(net.roles, _model_list(cfg))
     )
+    plan = build_plan(cfg, net, agents, u)
+    if plan is not None:
+        forged = dict(zip(net.malicious_indices, (e.forged for e in plan.entries)))
+        agents = tuple(
+            replace(a, forged_model=forged[k]) if k in forged else a
+            for k, a in enumerate(agents)
+        )
     report_inputs = {
         "adversary_centrality": adversary_centrality(u, net.roles),
         "perron": [float(x) for x in u],

@@ -72,10 +72,6 @@ class DegeneratePairError(SocialLearnError):
     """The selected symbol pair has a vanishing likelihood determinant."""
 
 
-class EmptyRegionError(SocialLearnError):
-    """The distortion region admits no feasible construction point."""
-
-
 class EpsilonTooLargeError(SocialLearnError):
     """Epsilon exceeds the feasibility bound of the construction."""
 

@@ -14,6 +14,7 @@ uniform-trust combination matrix used throughout the experiments.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,8 @@ import numpy as np
 from .errors import IsolatedAgentError, NoConvergenceError, NoPerronVectorError
 
 COLUMN_SUM_TOL = 1e-9
+#: rejection draws ``erdos_renyi_adjacency`` makes before giving up
+_ER_MAX_TRIES = 1000
 #: max-norm bound on ``A u - u`` that every returned Perron vector meets.
 PERRON_RESIDUAL_TOL = 1e-12
 
@@ -63,6 +66,12 @@ class Network:
     @property
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(k for k, r in enumerate(self.roles) if r is Role.NORMAL)
+
+    @functools.cached_property
+    def strongly_connected(self) -> bool:
+        """Does every agent reach every other along positive weights?"""
+        support = self.combination > 0.0
+        return _reaches_all(support) and _reaches_all(support.T)
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,7 @@ def edge_list_adjacency(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     return adj
 
 
-def erdos_renyi_adjacency(
-    n: int,
-    edge_prob: float,
-    seed: int,
-    require_connected: bool = True,
-    max_tries: int = 1000,
-) -> np.ndarray:
+def erdos_renyi_adjacency(n: int, edge_prob: float, seed: int) -> np.ndarray:
     """Seeded Erdos-Renyi topology, rejected until connected.
 
     With self-loops on every agent (the builders' default) connectivity of
@@ -130,14 +133,14 @@ def erdos_renyi_adjacency(
     """
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, 1)  # row-major, so draw k decides the k-th pair (i < j)
-    for _ in range(max_tries):
+    for _ in range(_ER_MAX_TRIES):
         adj = np.zeros((n, n), dtype=bool)
         adj[iu] = rng.random(iu[0].size) < edge_prob
         adj |= adj.T
-        if not require_connected or _reaches_all(adj):
+        if _reaches_all(adj):
             return adj
     raise NoConvergenceError(
-        f"no connected Erdos-Renyi draw in {max_tries} tries (p={edge_prob})"
+        f"no connected Erdos-Renyi draw in {_ER_MAX_TRIES} tries (p={edge_prob})"
     )
 
 
@@ -222,9 +225,7 @@ def validate_network(net: Network) -> list[Violation]:
         )
     if not np.any(np.diag(a) > 0.0):
         out.append(Violation("NoSelfLoop", "no agent trusts itself (a_kk > 0)"))
-    # strong connectivity via reachability sweeps on the directed support
-    support = a > 0.0
-    if not (_reaches_all(support) and _reaches_all(support.T)):
+    if not net.strongly_connected:
         out.append(
             Violation("NotStronglyConnected", "some agent pair has no positive path")
         )
@@ -261,8 +262,7 @@ def perron_vector(net: Network) -> np.ndarray:
     matrix's fixed vector slightly positive. Returns a read-only array.
     """
     a = net.combination
-    support = a > 0.0
-    if not (_reaches_all(support) and _reaches_all(support.T)):
+    if not net.strongly_connected:
         raise NoPerronVectorError("network is not strongly connected")
     bordered = a - np.eye(net.n_agents)
     bordered[-1] = 1.0

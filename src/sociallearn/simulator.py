@@ -25,12 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import learning
-from .analysis import (
-    DeceptionReport,
-    critical_parameter,
-    deception_verdict,
-    predicted_and_empirical_agree,
-)
+from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
 from .config import (
     ExperimentConfig,
     Scenario,
@@ -83,9 +78,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every configured seed and attach the closed-form report."""
     scenario = build_scenario(cfg)
     e = cfg.experiment
-    report = deception_verdict(
-        scenario.net, scenario.agents, scenario.plan, u=scenario.perron
-    )
+    report = scenario.report()
     args = [
         (scenario, e.horizon, seed, e.stride, e.initial_belief_theta1)
         for seed in e.seeds
@@ -150,9 +143,7 @@ def _sweep_point(packed) -> SweepPoint:
     point_cfg = apply_sweep_value(cfg, value)
     scenario = build_scenario(point_cfg)
     e = point_cfg.experiment
-    report = deception_verdict(
-        scenario.net, scenario.agents, scenario.plan, u=scenario.perron
-    )
+    report = scenario.report()
     lam = learning.run_finals(
         scenario.net,
         scenario.agents,
@@ -226,11 +217,7 @@ def _theory_root(cfg: ExperimentConfig) -> float | None:
     theta = Hypothesis.from_name(cfg.experiment.theta_true)
 
     def margin_of(value: float) -> float:
-        scenario = build_scenario(apply_sweep_value(cfg, value))
-        report = deception_verdict(
-            scenario.net, scenario.agents, scenario.plan, u=scenario.perron
-        )
-        return report.margin(theta)
+        return build_scenario(apply_sweep_value(cfg, value)).report().margin(theta)
 
     try:
         root = critical_parameter(margin_of, (min(sweep.values), max(sweep.values)))
@@ -285,11 +272,11 @@ def write_json(doc: dict, out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def emit_results(result: ExperimentResult, out_dir: str, fmt: str | None = None) -> list[str]:
-    """Write result files; returns the created paths (deterministic bytes)."""
-    fmt = fmt or result.config.output.format
+def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:
+    """Write the result files of the configured ``output.format``; returns the
+    created paths (deterministic bytes)."""
     written: list[str] = []
-    if fmt == "tabular":
+    if result.config.output.format == "tabular":
         with _result_file(out_dir, "trajectories.csv") as fh:
             fh.write("step,agent_id,role,belief_theta1,log_ratio,seed\n")
             for traj in result.trajectories:

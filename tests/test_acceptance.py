@@ -169,13 +169,13 @@ def test_04_separability_classification_and_verdicts():
     from sociallearn import build_scenario
 
     sc = build_scenario(asud_cfg)
-    report_asud = deception_verdict(sc.net, sc.agents, sc.plan)
+    report_asud = sc.report()
     asud_verdicts = (report_asud.verdict1, report_asud.verdict2)
     asud_ok = asud_verdicts.count(Verdict.MISLED) == 1
 
     askd_cfg = load_config(read_config("nonseparable_askd.yaml"))
     sc2 = build_scenario(askd_cfg)
-    report_askd = deception_verdict(sc2.net, sc2.agents, sc2.plan)
+    report_askd = sc2.report()
     askd_ok = (
         report_askd.verdict1 is Verdict.MISLED
         and report_askd.verdict2 is Verdict.MISLED
@@ -323,7 +323,7 @@ def test_09_topology_regime_reproduction():
 
     star_agents = agents_for(star, [model] * 15, {0: forged})
     star_report = deception_verdict(star, star_agents)
-    er_report = deception_verdict(er_sc.net, er_sc.agents, er_sc.plan)
+    er_report = er_sc.report()
     verdicts_ok = (
         star_report.verdict1 is Verdict.MISLED
         and er_report.verdict1 is Verdict.LEARNS_TRUTH

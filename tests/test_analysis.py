@@ -25,8 +25,7 @@ from sociallearn import (
     uniform_combination,
     unknown_divergence_attack,
 )
-from sociallearn.attacks import AttackPlan, AttackPlanEntry
-from sociallearn.errors import NoSignChangeError
+from sociallearn.errors import FloorViolationError, NoSignChangeError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.network import adversary_centrality
 
@@ -41,14 +40,9 @@ def er_network(n, edge_prob, seed, n_malicious):
     return make_network(uniform_combination(adj, True), n_malicious)
 
 
-def plan_for(models, strategy, eps, net=None, **kw):
-    if strategy == "unknown":
-        entries = tuple(
-            AttackPlanEntry(unknown_divergence_attack(m, eps), "unknown_divergences", eps)
-            for m in models
-        )
-        return AttackPlan(entries, "unknown_divergences", eps)
-    raise ValueError(strategy)
+def unknown_forged(models, eps):
+    """Agent index -> network-agnostic forgery, for adversaries 0 .. len(models)-1."""
+    return {k: unknown_divergence_attack(m, eps) for k, m in enumerate(models)}
 
 
 class TestNormalDivergence:
@@ -112,9 +106,8 @@ class TestDeceptionVerdict:
     def test_nonseparable_unknown_attack_misleads_one_state(self):
         net = er_network(15, 0.25, 28, 4)
         models = [NONSEP] * 15
-        plan = plan_for([NONSEP] * 4, "unknown", 1e-5)
-        agents = agents_for(net, models)
-        report = deception_verdict(net, agents, plan)
+        agents = agents_for(net, models, unknown_forged([NONSEP] * 4, 1e-5))
+        report = deception_verdict(net, agents)
         verdicts = (report.verdict1, report.verdict2)
         assert verdicts.count(Verdict.MISLED) == 1
         assert verdicts.count(Verdict.LEARNS_TRUTH) == 1
@@ -129,7 +122,8 @@ class TestDeceptionVerdict:
             [NONSEP] * 4, [u[k] for k in range(4)], s1, s2, 1e-5,
             aggregate_centrality=True,
         )
-        report = deception_verdict(net, agents, plan)
+        forged = {k: entry.forged for k, entry in enumerate(plan.entries)}
+        report = deception_verdict(net, agents_for(net, [NONSEP] * 15, forged))
         assert report.verdict1 is Verdict.MISLED
         assert report.verdict2 is Verdict.MISLED
 
@@ -138,11 +132,8 @@ class TestDeceptionVerdict:
         for _ in range(40):
             net = random_network(rng, int(rng.integers(3, 8)), n_malicious=1)
             models = [random_model(rng, 3) for _ in range(net.n_agents)]
-            plan = plan_for([models[0]], "unknown", 1e-3)
-            try:
-                report = deception_verdict(net, agents_for(net, models), plan)
-            except Exception:
-                continue
+            forged = unknown_forged([models[0]], 1e-3)
+            report = deception_verdict(net, agents_for(net, models, forged))
             assert report.cost1 == pytest.approx(-report.margin1, abs=1e-12)
             assert report.cost2 == pytest.approx(-report.margin2, abs=1e-12)
 
@@ -151,8 +142,8 @@ class TestDeceptionVerdict:
         net = random_network(rng, 4, n_malicious=1)
         base = random_model(rng, 4)
         models = [base] * 4
-        plan = plan_for([base], "unknown", 1e-3)
-        report = deception_verdict(net, agents_for(net, models), plan)
+        forged = unknown_forged([base], 1e-3)
+        report = deception_verdict(net, agents_for(net, models, forged))
 
         perm = [2, 0, 3, 1]
 
@@ -162,12 +153,8 @@ class TestDeceptionVerdict:
             )
 
         models_p = [permute(m) for m in models]
-        plan_p = AttackPlan(
-            (AttackPlanEntry(permute(plan.entries[0].forged), "unknown_divergences", 1e-3),),
-            "unknown_divergences",
-            1e-3,
-        )
-        report_p = deception_verdict(net, agents_for(net, models_p), plan_p)
+        forged_p = {0: permute(forged[0])}
+        report_p = deception_verdict(net, agents_for(net, models_p, forged_p))
         assert report_p.s1 == pytest.approx(report.s1, abs=1e-12)
         assert report_p.s2 == pytest.approx(report.s2, abs=1e-12)
         assert report_p.margin1 == pytest.approx(report.margin1, abs=1e-12)
@@ -185,17 +172,15 @@ class TestDeceptionVerdict:
             shared = random_model(rng, int(rng.integers(2, 5)), floor=0.05)
             models = [shared] * n
             try:
-                plan = plan_for([shared] * n_mal, "unknown", 5e-3)
-            except Exception:
+                forged = unknown_forged([shared] * n_mal, 5e-3)
+            except FloorViolationError:
                 continue
-            agents = agents_for(net, models)
-            report = deception_verdict(net, agents, plan)
+            agents = agents_for(net, models, forged)
+            report = deception_verdict(net, agents)
             if abs(report.margin1) <= 0.05:
                 continue
             total += 1
-            forged = {k: plan.entries[i].forged for i, k in enumerate(range(n_mal))}
-            agents_run = agents_for(net, models, forged)
-            lam = run_finals(net, agents_run, Hypothesis.THETA1, 5000, seeds=range(10))
+            lam = run_finals(net, agents, Hypothesis.THETA1, 5000, seeds=range(10))
             finals = network_average_true_belief(lam, Hypothesis.THETA1)
             majority_true = float(np.mean(np.asarray(finals) > 0.5)) > 0.5
             predicted_true = report.verdict1 is Verdict.LEARNS_TRUTH
@@ -209,7 +194,7 @@ class TestAsymptoticRate:
         rng = np.random.default_rng(11)
         net = random_network(rng, 5)
         agents = agents_for(net, [bsc_model(0.8)] * 5)
-        rate = deception_verdict(net, agents, None).margin(Hypothesis.THETA1)
+        rate = deception_verdict(net, agents).margin(Hypothesis.THETA1)
         assert rate == pytest.approx(-BSC08_KL, abs=1e-12)
 
     def test_sign_matches_verdict(self):
@@ -217,9 +202,8 @@ class TestAsymptoticRate:
         for _ in range(20):
             net = random_network(rng, 5, n_malicious=1)
             models = [random_model(rng, 3) for _ in range(5)]
-            plan = plan_for([models[0]], "unknown", 1e-3)
-            agents = agents_for(net, models)
-            report = deception_verdict(net, agents, plan)
+            agents = agents_for(net, models, unknown_forged([models[0]], 1e-3))
+            report = deception_verdict(net, agents)
             rate = report.margin(Hypothesis.THETA1)
             if report.verdict1 is Verdict.MISLED:
                 assert rate > 0
@@ -229,9 +213,8 @@ class TestAsymptoticRate:
     def test_adversarial_star_positive_rate(self):
         net = make_network(uniform_combination(star_adjacency(15, 0), True), 1)
         m = bsc_model(0.9)
-        plan = plan_for([m], "unknown", 5e-3)
-        agents = agents_for(net, [m] * 15)
-        report = deception_verdict(net, agents, plan)
+        agents = agents_for(net, [m] * 15, unknown_forged([m], 5e-3))
+        report = deception_verdict(net, agents)
         rate = report.margin(Hypothesis.THETA1)
         assert report.verdict1 is Verdict.MISLED and rate > 0
 

@@ -25,6 +25,7 @@ from sociallearn.errors import (
     AllUninformativeError,
     EpsilonTooLargeError,
     FloorViolationError,
+    OutOfRangeError,
     UninformativeModelError,
 )
 
@@ -266,7 +267,7 @@ class TestKnownDivergenceAttack:
     def test_floor_infeasible_fallback_still_deceives(self):
         # frozen instance where the wedge only meets the box below the floor:
         # the relaxed construction must still clear both thresholds and be
-        # flagged, and the strict mode must refuse outright
+        # flagged
         m = make_model(
             [0.6938267132471291, 0.30617328675287087],
             [0.8734007302956696, 0.12659926970433033],
@@ -279,30 +280,17 @@ class TestKnownDivergenceAttack:
         assert adversary_contribution(u, m, entry.forged, 2) > s2
         assert np.all(entry.forged.given_theta1.as_array() > 0.0)
         assert np.all(entry.forged.given_theta2.as_array() > 0.0)
-        from sociallearn.errors import EmptyRegionError
-
-        with pytest.raises(EmptyRegionError):
-            known_divergence_attack(m, u, s1, s2, eps, require_floor=True)
 
     def test_uninformative_raises(self):
         with pytest.raises(UninformativeModelError):
             known_divergence_attack(bsc_model(0.5), 0.25, 0.5, 0.5, 1e-3)
 
-    def test_custom_selectors_respected(self):
-        # pushing x1 toward the interval edge still yields a valid deceiver
-        eps = 1e-3
-        entry = known_divergence_attack(
-            bsc_model(0.9),
-            0.25,
-            0.5,
-            0.5,
-            eps,
-            x1_selector=lambda lo, hi: lo + 0.9 * (hi - lo),
-            beta_selector=lambda lo, hi: lo + 0.25 * (hi - lo),
-        )
-        m = bsc_model(0.9)
-        assert adversary_contribution(0.25, m, entry.forged, 1) > 0.5
-        assert adversary_contribution(0.25, m, entry.forged, 2) > 0.5
+    @pytest.mark.parametrize("construct", [known_divergence_attack, distortion_region])
+    @pytest.mark.parametrize("bad", [math.nan, -0.3, math.inf])
+    def test_bad_divergence_refused(self, construct, bad):
+        for s1, s2 in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(OutOfRangeError, match="divergences must be finite"):
+                construct(bsc_model(0.9), 0.25, s1, s2, 1e-3)
 
 
 class TestMultiAdversary:

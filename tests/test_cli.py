@@ -46,6 +46,13 @@ class TestValidate:
         assert "topology.n_agents must be int, got 'three'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_invalid_override_refused(self, capsys):
+        argv = ["validate", "--config", cfg_path("misled_star_bsc09.yaml"), "--seed", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "experiment.seeds must be >= 0" in captured.err
+        assert "ok" not in captured.out
+
 
 class TestRun:
     def test_writes_files_and_prints_verdict(self, tmp_path, capsys):

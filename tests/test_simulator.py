@@ -37,6 +37,9 @@ agents:
 """
 
 
+TABULAR = "output: {format: tabular}\n"
+
+
 class TestLoadConfig:
     def test_minimal_defaults(self):
         cfg = load_config(MINIMAL)
@@ -189,9 +192,11 @@ class TestRunExperiment:
 
 class TestEmitResults:
     def test_row_count_formula(self, tmp_path):
-        cfg = load_config(MINIMAL + "experiment: {horizon: 60, seeds: [0, 1], stride: 10}\n")
+        cfg = load_config(
+            MINIMAL + "experiment: {horizon: 60, seeds: [0, 1], stride: 10}\n" + TABULAR
+        )
         result = run_experiment(cfg)
-        paths = emit_results(result, str(tmp_path), fmt="tabular")
+        paths = emit_results(result, str(tmp_path))
         csv = next(p for p in paths if p.endswith(".csv"))
         with open(csv, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -200,18 +205,18 @@ class TestEmitResults:
         assert lines[0] == "step,agent_id,role,belief_theta1,log_ratio,seed"
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = load_config(read_config("misled_star_bsc09.yaml"))
+        cfg = load_config(read_config("misled_star_bsc09.yaml") + TABULAR)
         cfg = _with(cfg, horizon=50, seeds=(0, 1))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            emit_results(run_experiment(cfg), str(out), fmt="tabular")
+            emit_results(run_experiment(cfg), str(out))
         for name in ("trajectories.csv", "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_stride_zero_summary_only(self, tmp_path):
-        cfg = load_config(MINIMAL + "experiment: {horizon: 40, stride: 0}\n")
+        cfg = load_config(MINIMAL + "experiment: {horizon: 40, stride: 0}\n" + TABULAR)
         result = run_experiment(cfg)
-        paths = emit_results(result, str(tmp_path), fmt="tabular")
+        paths = emit_results(result, str(tmp_path))
         csv = next(p for p in paths if p.endswith(".csv"))
         with open(csv, "r", encoding="utf-8") as fh:
             assert len(fh.read().splitlines()) == 1  # header only
@@ -221,7 +226,7 @@ class TestEmitResults:
     def test_structured_embeds_config_echo(self, tmp_path):
         cfg = load_config(MINIMAL)
         result = run_experiment(cfg)
-        emit_results(result, str(tmp_path), fmt="structured")
+        emit_results(result, str(tmp_path))
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["config"] == cfg.to_dict()
         assert "deception_report" in doc
@@ -234,7 +239,7 @@ class TestEmitResults:
         cfg = load_config(MINIMAL)
         result = run_experiment(cfg)
         with pytest.raises(OutputIOError):
-            emit_results(result, str(blocker / "nested"), fmt="structured")
+            emit_results(result, str(blocker / "nested"))
 
 
 class TestRunSweep:
