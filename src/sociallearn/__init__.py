@@ -46,7 +46,6 @@ from .network import (
 )
 from .learning import (
     AgentConfig,
-    BeliefState,
     Trajectory,
     run,
     run_finals,
@@ -75,7 +74,6 @@ from .analysis import (
     adversary_contribution,
     critical_parameter,
     deception_verdict,
-    homogeneous_centrality_margin,
     normal_divergence,
 )
 from .config import ExperimentConfig, Scenario, build_scenario, load_config

@@ -40,7 +40,6 @@ __all__ = [
     "adversary_contribution",
     "deception_verdict",
     "critical_parameter",
-    "homogeneous_centrality_margin",
 ]
 
 #: |margin| below which the threshold comparison is reported as Boundary.
@@ -213,27 +212,6 @@ def critical_parameter(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def homogeneous_centrality_margin(
-    true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
-) -> Callable[[float], float]:
-    """Margin for state j as a function of aggregate adversary centrality.
-
-    Valid when every agent shares one observation model and all adversaries
-    one forged model: the margin is then linear in the aggregate centrality
-    U, namely ``U * r_unit - (1 - U) * kl_j``, which makes the critical
-    centrality a clean bisection target.
-    """
-    p, q = _state_pmfs(true_model, j)
-    f_j, f_other = _state_pmfs(forged_model, j)
-    kl_j = kl_divergence(p, q)
-    r_unit = expected_log_ratio(p, f_other, f_j)
-
-    def margin(u_total: float) -> float:
-        return u_total * r_unit - (1.0 - u_total) * kl_j
-
-    return margin
 
 
 def predicted_and_empirical_agree(

@@ -10,8 +10,10 @@ Subcommands map one-to-one onto the package's artifacts:
 
 Every command takes ``--config PATH``; ``--seed/--horizon/--stride``
 override the config in place, ``--out`` picks the output directory,
-``--format`` selects tabular or structured files, ``--jobs`` fans seeds or
-grid points out to worker processes.
+``--format`` selects tabular or structured files. ``--jobs N`` (N >= 1)
+splits the stack a command simulates, the grid points of a sweep or the seeds
+of a run, into at most N chunks, one worker process and one kernel call
+each; the result files do not depend on N.
 """
 
 from __future__ import annotations
@@ -176,13 +178,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="result file format",
         )
         if needs_jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument(
+                "--jobs", type=int, default=1,
+                help="worker processes, each simulating one chunk of the grid points "
+                "(sweep) or seeds (run); >= 1, same result files for any value",
+            )
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except SocialLearnError as exc:

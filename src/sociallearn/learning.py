@@ -13,16 +13,30 @@ ratio ``lam = ln(mu(theta1)/mu(theta2))``; beliefs are a view through the
 logistic map. (Beliefs themselves decay exponentially and underflow on long
 horizons; the belief-domain adapt/combine/step survives only as the test
 suite's reference.) One private kernel, ``_simulate``, runs that recursion
-for every seed at once: ``run`` is its one-seed call and ``run_finals`` its
-many-seed call without records.
+for a stack of G scenarios (networks with their agents, say the points of a
+sweep grid) times S seeds: ``run`` and ``run_finals`` are its one-scenario
+calls, and the simulator hands it a whole sweep grid, or every seed of an
+experiment, in one call.
 
-The kernel holds the state as a ``(seeds, n, 1)`` stack and steps it with
-``at @ (lam + llr_i)``. numpy makes one BLAS matrix-vector product per seed
-for that, the same call a lone seed gets, so every seed's column is
-bit-identical whatever batch it runs in. (Neither ``einsum`` nor one
-``(n, seeds)`` matrix product keeps those bits.) Symbols are drawn and turned
-into log-likelihood ratios ``_BLOCK_STEPS`` steps at a time, so memory is
-O(_BLOCK_STEPS * seeds * n) whatever the horizon.
+The kernel holds the state as a ``(G, S, n, 1)`` stack and steps it with
+``at @ (lam + llr_i)``, ``at`` being the ``(G, 1, n, n)`` stack of transposed
+combination matrices. numpy makes one BLAS matrix-vector product per
+(scenario, seed) for that, the same call a lone run gets, so every column is
+bit-identical whatever stack it runs in. (Neither ``einsum`` nor one
+``(n, seeds)`` matrix product keeps those bits.)
+
+Symbols are drawn and turned into log-likelihood ratios a block of steps at
+a time, into a ``(G, S, n, steps)`` array. A block holds at most
+``_BLOCK_STEPS`` steps and at most ``_BLOCK_ELEMENTS`` ratios over the whole
+stack (one step when a step alone is more), so memory stays
+O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Each (seed, agent)
+stream draws its uniforms for a block once; every scenario maps them through
+its own inverse CDF (``probability._inverse_cdf``, the one ``sample`` uses),
+which selects log-likelihood ratios out of per-agent tables bit for bit,
+without arithmetic. The block length never changes the bits: a stream's
+uniforms are the same however they are split. The check for a realized
+symbol of zero likelihood scans each block only when some table entry is
+infinite, since otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -38,18 +52,19 @@ import numpy as np
 
 from .errors import ZeroLikelihoodError
 from .network import Network, Role
-from .probability import Hypothesis, LikelihoodModel, sample
+from .probability import Hypothesis, LikelihoodModel, _inverse_cdf
 
 __all__ = [
     "AgentConfig",
-    "BeliefState",
     "Trajectory",
     "run",
     "run_finals",
 ]
 
-#: Steps of symbols drawn per block; bounds the LLR block to this many steps.
+#: Most steps of symbols drawn per block.
 _BLOCK_STEPS = 512
+#: Most log-likelihood ratios per block, over the whole (scenario, seed, agent) stack.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,41 +86,6 @@ class AgentConfig:
         if self.role is Role.MALICIOUS and self.forged_model is not None:
             return self.forged_model
         return self.true_model
-
-
-@dataclass(frozen=True, eq=False)
-class BeliefState:
-    """Per-agent beliefs stored as log ratios lam_k = ln(mu_k(theta1)/mu_k(theta2))."""
-
-    log_ratio: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.log_ratio, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_ratio", arr)
-
-    @staticmethod
-    def uniform(n_agents: int) -> "BeliefState":
-        return BeliefState(np.zeros(n_agents))
-
-    @staticmethod
-    def from_belief_theta1(beliefs: Sequence[float]) -> "BeliefState":
-        b = np.asarray(beliefs, dtype=float)
-        if np.any(b <= 0.0) or np.any(b >= 1.0):
-            raise ValueError("initial beliefs must lie strictly inside (0, 1)")
-        return BeliefState(np.log(b) - np.log1p(-b))
-
-    def beliefs(self) -> np.ndarray:
-        """(n, 2) array of (mu(theta1), mu(theta2)) pairs.
-
-        Both components are evaluated as logistic values of +/- lam so each
-        keeps full relative precision even when one is vanishingly small.
-        """
-        return np.column_stack([_sigmoid(self.log_ratio), _sigmoid(-self.log_ratio)])
-
-    def belief_in(self, theta: Hypothesis) -> np.ndarray:
-        sign = 1.0 if theta is Hypothesis.THETA1 else -1.0
-        return _sigmoid(sign * self.log_ratio)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -149,21 +129,36 @@ class Trajectory:
         return sign * self.final_log_ratio / float(self.horizon)
 
 
-def _llr_tables(agents: Sequence[AgentConfig]) -> list[np.ndarray]:
-    """Per-agent lookup: symbol -> ln(inference(theta1)/inference(theta2))."""
-    tables = []
-    for agent in agents:
-        m = agent.inference_model
-        t1 = m.given_theta1.as_array()
-        t2 = m.given_theta2.as_array()
-        with np.errstate(divide="ignore"):
-            tables.append(np.log(t1) - np.log(t2))
-    return tables
+def _symbol_tables(
+    agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Inverse-CDF inputs for a stack of scenarios, symbols on the leading axis.
+
+    Returns ``cum`` of shape ``(A - 1, G, 1, n, 1)`` (each agent's cumulative
+    true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G, 1, n, 1)``
+    (symbol -> ln(inference(theta1)/inference(theta2))) with ``A`` the
+    largest alphabet, and whether every table entry is finite.
+    """
+    width = max(a.true_model.alphabet_size for agents in agent_lists for a in agents)
+    shape = (len(agent_lists), 1, len(agent_lists[0]))
+    cum = np.full((width - 1, *shape, 1), np.inf)
+    llr = np.zeros((width, *shape, 1))
+    finite = True
+    for g, agents in enumerate(agent_lists):
+        for k, agent in enumerate(agents):
+            m = agent.inference_model
+            with np.errstate(divide="ignore"):
+                table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
+            finite = finite and bool(np.all(np.isfinite(table)))
+            pmf = agent.true_model.given(theta_true).as_array()
+            llr[: len(table), g, 0, k, 0] = table
+            cum[: len(pmf) - 1, g, 0, k, 0] = np.cumsum(pmf)[:-1]
+    return cum, llr, finite
 
 
 def _simulate(
-    net: Network,
-    agents: Sequence[AgentConfig],
+    nets: Sequence[Network],
+    agent_lists: Sequence[Sequence[AgentConfig]],
     theta_true: Hypothesis,
     horizon: int,
     seeds: Sequence[int],
@@ -171,41 +166,76 @@ def _simulate(
     init: Sequence[float] | float,
     agent_keys: Sequence[int] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run every seed through the log-ratio recursion, ``_BLOCK_STEPS`` steps at a time.
+    """Run every (scenario, seed) pair through the log-ratio recursion, block by block.
 
-    Returns ``(steps, records, finals)``: the recorded time indices, the
-    ``(seeds, len(steps), n)`` records and the ``(seeds, n)`` final states.
+    ``nets[g]`` and ``agent_lists[g]`` make scenario ``g``; all share the
+    agent count, the true state, the initial beliefs and the seeds. Returns
+    ``(steps, records, finals)``: the recorded time indices, the
+    ``(G, S, len(steps), n)`` records and the ``(G, S, n)`` final states.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = net.n_agents
-    if len(agents) != n:
+    n = nets[0].n_agents
+    if any(net.n_agents != n for net in nets) or any(len(a) != n for a in agent_lists):
         raise ValueError("agents list must match the network size")
     keys = range(n) if agent_keys is None else agent_keys
-    tables = _llr_tables(agents)
-    pmfs = [agent.true_model.given(theta_true) for agent in agents]
+    cum, tables, finite = _symbol_tables(agent_lists, theta_true)
     rngs = [[np.random.default_rng((int(seed), int(key))) for key in keys] for seed in seeds]
-    init = np.broadcast_to(np.asarray(init, dtype=float), (n,))
-    lam = np.tile(BeliefState.from_belief_theta1(init).log_ratio[:, None], (len(rngs), 1, 1))
+    b = np.broadcast_to(np.asarray(init, dtype=float), (n,))
+    if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too
+        raise ValueError("initial beliefs must lie strictly inside (0, 1)")
+    n_grid, n_seeds = len(nets), len(rngs)
+    lam = np.tile((np.log(b) - np.log1p(-b))[:, None], (n_grid, n_seeds, 1, 1))
 
     steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
-    records = np.empty((len(rngs), len(steps), n))
-    at = net.combination.T
-    llr = np.empty((_BLOCK_STEPS, len(rngs), n, 1))
-    for start in range(0, horizon, _BLOCK_STEPS):
-        size = min(_BLOCK_STEPS, horizon - start)
+    records = np.empty((n_grid, n_seeds, len(steps), n))
+    # each matrix keeps the strides of ``net.combination.T``, so each gemv is a lone run's
+    at = np.stack([net.combination for net in nets])[:, None].swapaxes(-1, -2)
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // (n_grid * n_seeds * n), horizon))
+    u = np.empty((n_seeds, n, block))
+    llr = np.empty((n_grid, n_seeds, n, block))
+    for start in range(0, horizon, block):
+        size = min(block, horizon - start)
         for s, seed_rngs in enumerate(rngs):
-            for k, (table, pmf, rng) in enumerate(zip(tables, pmfs, seed_rngs)):
-                llr[:size, s, k, 0] = table[sample(pmf, rng, size)]
-        if not np.all(np.isfinite(llr[:size])):
+            for k, rng in enumerate(seed_rngs):
+                rng.random(out=u[s, k, :size])
+        _inverse_cdf(cum, tables, u[..., :size], llr[..., :size])
+        if not finite and not np.all(np.isfinite(llr[..., :size])):
             raise ZeroLikelihoodError(
                 "an inference model assigns zero likelihood to a realized symbol"
             )
-        for i in range(start + 1, start + size + 1):
-            lam = at @ (lam + llr[i - start - 1])
+        for j, i in enumerate(range(start + 1, start + size + 1)):
+            lam = at @ (lam + llr[..., j : j + 1])
             if stride > 0 and i % stride == 0:
-                records[:, i // stride - 1] = lam[..., 0]
+                records[:, :, i // stride - 1] = lam[..., 0]
     return steps, records, lam[..., 0]
+
+
+def _trajectories(
+    net: Network,
+    agents: Sequence[AgentConfig],
+    theta_true: Hypothesis,
+    horizon: int,
+    seeds: Sequence[int],
+    stride: int,
+    init: Sequence[float] | float,
+    agent_keys: Sequence[int] | None = None,
+) -> list[Trajectory]:
+    """One kernel call for all ``seeds`` of one scenario, one record each."""
+    steps, records, finals = _simulate(
+        [net], [agents], theta_true, horizon, seeds, stride, init, agent_keys
+    )
+    return [
+        Trajectory(
+            theta_true=theta_true,
+            seed=int(seed),
+            horizon=int(horizon),
+            steps=steps,
+            log_ratio=records[0, s],
+            final_log_ratio=finals[0, s],
+        )
+        for s, seed in enumerate(seeds)
+    ]
 
 
 def run(
@@ -224,17 +254,9 @@ def run(
     steps stride, 2*stride, ... <= horizon. Initial beliefs default to
     uniform and must be strictly inside (0, 1).
     """
-    steps, records, finals = _simulate(
+    return _trajectories(
         net, agents, theta_true, horizon, [seed], stride, initial_belief_theta1, agent_keys
-    )
-    return Trajectory(
-        theta_true=theta_true,
-        seed=int(seed),
-        horizon=int(horizon),
-        steps=steps,
-        log_ratio=records[0],
-        final_log_ratio=finals[0],
-    )
+    )[0]
 
 
 def run_finals(
@@ -252,9 +274,9 @@ def run_finals(
     The matrix is C-contiguous, so reductions over it sum in a fixed order.
     """
     _, _, finals = _simulate(
-        net, agents, theta_true, horizon, seeds, 0, initial_belief_theta1, None
+        [net], [agents], theta_true, horizon, seeds, 0, initial_belief_theta1, None
     )
-    return np.ascontiguousarray(finals.T)
+    return np.ascontiguousarray(finals[0].T)
 
 
 def network_average_true_belief(

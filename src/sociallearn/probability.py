@@ -203,9 +203,36 @@ def sample(p: Pmf, rng: np.random.Generator, size: int | None = None):
     Deterministic for a fixed generator state and call sequence. Returns a
     single ``int`` when ``size`` is None, else an int array of that length.
     """
-    cum = np.cumsum(p.as_array())
-    if size is None:
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, p.alphabet_size - 1)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(idx, p.alphabet_size - 1)
+    u = np.asarray(rng.random(size))
+    cum = np.cumsum(p.as_array())[:-1]
+    symbols = np.arange(p.alphabet_size, dtype=np.int64)
+    idx = _inverse_cdf(cum, symbols, u, np.empty(u.shape, dtype=np.int64))
+    return int(idx) if size is None else idx
+
+
+def _inverse_cdf(
+    cum: np.ndarray, values: np.ndarray, u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write into ``out`` the value of the symbol each uniform ``u`` falls on.
+
+    ``cum[c]`` is the cumulative mass of symbols ``0..c`` for ``c < A - 1``
+    (``np.cumsum(pmf)[:-1]``), ``inf`` past the end of a shorter alphabet;
+    ``values[c]`` is what symbol ``c`` maps to. The leading axis indexes symbols;
+    the rest broadcast against ``u`` and ``out``. Symbol ``c + 1`` is taken
+    wherever ``cum[c] <= u``: as ``cum`` never decreases, that is exactly
+    ``min(searchsorted(cum, u, side="right"), A - 1)``, so any mass lost to
+    rounding goes to the last symbol.
+
+    Values (any 8-byte dtype) are selected bit for bit, never computed: from
+    symbol 0's bits, every threshold passed XORs in the bits in which symbols
+    ``c`` and ``c + 1`` differ, and those telescope to the taken symbol's
+    bits. (An integer multiply-and-XOR runs about twice as fast as a masked
+    copy.)
+    """
+    bits = values.view(np.int64)
+    flips = bits[:-1] ^ bits[1:]
+    acc = out.view(np.int64)
+    acc[...] = bits[0]
+    for c in range(len(cum)):
+        np.bitwise_xor(acc, flips[c] * (cum[c] <= u), out=acc)
+    return out

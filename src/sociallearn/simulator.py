@@ -20,6 +20,8 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ from . import learning
 from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
 from .config import (
     ExperimentConfig,
+    ExperimentSpec,
     Scenario,
     apply_sweep_value,
     build_scenario,
@@ -75,35 +78,46 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run every configured seed and attach the closed-form report."""
+    """Run every configured seed and attach the closed-form report.
+
+    All seeds are one stack, stepped by one kernel call (one per chunk of
+    seeds with ``jobs > 1``).
+    """
     scenario = build_scenario(cfg)
-    e = cfg.experiment
     report = scenario.report()
-    args = [
-        (scenario, e.horizon, seed, e.stride, e.initial_belief_theta1)
-        for seed in e.seeds
-    ]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajectories = tuple(pool.map(_run_one, args))
-    else:
-        trajectories = tuple(_run_one(a) for a in args)
+    e = cfg.experiment
+    one_chunk = partial(
+        learning._trajectories, scenario.net, scenario.agents, scenario.theta_true, e.horizon,
+        stride=e.stride, init=e.initial_belief_theta1,
+    )
+    runs = _in_chunks(one_chunk, e.seeds, jobs)
     return ExperimentResult(
-        config=cfg, scenario=scenario, report=report, trajectories=trajectories
+        config=cfg, scenario=scenario, report=report, trajectories=tuple(chain(*runs))
     )
 
 
-def _run_one(packed) -> learning.Trajectory:
-    scenario, horizon, seed, stride, init = packed
-    return learning.run(
-        scenario.net,
-        scenario.agents,
-        scenario.theta_true,
-        horizon=horizon,
-        seed=seed,
-        stride=stride,
-        initial_belief_theta1=init,
+def _grid_finals(e: ExperimentSpec, scenarios: Sequence[Scenario]) -> np.ndarray:
+    """One kernel call for a chunk of the grid, every seed: ``(G, S, n)`` finals."""
+    _, _, finals = learning._simulate(
+        [s.net for s in scenarios], [s.agents for s in scenarios], scenarios[0].theta_true,
+        e.horizon, e.seeds, 0, e.initial_belief_theta1, None,
     )
+    return finals
+
+
+def _in_chunks(fn, items: Sequence, jobs: int) -> list:
+    """``fn`` over at most ``jobs`` contiguous chunks of ``items``, in order.
+
+    One chunk runs in this process; more run in a pool of worker processes,
+    one chunk each. Every (scenario, seed) pair gets the same gemv in any
+    chunk, so the results do not depend on ``jobs``.
+    """
+    k = min(jobs, len(items))
+    if k <= 1:
+        return [fn(items)]
+    chunks = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        return list(pool.map(fn, chunks))
 
 
 # --- sweeps -----------------------------------------------------------------------
@@ -138,31 +152,24 @@ class SweepResult:
         )
 
 
-def _sweep_point(packed) -> SweepPoint:
-    cfg, value = packed
-    point_cfg = apply_sweep_value(cfg, value)
-    scenario = build_scenario(point_cfg)
-    e = point_cfg.experiment
-    report = scenario.report()
-    lam = learning.run_finals(
-        scenario.net,
-        scenario.agents,
-        scenario.theta_true,
-        horizon=e.horizon,
-        seeds=e.seeds,
-        initial_belief_theta1=e.initial_belief_theta1,
-    )
-    finals = learning.network_average_true_belief(lam, scenario.theta_true)
+def _sweep_point(value: float, scenario: Scenario, finals: np.ndarray) -> SweepPoint:
+    """A grid point from its scenario and its ``(S, n)`` final log ratios."""
+    # the (n, S) layout ``run_finals`` returns, so the agent means sum in its order
+    lam = np.ascontiguousarray(finals.T)
+    beliefs = learning.network_average_true_belief(lam, scenario.theta_true)
     return SweepPoint(
         value=float(value),
         adversary_centrality=float(scenario.report_inputs["adversary_centrality"]),
-        margin_true=report.margin(scenario.theta_true),
-        per_seed_final=tuple(float(x) for x in np.atleast_1d(finals)),
+        margin_true=scenario.report().margin(scenario.theta_true),
+        per_seed_final=tuple(float(x) for x in beliefs),
     )
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid point (all seeds each) plus the theory root.
+
+    The grid points x seeds are one stack, stepped by one kernel call (one per
+    chunk with ``jobs > 1``); each point's finals equal its own ``run_finals``.
 
     The empirical crossing is the linear interpolation of the mean final
     true-state belief through 0.5 at the first adjacent grid pair where it
@@ -172,13 +179,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """
     if cfg.sweep is None:
         raise NoSignChangeError("config has no sweep section")
-    values = list(cfg.sweep.values)
-    packed = [(cfg, v) for v in values]
-    if jobs > 1 and len(packed) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = tuple(pool.map(_sweep_point, packed))
-    else:
-        points = tuple(_sweep_point(p) for p in packed)
+    values = cfg.sweep.values
+    scenarios = [build_scenario(apply_sweep_value(cfg, v)) for v in values]
+    finals = np.concatenate(_in_chunks(partial(_grid_finals, cfg.experiment), scenarios, jobs))
+    points = tuple(map(_sweep_point, values, scenarios, finals))
 
     axis = [
         p.adversary_centrality if cfg.sweep.parameter == "adversary_centrality" else p.value

@@ -1,26 +1,32 @@
 """Shared generators for randomized property tests (seeded, no hypothesis dep),
-and the references the log-domain kernel is checked against: the belief-domain
-adapt/combine/step and a per-step log-domain loop."""
+the references the log-domain kernel is checked against (the belief-domain
+state and adapt/combine/step, a per-step log-domain loop), and the closed-form
+margin of the shared-model centrality family, used as an oracle."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from sociallearn import (
     AgentConfig,
-    BeliefState,
+    Hypothesis,
     LikelihoodModel,
     Network,
     erdos_renyi_adjacency,
+    expected_log_ratio,
     is_informative,
+    kl_divergence,
     make_network,
     make_pmf,
     sample,
     uniform_combination,
 )
+from sociallearn.analysis import _state_pmfs
 from sociallearn.errors import ZeroLikelihoodError
+from sociallearn.learning import _sigmoid
 
 
 def random_pmf(rng: np.random.Generator, n: int, floor: float = 0.0):
@@ -95,6 +101,41 @@ def reference_run(net, agents, theta_true, horizon, seed, stride):
 
 # --- belief-domain reference ------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class BeliefState:
+    """Per-agent beliefs stored as log ratios lam_k = ln(mu_k(theta1)/mu_k(theta2))."""
+
+    log_ratio: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.log_ratio, dtype=float).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "log_ratio", arr)
+
+    @staticmethod
+    def uniform(n_agents: int) -> "BeliefState":
+        return BeliefState(np.zeros(n_agents))
+
+    @staticmethod
+    def from_belief_theta1(beliefs: Sequence[float]) -> "BeliefState":
+        b = np.asarray(beliefs, dtype=float)
+        if np.any(b <= 0.0) or np.any(b >= 1.0):
+            raise ValueError("initial beliefs must lie strictly inside (0, 1)")
+        return BeliefState(np.log(b) - np.log1p(-b))
+
+    def beliefs(self) -> np.ndarray:
+        """(n, 2) array of (mu(theta1), mu(theta2)) pairs.
+
+        Both components are evaluated as logistic values of +/- lam so each
+        keeps full relative precision even when one is vanishingly small.
+        """
+        return np.column_stack([_sigmoid(self.log_ratio), _sigmoid(-self.log_ratio)])
+
+    def belief_in(self, theta: Hypothesis) -> np.ndarray:
+        sign = 1.0 if theta is Hypothesis.THETA1 else -1.0
+        return _sigmoid(sign * self.log_ratio)
+
+
 def adapt(prior: Sequence[float], likelihood_row: Sequence[float]) -> np.ndarray:
     """Bayesian update of a 2-state belief pair with one likelihood row.
 
@@ -148,3 +189,26 @@ def step(
         nbrs = np.flatnonzero(a[:, k] > 0.0)
         new_pairs[k] = combine(psis[nbrs], a[nbrs, k])
     return BeliefState(np.log(new_pairs[:, 0]) - np.log(new_pairs[:, 1]))
+
+
+# --- closed-form oracle -----------------------------------------------------------
+
+def homogeneous_centrality_margin(
+    true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
+) -> Callable[[float], float]:
+    """Margin for state j as a function of aggregate adversary centrality.
+
+    Valid when every agent shares one observation model and all adversaries
+    one forged model: the margin is then linear in the aggregate centrality
+    U, namely ``U * r_unit - (1 - U) * kl_j``, which makes the critical
+    centrality a clean bisection target.
+    """
+    p, q = _state_pmfs(true_model, j)
+    f_j, f_other = _state_pmfs(forged_model, j)
+    kl_j = kl_divergence(p, q)
+    r_unit = expected_log_ratio(p, f_other, f_j)
+
+    def margin(u_total: float) -> float:
+        return u_total * r_unit - (1.0 - u_total) * kl_j
+
+    return margin

@@ -19,7 +19,6 @@ from sociallearn import (
     critical_parameter,
     deception_verdict,
     distortion_region,
-    homogeneous_centrality_margin,
     known_divergence_attack,
     load_config,
     make_model,
@@ -39,12 +38,14 @@ from sociallearn import (
 from sociallearn.attacks import select_support_pair
 from sociallearn.cli import main as cli_main
 from sociallearn.errors import AllUninformativeError, FloorViolationError
-from sociallearn.learning import BeliefState, network_average_true_belief, run
+from sociallearn.learning import network_average_true_belief, run
 from sociallearn.network import adversary_centrality
 
 from helpers import (
+    BeliefState,
     agents_for,
     draw_symbols,
+    homogeneous_centrality_margin,
     random_model,
     random_network,
     random_uninformative_model,

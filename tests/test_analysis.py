@@ -13,7 +13,6 @@ from sociallearn import (
     critical_parameter,
     deception_verdict,
     erdos_renyi_adjacency,
-    homogeneous_centrality_margin,
     kl_divergence,
     make_model,
     make_network,
@@ -29,7 +28,13 @@ from sociallearn.errors import FloorViolationError, NoSignChangeError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.network import adversary_centrality
 
-from helpers import agents_for, random_model, random_network, random_uninformative_model
+from helpers import (
+    agents_for,
+    homogeneous_centrality_margin,
+    random_model,
+    random_network,
+    random_uninformative_model,
+)
 
 BSC08_KL = 0.8317766166719344  # 0.6 ln 4
 NONSEP = make_model([0.8, 0.2], [0.55, 0.45])

@@ -16,6 +16,12 @@ def cfg_path(name):
     return os.path.join(CONFIG_DIR, name)
 
 
+def _env():
+    """This environment, with the source tree first on the import path."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def write(tmp_path, text):
     p = tmp_path / "cfg.yaml"
     p.write_text(text)
@@ -36,11 +42,9 @@ class TestValidate:
 
     def test_wrong_type_exits_1_without_traceback(self, tmp_path):
         path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "sociallearn.cli", "validate", "--config", path],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 1
         assert "topology.n_agents must be int, got 'three'" in proc.stderr
@@ -107,6 +111,39 @@ class TestRun:
             assert (tmp_path / name).read_bytes() == blob
 
 
+class TestJobs:
+    @pytest.mark.parametrize(
+        "command, config, names",
+        [
+            ("run", "deceived_random_bsc08.yaml", ("trajectories.csv", "summary.json")),
+            ("sweep", "sweep_centrality.yaml", ("sweep.csv", "sweep.json")),
+        ],
+    )
+    def test_two_workers_write_the_same_bytes(self, tmp_path, command, config, names):
+        # one --out for both, since the echoed config names the directory
+        argv = [command, "--config", cfg_path(config), "--horizon", "60", "--out", str(tmp_path)]
+        if command == "run":
+            argv += ["--format", "tabular"]
+        blobs = []
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            blobs.append({name: (tmp_path / name).read_bytes() for name in names})
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_refused(self, tmp_path, command, jobs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sociallearn.cli", command,
+             "--config", cfg_path("sweep_centrality.yaml"), "--out", str(tmp_path),
+             "--jobs", jobs],
+            capture_output=True, text=True, env=_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
+        assert proc.stdout == "" and not any(tmp_path.iterdir())
+
+
 class TestPredict:
     def test_closed_form_report(self, capsys):
         assert main(["predict", "--config", cfg_path("nonseparable_asud.yaml")]) == 0
@@ -152,12 +189,10 @@ attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
     def test_unwritable_out_exits_1_without_traceback(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "sociallearn.cli", "attack",
              "--config", cfg_path("nonseparable_askd.yaml"), "--out", str(blocker / "sub")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 1
         assert "error: cannot write results" in proc.stderr
@@ -186,11 +221,9 @@ experiment: {horizon: 50}
 
     def test_validate_refuses_disconnected_network(self, tmp_path):
         path = write(tmp_path, self.DISCONNECTED)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "sociallearn.cli", "validate", "--config", path],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 1
         assert "NotStronglyConnected" in proc.stderr

@@ -7,7 +7,6 @@ import pytest
 
 from sociallearn import (
     AgentConfig,
-    BeliefState,
     Hypothesis,
     Role,
     bsc_model,
@@ -19,10 +18,12 @@ from sociallearn import (
     uniform_combination,
     unknown_divergence_attack,
 )
+from sociallearn import learning
 from sociallearn.errors import ZeroLikelihoodError
-from sociallearn.learning import _BLOCK_STEPS, network_average_true_belief
+from sociallearn.learning import _BLOCK_STEPS, _simulate, network_average_true_belief
 
 from helpers import (
+    BeliefState,
     adapt,
     agents_for,
     combine,
@@ -232,6 +233,98 @@ class TestRun:
         assert abs(empirical - predicted) <= 0.05 * abs(predicted)
 
 
+def mixed_grid(seed: int, n: int = 5, points: int = 4):
+    """Sweep-like stack: one network and per-agent models per grid point.
+
+    Point 0 is all binary; the others mix alphabets of 2 to 4 symbols, and
+    every point has one adversary with its own forgery.
+    """
+    rng = np.random.default_rng(seed)
+    nets, agent_lists = [], []
+    for g in range(points):
+        net = random_network(rng, n, n_malicious=1)
+        models = [random_model(rng, 2 if g == 0 else int(rng.integers(2, 5))) for _ in range(n)]
+        forged = {0: unknown_divergence_attack(models[0], 1e-2 * (g + 1))}
+        nets.append(net)
+        agent_lists.append(agents_for(net, models, forged))
+    return nets, agent_lists
+
+
+class TestStack:
+    def test_stacked_grid_matches_per_point_run_finals(self):
+        nets, agent_lists = mixed_grid(41)
+        seeds = [0, 3, 7]
+        _, _, finals = _simulate(
+            nets, agent_lists, Hypothesis.THETA1, 300, seeds, 0, 0.5, None
+        )
+        assert finals.shape == (len(nets), len(seeds), 5)
+        for g, (net, agents) in enumerate(zip(nets, agent_lists)):
+            lone = run_finals(net, agents, Hypothesis.THETA1, horizon=300, seeds=seeds)
+            assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
+
+    def test_stacked_records_match_reference(self):
+        nets, agent_lists = mixed_grid(42, points=3)
+        steps, records, finals = _simulate(
+            nets, agent_lists, Hypothesis.THETA2, 120, [5, 9], 7, 0.5, None
+        )
+        for g, (net, agents) in enumerate(zip(nets, agent_lists)):
+            for s, seed in enumerate([5, 9]):
+                want_records, want_final = reference_run(
+                    net, agents, Hypothesis.THETA2, 120, seed, stride=7
+                )
+                assert np.array_equal(records[g, s], want_records)
+                assert np.array_equal(finals[g, s], want_final)
+
+    def test_block_sizes_do_not_change_bits(self, monkeypatch):
+        nets, agent_lists = mixed_grid(43, points=3)
+        args = (nets, agent_lists, Hypothesis.THETA1, 60, [1, 2], 4, 0.3, None)
+        _, records, finals = _simulate(*args)
+        monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(learning, "_BLOCK_STEPS", 1)
+        _, records_1, finals_1 = _simulate(*args)
+        assert np.array_equal(records, records_1)
+        assert np.array_equal(finals, finals_1)
+
+    def test_element_budget_bounds_the_block(self, monkeypatch):
+        # a budget below one step's ratios still steps, one step per block
+        nets, agent_lists = mixed_grid(44, points=2)
+        args = (nets, agent_lists, Hypothesis.THETA1, 2 * _BLOCK_STEPS + 3, [0], 0, 0.5, None)
+        _, _, finals = _simulate(*args)
+        monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 7)
+        _, _, finals_7 = _simulate(*args)
+        assert np.array_equal(finals, finals_7)
+
+    def test_one_point_zeroing_a_realized_symbol_raises(self):
+        # only point 1's forgery rules out symbol 1, which the true model draws
+        net = make_network(np.array([[1.0]]), 1)
+        honest = make_model([0.5, 0.5], [0.4, 0.6])
+        zeroing = make_model([1.0, 0.0], [0.5, 0.5])
+        agent_lists = [
+            (AgentConfig(role=Role.MALICIOUS, true_model=bsc_model(0.5), forged_model=f),)
+            for f in (honest, zeroing, honest)
+        ]
+        for agents in (agent_lists[0], agent_lists[2]):
+            run_finals(net, agents, Hypothesis.THETA1, horizon=50, seeds=[0])
+        with pytest.raises(ZeroLikelihoodError):
+            _simulate([net] * 3, agent_lists, Hypothesis.THETA1, 50, [0], 0, 0.5, None)
+
+    def test_infinite_ratio_of_an_undrawn_symbol_is_fine(self):
+        # the forgery rules out symbol 1, but the true model never draws it
+        net = make_network(np.array([[1.0]]), 1)
+        agents = (
+            AgentConfig(
+                role=Role.MALICIOUS,
+                true_model=make_model([1.0, 0.0], [0.5, 0.5]),
+                forged_model=make_model([1.0, 0.0], [0.5, 0.5]),
+            ),
+        )
+        finals = run_finals(net, agents, Hypothesis.THETA1, horizon=50, seeds=[0, 1])
+        lam = 0.0
+        for _ in range(50):
+            lam += math.log(1.0) - math.log(0.5)
+        assert np.array_equal(finals, np.full((1, 2), lam))
+
+
 class TestBeliefState:
     def test_round_trip(self):
         s = BeliefState.from_belief_theta1([0.2, 0.5, 0.9])
@@ -240,6 +333,12 @@ class TestBeliefState:
     def test_rejects_degenerate_initials(self):
         with pytest.raises(ValueError):
             BeliefState.from_belief_theta1([0.0, 0.5])
+        # the kernel refuses them the same way
+        net = make_network(np.eye(2), 0)
+        agents = agents_for(net, [bsc_model(0.7)] * 2)
+        for init in ([0.0, 0.5], 1.0, [0.5, float("nan")]):
+            with pytest.raises(ValueError):
+                run(net, agents, Hypothesis.THETA1, 5, seed=0, initial_belief_theta1=init)
 
     def test_network_average_helper(self):
         lam = np.array([[0.0, 100.0], [0.0, -100.0]])

@@ -23,6 +23,7 @@ from sociallearn.errors import (
     NotNormalizedError,
     OutOfRangeError,
 )
+from sociallearn.probability import _inverse_cdf
 
 from helpers import random_pmf
 
@@ -140,6 +141,82 @@ class TestSample:
             draws = sample(p, rng, size=n_draws)
             freqs = np.bincount(draws, minlength=n) / n_draws
             assert np.max(np.abs(freqs - p.as_array())) <= tol
+
+
+def searchsorted_symbols(pmf, u):
+    """Independent oracle: binary search on the cumulative masses, clamped."""
+    cum = np.cumsum(np.asarray(pmf, dtype=float))
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def inverse_cdf_symbols(pmf, u):
+    cum = np.cumsum(np.asarray(pmf, dtype=float))[:-1]
+    values = np.arange(len(pmf), dtype=np.int64)
+    return _inverse_cdf(cum, values, u, np.empty(np.shape(u), dtype=np.int64))
+
+
+class TestInverseCdf:
+    def test_seeded_uniforms_match_searchsorted(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            pmf = random_pmf(rng, int(rng.integers(2, 7))).mass
+            u = rng.random(2000)
+            assert np.array_equal(inverse_cdf_symbols(pmf, u), searchsorted_symbols(pmf, u))
+
+    def test_uniform_equal_to_a_cumulative_mass(self):
+        pmf = [0.25, 0.25, 0.5]
+        cum = np.cumsum(pmf)
+        u = np.array([0.0, cum[0], np.nextafter(cum[0], 0.0), cum[1], np.nextafter(cum[1], 1.0)])
+        got = inverse_cdf_symbols(pmf, u)
+        assert np.array_equal(got, searchsorted_symbols(pmf, u))
+        assert list(got) == [0, 1, 0, 2, 2]
+
+    def test_zero_mass_symbol_never_drawn(self):
+        pmf = [0.3, 0.0, 0.7]
+        edges = [0.3, np.nextafter(0.3, 0.0)]
+        u = np.concatenate([np.random.default_rng(5).random(5000), edges])
+        got = inverse_cdf_symbols(pmf, u)
+        assert np.array_equal(got, searchsorted_symbols(pmf, u))
+        assert not np.any(got == 1)
+
+    def test_last_symbol_takes_mass_lost_to_rounding(self):
+        pmf = [0.1] * 10
+        cum = np.cumsum(pmf)
+        assert cum[-1] < 1.0  # the cumulative sum ends just below 1
+        u = np.array([cum[-2], cum[-1], np.nextafter(1.0, 0.0)])
+        got = inverse_cdf_symbols(pmf, u)
+        assert np.array_equal(got, searchsorted_symbols(pmf, u))
+        assert list(got) == [9, 9, 9]
+
+    def test_values_copied_bit_for_bit(self):
+        # float values, nan and infinities included, come out with their bits
+        values = np.array([-np.inf, np.nan, 1.0 / 3.0, -0.0])
+        pmf = [0.25, 0.25, 0.25, 0.25]
+        u = np.random.default_rng(6).random(400)
+        cum = np.cumsum(pmf)[:-1]
+        got = _inverse_cdf(cum, values, u, np.empty(u.shape))
+        want = values[searchsorted_symbols(pmf, u)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_padded_alphabets_broadcast(self):
+        # two agents, alphabets of 2 and 4; the shorter one is padded with inf
+        pmfs = ([0.4, 0.6], [0.1, 0.2, 0.3, 0.4])
+        cum = np.full((3, 2), np.inf)
+        values = np.zeros((4, 2), dtype=np.int64)
+        for k, pmf in enumerate(pmfs):
+            cum[: len(pmf) - 1, k] = np.cumsum(pmf)[:-1]
+            values[: len(pmf), k] = np.arange(len(pmf))
+        u = np.random.default_rng(7).random((300, 2))
+        got = _inverse_cdf(cum, values, u, np.empty(u.shape, dtype=np.int64))
+        for k, pmf in enumerate(pmfs):
+            assert np.array_equal(got[:, k], searchsorted_symbols(pmf, u[:, k]))
+
+    def test_sample_draws_through_it(self):
+        pmf = make_pmf([0.2, 0.5, 0.3])
+        draws = sample(pmf, np.random.default_rng(8), size=1000)
+        u = np.random.default_rng(8).random(1000)
+        assert np.array_equal(draws, searchsorted_symbols(pmf.mass, u))
+        assert sample(pmf, np.random.default_rng(8)) == int(draws[0])
 
 
 class TestBscModel:

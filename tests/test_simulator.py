@@ -11,15 +11,18 @@ import yaml
 from sociallearn import (
     Verdict,
     build_scenario,
-    homogeneous_centrality_margin,
     load_config,
     run,
     run_experiment,
+    run_finals,
     run_sweep,
 )
 from sociallearn.config import apply_sweep_value
 from sociallearn.errors import ConfigParseError, ConfigValidationError
+from sociallearn.learning import network_average_true_belief
 from sociallearn.simulator import emit_results, emit_sweep_results
+
+from helpers import homogeneous_centrality_margin
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -302,6 +305,33 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert all(p.margin_true > 0.0 for p in result.points)
         assert result.theory_root is None
+
+    def test_stacked_sweep_matches_per_point_run_finals(self):
+        # per-agent models of 2, 3 and 4 symbols, one forgery per grid point
+        text = """
+topology: {kind: erdos_renyi, n_agents: 6, edge_prob: 0.5, seed: 3}
+agents:
+  n_malicious: 2
+  models:
+    - {kind: rows, theta1: [0.5, 0.3, 0.2], theta2: [0.2, 0.3, 0.5]}
+    - {kind: bsc, p: 0.7}
+    - {kind: rows, theta1: [0.4, 0.3, 0.2, 0.1], theta2: [0.1, 0.2, 0.3, 0.4]}
+    - {kind: bsc, p: 0.6}
+    - {kind: rows, theta1: [0.6, 0.4], theta2: [0.3, 0.7]}
+    - {kind: rows, theta1: [0.25, 0.25, 0.5], theta2: [0.5, 0.25, 0.25]}
+attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
+experiment: {theta_true: theta1, horizon: 400, seeds: [0, 4, 9], stride: 0}
+sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
+"""
+        cfg = load_config(text)
+        result = run_sweep(cfg)
+        e = cfg.experiment
+        for point in result.points:
+            scenario = build_scenario(apply_sweep_value(cfg, point.value))
+            lam = run_finals(scenario.net, scenario.agents, scenario.theta_true,
+                             horizon=e.horizon, seeds=e.seeds)
+            want = network_average_true_belief(lam, scenario.theta_true)
+            assert point.per_seed_final == tuple(float(x) for x in want)
 
     def test_theta2_finals_match_run_bitwise(self):
         import dataclasses
