@@ -123,11 +123,6 @@ class Trajectory:
     def final_network_average_true_belief(self) -> float:
         return network_average_true_belief(self.final_log_ratio, self.theta_true)
 
-    def empirical_rate(self) -> np.ndarray:
-        """Per-agent (1/horizon) * ln(mu(theta_wrong)/mu(theta_true)) at the end."""
-        sign = -1.0 if self.theta_true is Hypothesis.THETA1 else 1.0
-        return sign * self.final_log_ratio / float(self.horizon)
-
 
 def _symbol_tables(
     agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis

@@ -9,6 +9,12 @@ Tabular trajectory format (CSV): one header row, then one row per
 
     step, agent_id, role, belief_theta1, log_ratio, seed
 
+It is written a chunk of whole recorded steps at a time, each chunk at most
+``_CSV_ROWS`` rows (one step when a step alone is more): the beliefs of just
+that chunk are computed, each float column is rendered by one ``repr`` per
+value, and the chunk goes out in one write. So memory stays bounded whatever
+the horizon.
+
 Structured format: a single JSON document embedding the echoed config, the
 closed-form deception report, and per-seed summaries.
 """
@@ -21,7 +27,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, cycle
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +54,9 @@ __all__ = [
     "emit_sweep_results",
     "write_json",
 ]
+
+#: Most rows of ``trajectories.csv`` formatted and written at once.
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -236,11 +245,6 @@ def _theory_root(cfg: ExperimentConfig) -> float | None:
 # --- result files ------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the exact double (<= 17 significant digits)."""
-    return repr(float(x))
-
-
 def _report_dict(report: DeceptionReport) -> dict:
     return {
         "s1": report.s1,
@@ -276,6 +280,29 @@ def write_json(doc: dict, out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_trajectories(fh, result: ExperimentResult) -> None:
+    """Every recorded row of every seed, in chunks of at most ``_CSV_ROWS`` rows.
+
+    Floats are rendered by ``repr`` of Python floats (``.tolist()``), the
+    shortest decimal that round-trips the exact double.
+    """
+    net = result.scenario.net
+    n = net.n_agents
+    heads = [f"{k},{net.roles[k].value}," for k in range(n)]
+    per_chunk = max(1, _CSV_ROWS // n)
+    for traj in result.trajectories:
+        tail = f",{traj.seed}\n"
+        for r in range(0, len(traj.steps), per_chunk):
+            lam = traj.log_ratio[r : r + per_chunk]
+            steps = traj.steps[r : r + per_chunk].repeat(n).tolist()
+            beliefs = map(repr, learning._sigmoid(lam).ravel().tolist())
+            ratios = map(repr, lam.ravel().tolist())
+            fh.write("".join([
+                f"{step},{head}{b},{x}{tail}"
+                for step, head, b, x in zip(steps, cycle(heads), beliefs, ratios)
+            ]))
+
+
 def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:
     """Write the result files of the configured ``output.format``; returns the
     created paths (deterministic bytes)."""
@@ -283,16 +310,7 @@ def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:
     if result.config.output.format == "tabular":
         with _result_file(out_dir, "trajectories.csv") as fh:
             fh.write("step,agent_id,role,belief_theta1,log_ratio,seed\n")
-            for traj in result.trajectories:
-                beliefs = traj.belief_theta1()
-                for r, step_idx in enumerate(traj.steps):
-                    for k in range(result.scenario.net.n_agents):
-                        role = result.scenario.net.roles[k].value
-                        fh.write(
-                            f"{int(step_idx)},{k},{role},"
-                            f"{_fmt(beliefs[r, k])},{_fmt(traj.log_ratio[r, k])},"
-                            f"{traj.seed}\n"
-                        )
+            _write_trajectories(fh, result)
         written.append(os.path.join(out_dir, "trajectories.csv"))
     doc = {
         "config": result.config.to_dict(),
@@ -309,13 +327,14 @@ def emit_sweep_results(result: SweepResult, out_dir: str) -> list[str]:
         fh.write(
             "parameter,value,adversary_centrality,margin_true,seed,final_true_belief\n"
         )
+        seeds = result.config.experiment.seeds
         for p in result.points:
-            for seed, final in zip(result.config.experiment.seeds, p.per_seed_final):
-                fh.write(
-                    f"{result.parameter},{_fmt(p.value)},"
-                    f"{_fmt(p.adversary_centrality)},{_fmt(p.margin_true)},"
-                    f"{seed},{_fmt(final)}\n"
-                )
+            head = (
+                f"{result.parameter},{float(p.value)!r},"
+                f"{float(p.adversary_centrality)!r},{float(p.margin_true)!r}"
+            )
+            finals = map(repr, map(float, p.per_seed_final))
+            fh.write("".join([f"{head},{seed},{final}\n" for seed, final in zip(seeds, finals)]))
     doc = {
         "config": result.config.to_dict(),
         "parameter": result.parameter,

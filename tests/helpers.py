@@ -1,7 +1,8 @@
 """Shared generators for randomized property tests (seeded, no hypothesis dep),
 the references the log-domain kernel is checked against (the belief-domain
-state and adapt/combine/step, a per-step log-domain loop), and the closed-form
-margin of the shared-model centrality family, used as an oracle."""
+state and adapt/combine/step, a per-step log-domain loop), the per-row CSV
+writer the chunked one is checked against, and the closed-form margin of the
+shared-model centrality family, used as an oracle."""
 
 from __future__ import annotations
 
@@ -189,6 +190,28 @@ def step(
         nbrs = np.flatnonzero(a[:, k] > 0.0)
         new_pairs[k] = combine(psis[nbrs], a[nbrs, k])
     return BeliefState(np.log(new_pairs[:, 0]) - np.log(new_pairs[:, 1]))
+
+
+# --- per-row CSV reference -------------------------------------------------------
+
+def reference_trajectories_csv(result) -> str:
+    """``trajectories.csv`` of an ``ExperimentResult``, one f-string per row."""
+
+    def _fmt(x: float) -> str:
+        return repr(float(x))
+
+    rows = ["step,agent_id,role,belief_theta1,log_ratio,seed\n"]
+    for traj in result.trajectories:
+        beliefs = traj.belief_theta1()
+        for r, step_idx in enumerate(traj.steps):
+            for k in range(result.scenario.net.n_agents):
+                role = result.scenario.net.roles[k].value
+                rows.append(
+                    f"{int(step_idx)},{k},{role},"
+                    f"{_fmt(beliefs[r, k])},{_fmt(traj.log_ratio[r, k])},"
+                    f"{traj.seed}\n"
+                )
+    return "".join(rows)
 
 
 # --- closed-form oracle -----------------------------------------------------------

@@ -17,12 +17,13 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
+from sociallearn import simulator
 from sociallearn.config import apply_sweep_value
 from sociallearn.errors import ConfigParseError, ConfigValidationError
 from sociallearn.learning import network_average_true_belief
-from sociallearn.simulator import emit_results, emit_sweep_results
+from sociallearn.simulator import SweepPoint, emit_results, emit_sweep_results
 
-from helpers import homogeneous_centrality_margin
+from helpers import homogeneous_centrality_margin, reference_trajectories_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -245,6 +246,70 @@ class TestEmitResults:
             emit_results(result, str(blocker / "nested"))
 
 
+class TestTrajectoryCsv:
+    """The chunked writer's bytes equal the per-row reference writer's."""
+
+    @staticmethod
+    def assert_matches_reference(result, out_dir):
+        emit_results(result, str(out_dir))
+        written = (out_dir / "trajectories.csv").read_bytes()
+        assert written == reference_trajectories_csv(result).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "name, theta, stride",
+        [
+            ("misled_star_bsc09.yaml", "theta1", 1),
+            ("nonseparable_askd.yaml", "theta2", 3),
+            ("misled_star_bsc09.yaml", "theta1", 0),  # header only
+        ],
+    )
+    def test_bundled_config_matches_reference(self, name, theta, stride, tmp_path):
+        cfg = load_config(read_config(name) + TABULAR)
+        assert cfg.experiment.theta_true == theta
+        result = run_experiment(_with(cfg, horizon=60, seeds=(0, 1), stride=stride))
+        assert len({role.value for role in result.scenario.net.roles}) == 2  # both roles
+        self.assert_matches_reference(result, tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, 7, simulator._CSV_ROWS])
+    def test_chunk_boundaries(self, rows, tmp_path, monkeypatch):
+        # 4099 steps at n = 2: one step per chunk (a step alone is more than
+        # one row), or chunks of 3 or _CSV_ROWS // 2 steps, the last one shorter
+        monkeypatch.setattr(simulator, "_CSV_ROWS", rows)
+        cfg = load_config(
+            MINIMAL + "experiment: {horizon: 4099, seeds: [0, 1], stride: 1}\n" + TABULAR
+        )
+        self.assert_matches_reference(run_experiment(cfg), tmp_path)
+
+    def test_extreme_log_ratios(self, tmp_path):
+        import dataclasses
+
+        result = run_experiment(load_config(MINIMAL + "experiment: {horizon: 6}\n" + TABULAR))
+        lam = np.array(
+            [0.0, -0.0, 40.0, -40.0, 800.0, -800.0,
+             1e-300, 1e308, -1e308, -740.0, 5e-324, -5e-324]
+        ).reshape(6, 2)
+        traj = dataclasses.replace(result.trajectories[0], steps=np.arange(1, 7), log_ratio=lam)
+        beliefs = traj.belief_theta1()
+        assert 0.0 in beliefs and 1.0 in beliefs
+        assert np.any((beliefs > 0.0) & (beliefs < np.finfo(float).tiny))  # subnormal
+        self.assert_matches_reference(dataclasses.replace(result, trajectories=(traj,)), tmp_path)
+
+    def test_memory_flat_in_horizon(self, tmp_path):
+        import tracemalloc
+
+        cfg = load_config(read_config("deceived_random_bsc08.yaml") + TABULAR)
+        peaks = []
+        for horizon in (1000, 4000):
+            result = run_experiment(_with(cfg, horizon=horizon, seeds=(0, 1), stride=1))
+            tracemalloc.start()
+            try:
+                emit_results(result, str(tmp_path / str(horizon)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.25 * min(peaks)
+
+
 class TestRunSweep:
     def test_single_point_grid(self):
         text = read_config("sweep_bsc_p.yaml").replace(
@@ -275,6 +340,24 @@ class TestRunSweep:
         assert len(doc["points"]) == len(result.points)
         csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + len(result.points) * len(cfg.experiment.seeds)
+
+    def test_sweep_csv_renders_numpy_scalars_as_floats(self, tmp_path):
+        import dataclasses
+
+        cfg = _with(load_config(read_config("sweep_bsc_p.yaml")), horizon=50, seeds=(0, 1))
+        result = run_sweep(_with_sweep_values(cfg, [0.7, 0.9]))
+        as_numpy = dataclasses.replace(result, points=tuple(
+            SweepPoint(
+                *map(np.float64, (p.value, p.adversary_centrality, p.margin_true)),
+                tuple(map(np.float64, p.per_seed_final)),
+            )
+            for p in result.points
+        ))
+        for name, res in (("floats", result), ("numpy", as_numpy)):
+            emit_sweep_results(res, str(tmp_path / name))
+        csv = (tmp_path / "numpy" / "sweep.csv").read_bytes()
+        assert csv == (tmp_path / "floats" / "sweep.csv").read_bytes()
+        assert b"np." not in csv
 
     def test_centrality_sweep_family(self):
         cfg = load_config(read_config("sweep_centrality.yaml"))
@@ -354,7 +437,7 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
                 assert final > 0.0
 
 
-def _with(cfg, horizon=None, seeds=None):
+def _with(cfg, horizon=None, seeds=None, stride=None):
     import dataclasses
 
     e = cfg.experiment
@@ -362,6 +445,8 @@ def _with(cfg, horizon=None, seeds=None):
         e = dataclasses.replace(e, horizon=horizon)
     if seeds is not None:
         e = dataclasses.replace(e, seeds=tuple(seeds))
+    if stride is not None:
+        e = dataclasses.replace(e, stride=stride)
     return dataclasses.replace(cfg, experiment=e)
 
 
