@@ -16,13 +16,16 @@ point yields forged PMFs that mislead the network for *both* candidate true
 states. The epsilon floor on forged masses further restricts (x1, x2) to a
 region that is strictly smaller than the naive box |x| <= ln((alpha-eps)/eps);
 for a fixed x1 the four floor constraints are linear in e^{x2}, so the
-feasible x2 interval is computed exactly in the log domain. The constructor
-scans candidate support pairs by decreasing |d| and picks the midpoint of
-the largest floor-feasible slice; if no pair admits a floor-feasible point
-(possible: the wedge may only intersect the box near its edges where the
-floor fails), it falls back to the classical wedge-midpoint choice, which
-still satisfies both deception inequalities but may place a forged mass
-below the floor -- flagged on the returned entry.
+feasible x2 interval is computed exactly in the log domain. Each pair's
+:class:`DistortionRegion` records the inputs it was built from, so the
+search and the mapping back to forged PMFs read the region alone. The
+constructor scans candidate support pairs by decreasing |d| and picks the
+midpoint of the largest floor-feasible slice; if no pair admits a
+floor-feasible point (possible: the wedge may only intersect the box near
+its edges where the floor fails), it falls back to the classical
+wedge-midpoint choice, which still satisfies both deception inequalities
+but may place a forged mass below the floor -- flagged on the returned
+entry. Both paths build their entry through one function.
 
 **Unknown-divergence construction.** Without network knowledge the
 adversary minimizes the expected-cost objective assuming equally likely
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,31 +202,25 @@ def unknown_divergence_attack(model: LikelihoodModel, eps: float) -> LikelihoodM
         )
     _check_epsilon(eps, model.alphabet_size)
     z = model.given_theta1.as_array() - model.given_theta2.as_array()
-    n = model.alphabet_size
-    neg = z < 0.0
-    pos = z > 0.0
-    tie = ~neg & ~pos
-
-    # column for theta1: floor on {z >= 0}, proportional mass on {z < 0}
-    f1 = np.full(n, eps)
-    w_neg = z[neg] / z[neg].sum()
-    mass1 = w_neg * (1.0 - float(np.count_nonzero(~neg)) * eps)
-    if np.any(mass1 < eps):
-        raise FloorViolationError(
-            "theta1 column of the closed form dips below the epsilon floor"
-        )
-    f1[neg] = mass1
-
-    # column for theta2: floor on {z < 0} and on ties, proportional on {z > 0}
-    f2 = np.full(n, eps)
-    w_pos = z[pos] / z[pos].sum()
-    mass2 = w_pos * (1.0 - float(np.count_nonzero(~pos)) * eps)
-    if np.any(mass2 < eps):
-        raise FloorViolationError(
-            "theta2 column of the closed form dips below the epsilon floor"
-        )
-    f2[pos] = mass2
+    f1 = _closed_form_column(z, z < 0.0, eps, "theta1")
+    f2 = _closed_form_column(z, z > 0.0, eps, "theta2")
     return LikelihoodModel(make_pmf(f1), make_pmf(f2))
+
+
+def _closed_form_column(z: np.ndarray, free: np.ndarray, eps: float, name: str) -> np.ndarray:
+    """One forged column: the floor off ``free``, mass proportional to z on it.
+
+    theta1 takes ``free = z < 0`` and theta2 ``free = z > 0``; tie symbols
+    are off ``free`` in both, so both columns floor them.
+    """
+    column = np.full(len(z), eps)
+    mass = z[free] / z[free].sum() * (1.0 - float(np.count_nonzero(~free)) * eps)
+    if np.any(mass < eps):
+        raise FloorViolationError(
+            f"{name} column of the closed form dips below the epsilon floor"
+        )
+    column[free] = mass
+    return column
 
 
 def unknown_divergence_objective(model: LikelihoodModel, forged: LikelihoodModel) -> float:
@@ -314,6 +311,10 @@ class DistortionRegion:
     epsilon floor on the transformed coordinates; ``epsilon_bound`` the
     largest floor for which the intersection stays strictly inside the box
     (the construction's feasibility condition).
+
+    The region also records the inputs it was built from, which every later
+    step of the construction reads: ``l11``, ``l21``, ``l12``, ``l22`` are
+    L(z1|theta1), L(z2|theta1), L(z1|theta2), L(z2|theta2) on the pair.
     """
 
     support_pair: tuple[int, int]
@@ -327,6 +328,15 @@ class DistortionRegion:
     alpha_k: float
     epsilon_bound: float
     empty: bool
+    l11: float
+    l21: float
+    l12: float
+    l22: float
+    u_k: float
+    s1: float
+    s2: float
+    eps: float
+    alphabet_size: int
 
 
 def select_support_pair(model: LikelihoodModel) -> tuple[int, int]:
@@ -402,14 +412,17 @@ def _pair_geometry(
         alpha_k=alpha,
         epsilon_bound=bound,
         empty=not eps < bound,
+        l11=l11, l21=l21, l12=l12, l22=l22,
+        u_k=u_k, s1=s1, s2=s2, eps=eps, alphabet_size=size,
     )
 
 
-def _check_region_inputs(u_k: float, s1: float, s2: float) -> None:
+def _check_region_inputs(u_k: float, s1: float, s2: float, eps: float, size: int) -> None:
     if not 0.0 < u_k < 1.0:
         raise OutOfRangeError(f"centrality must lie in (0, 1), got {u_k!r}")
     if not (math.isfinite(s1) and math.isfinite(s2) and s1 >= 0.0 and s2 >= 0.0):
         raise OutOfRangeError("sub-network divergences must be finite and >= 0")
+    _check_epsilon(eps, size)
 
 
 def distortion_region(
@@ -421,26 +434,10 @@ def distortion_region(
     pair: tuple[int, int] | None = None,
 ) -> DistortionRegion:
     """Region geometry for ``pair`` (default: the canonical support pair)."""
-    _check_region_inputs(u_k, s1, s2)
+    _check_region_inputs(u_k, s1, s2, eps, model.alphabet_size)
     if pair is None:
         pair = select_support_pair(model)
     return _pair_geometry(model, u_k, s1, s2, eps, pair)
-
-
-def _region_lines(
-    geom: DistortionRegion, model: LikelihoodModel, u_k: float, s1: float, s2: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    i, j = geom.support_pair
-    l11, l21 = model.given_theta1[i], model.given_theta1[j]
-    l12, l22 = model.given_theta2[i], model.given_theta2[j]
-
-    def r1(x1):
-        return (s1 - u_k * l11 * x1) / (u_k * l21)
-
-    def r2(x1):
-        return -(s2 + u_k * l12 * x1) / (u_k * l22)
-
-    return r1, r2
 
 
 def _log1mexp(x: np.ndarray) -> np.ndarray:
@@ -461,33 +458,29 @@ def _logsubexp(a, b):
 
 
 def _floor_x2_interval(
-    x1: np.ndarray,
-    geom: DistortionRegion,
-    model: LikelihoodModel,
-    u_k: float,
-    s1: float,
-    s2: float,
-    eps: float,
+    region: DistortionRegion, x1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact feasible x2 interval (lo, hi) per x1: wedge, box, and floor.
 
+    The wedge lies between the two deception lines, x2 above
+    ``(s1 - u l11 x1) / (u l21)`` and below ``-(s2 + u l12 x1) / (u l22)``.
     With E = e^{x2} the four floor constraints are linear in E for fixed
     x1, so the interval endpoints are closed-form in the log domain.
     """
-    r1, r2 = _region_lines(geom, model, u_k, s1, s2)
     x1 = np.asarray(x1, dtype=float)
+    u, eps = region.u_k, region.eps
     leps = math.log(eps)
-    lal = math.log(geom.alpha_k)
-    lame = math.log(geom.alpha_k - eps)
-    lo = np.maximum(r1(x1), -geom.x_plus)
-    hi = np.minimum(r2(x1), geom.x_plus)
+    lal = math.log(region.alpha_k)
+    lame = math.log(region.alpha_k - eps)
+    lo = np.maximum((region.s1 - u * region.l11 * x1) / (u * region.l21), -region.x_plus)
+    hi = np.minimum(-(region.s2 + u * region.l12 * x1) / (u * region.l22), region.x_plus)
 
     la_m_ame_e1 = _logsubexp(lal, lame + x1)  # ln(alpha - (alpha-eps) e^{x1})
     la_m_eps_e1 = _logsubexp(lal, leps + x1)  # ln(alpha - eps e^{x1})
     l_ae1_m_eps = _logsubexp(lal + x1, leps)  # ln(alpha e^{x1} - eps)
     l_ae1_m_ame = _logsubexp(lal + x1, lame)  # ln(alpha e^{x1} - (alpha-eps))
 
-    if geom.d_k > 0:
+    if region.d_k > 0:
         lo = np.maximum(lo, np.where(np.isfinite(la_m_ame_e1), la_m_ame_e1 - leps, -np.inf))
         hi = np.minimum(hi, la_m_eps_e1 - lame)
         hi = np.minimum(hi, lame + x1 - l_ae1_m_eps)
@@ -501,7 +494,7 @@ def _floor_x2_interval(
 
 
 def _masses_from_x(
-    x1: float, x2: float, geom: DistortionRegion, eps: float, alphabet_size: int
+    region: DistortionRegion, x1: float, x2: float
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Map (x1, x2) back to (p1, p2) and assemble both forged columns.
 
@@ -509,9 +502,8 @@ def _masses_from_x(
     expression so that tiny masses keep full relative precision instead of
     being recovered by catastrophic subtraction from alpha.
     """
-    i, j = geom.support_pair
-    alpha = geom.alpha_k
-    lal = math.log(alpha)
+    i, j = region.support_pair
+    lal = math.log(region.alpha_k)
     lden = float(_logsubexp(max(x1, x2), min(x1, x2)))
     l1me1 = float(_logsubexp(x1, 0.0)) if x1 > 0 else float(_log1mexp(np.asarray(x1)))
     l1me2 = float(_logsubexp(x2, 0.0)) if x2 > 0 else float(_log1mexp(np.asarray(x2)))
@@ -519,8 +511,8 @@ def _masses_from_x(
     q1 = math.exp(lal + x2 + l1me1 - lden)          # forged(z2 | theta2) = alpha - p1
     p2 = math.exp(lal + l1me1 - lden)               # forged(z2 | theta1)
     q2 = math.exp(lal + l1me2 - lden)               # forged(z1 | theta1) = alpha - p2
-    f1 = np.full(alphabet_size, eps)
-    f2 = np.full(alphabet_size, eps)
+    f1 = np.full(region.alphabet_size, region.eps)
+    f2 = np.full(region.alphabet_size, region.eps)
     f1[i] = q2
     f1[j] = p2
     f2[i] = p1
@@ -553,156 +545,133 @@ def known_divergence_attack(
     """Forged model guaranteed to mislead for both candidate true states.
 
     Scans support pairs by decreasing |determinant|. For each admissible
-    pair (epsilon below that pair's feasibility bound) the floor-feasible
-    x1 slice is located on a fixed grid with exact per-x1 intervals; x1 is
-    the midpoint of the largest slice, and the line slope through the wedge
-    intersection is the midpoint of the admissible slope interval that x1
-    implies. When no pair admits a floor-feasible point, the first
-    admissible pair's wedge midpoint is returned instead: both deception
-    inequalities still hold strictly, but a forged mass sits below the
-    floor; ``params['floor_satisfied']`` records which path was taken.
+    pair (epsilon below that pair's feasibility bound)
+    :func:`_floor_feasible_point` searches the floor-feasible region. When
+    no pair admits a floor-feasible point, the first admissible pair's
+    wedge midpoint is returned instead: both deception inequalities still
+    hold strictly, but a forged mass sits below the floor;
+    ``params['floor_satisfied']`` records which path was taken.
 
-    Raises :class:`OutOfRangeError` for a centrality outside (0, 1) or a
-    divergence that is negative or not finite, :class:`EpsilonTooLargeError`
-    when epsilon fails the bound for every support pair, and
-    :class:`UninformativeModelError` for a model with identical
-    per-hypothesis PMFs.
+    Raises :class:`OutOfRangeError` for a centrality outside (0, 1), a
+    divergence that is negative or not finite, or an epsilon outside
+    (0, 1/alphabet size); :class:`EpsilonTooLargeError` when epsilon fails
+    the bound for every support pair; and :class:`UninformativeModelError`
+    for a model with identical per-hypothesis PMFs.
     """
     if not is_informative(model):
         raise UninformativeModelError("deceiving both states needs an informative model")
-    _check_region_inputs(u_k, s1, s2)
-    _check_epsilon(eps, model.alphabet_size)
+    _check_region_inputs(u_k, s1, s2, eps, model.alphabet_size)
 
-    fallback: tuple[DistortionRegion, float, float] | None = None
+    first: DistortionRegion | None = None
     for i, j in _candidate_pairs(model):
         if model.given_theta1[j] == 0.0 or model.given_theta2[j] == 0.0:
             continue
-        geom = _pair_geometry(model, u_k, s1, s2, eps, (i, j))
-        if geom.empty:
+        region = _pair_geometry(model, u_k, s1, s2, eps, (i, j))
+        if region.empty:
             continue
-        if fallback is None:
-            fallback = (geom, *_wedge_midpoint(geom, model, u_k, s1, s2))
+        if first is None:
+            first = region
+        point = _floor_feasible_point(region)
+        if point is not None:
+            entry = _entry(region, *point, floor_satisfied=True)
+            if entry is not None:
+                return entry
+            # numeric edge: a mass fell below the floor; try the next pair
 
-        entry = _construct_on_pair(model, u_k, s1, s2, eps, geom)
-        if entry is not None:
-            return entry
-
-    if fallback is None:
+    if first is None:
         raise EpsilonTooLargeError(
             "epsilon exceeds the feasibility bound of every support pair"
         )
-    geom, fx1, fx2 = fallback
-    p1, p2, f1, f2 = _masses_from_x(fx1, fx2, geom, eps, model.alphabet_size)
-    forged = LikelihoodModel(make_pmf(f1), make_pmf(f2))
-    return AttackPlanEntry(
-        forged=forged,
-        strategy="known_divergences",
-        eps=eps,
-        params=_entry_params(geom, fx1, fx2, p1, p2, u_k, s1, s2, floor_satisfied=False),
-    )
+    return _entry(first, *_wedge_midpoint(first), floor_satisfied=False)
 
 
-def _wedge_midpoint(
-    geom: DistortionRegion, model: LikelihoodModel, u_k: float, s1: float, s2: float
-) -> tuple[float, float]:
+def _wedge_midpoint(region: DistortionRegion) -> tuple[float, float]:
     """Classical construction point: slope-interval midpoint line, box-clipped."""
-    i, j = geom.support_pair
-    l11, l21 = model.given_theta1[i], model.given_theta1[j]
-    l12, l22 = model.given_theta2[i], model.given_theta2[j]
-    slopes = sorted((-l11 / l21, -l12 / l22))
+    slopes = sorted((-region.l11 / region.l21, -region.l12 / region.l22))
     beta = 0.5 * (slopes[0] + slopes[1])
-    y0 = geom.x2_prime
-    if geom.d_k > 0:
-        dmax = min(geom.x_plus - geom.x1_prime, (geom.x_plus + y0) / (-beta))
+    y0 = region.x2_prime
+    if region.d_k > 0:
+        dmax = min(region.x_plus - region.x1_prime, (region.x_plus + y0) / (-beta))
         delta = 0.5 * dmax
     else:
-        dmin = max(-geom.x_plus - geom.x1_prime, (geom.x_plus - y0) / beta)
+        dmin = max(-region.x_plus - region.x1_prime, (region.x_plus - y0) / beta)
         delta = 0.5 * dmin
-    return geom.x1_prime + delta, beta * delta + y0
+    return region.x1_prime + delta, beta * delta + y0
 
 
-def _construct_on_pair(
-    model: LikelihoodModel,
-    u_k: float,
-    s1: float,
-    s2: float,
-    eps: float,
-    geom: DistortionRegion,
-) -> AttackPlanEntry | None:
-    if geom.d_k > 0:
-        a, b = geom.x1_prime, geom.x_plus
+def _floor_feasible_point(region: DistortionRegion) -> tuple[float, float] | None:
+    """Floor-feasible (x1, x2) on the wedge's side of the apex, or None.
+
+    The floor-feasible x1 slice is located on a fixed grid with exact
+    per-x1 intervals; x1 is the midpoint of the largest slice (the first
+    feasible grid point when that midpoint falls in a gap), and the line
+    slope through the wedge intersection is the midpoint of the admissible
+    slope interval that x1 implies.
+    """
+    if region.d_k > 0:
+        a, b = region.x1_prime, region.x_plus
     else:
-        a, b = -geom.x_plus, geom.x1_prime
+        a, b = -region.x_plus, region.x1_prime
     ts = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
     grid = a + (b - a) * ts
-    lo, hi = _floor_x2_interval(grid, geom, model, u_k, s1, s2, eps)
+    lo, hi = _floor_x2_interval(region, grid)
     feas = lo < hi - 1e-12
     if not feas.any():
         return None
-    # largest contiguous feasible slice of the x1 grid
-    runs: list[tuple[int, int]] = []
-    start = None
-    flags = feas.tolist()
-    for m in range(_GRID_POINTS + 1):
-        v = flags[m] if m < _GRID_POINTS else False
-        if v and start is None:
-            start = m
-        if not v and start is not None:
-            runs.append((start, m))
-            start = None
-    s_idx, e_idx = max(runs, key=lambda r: (r[1] - r[0], -r[0]))
+    s_idx, e_idx = _largest_run(feas)
     x1 = 0.5 * (float(grid[s_idx]) + float(grid[e_idx - 1]))
-    lo1, hi1 = _floor_x2_interval(np.asarray([x1]), geom, model, u_k, s1, s2, eps)
+    lo1, hi1 = _floor_x2_interval(region, np.asarray([x1]))
     lov, hiv = float(lo1[0]), float(hi1[0])
     if not lov < hiv - 1e-12:
         m = int(np.argmax(feas))
         x1, lov, hiv = float(grid[m]), float(lo[m]), float(hi[m])
     # slope parameterization over the x2 interval through the intersection
-    delta = x1 - geom.x1_prime
-    beta_a = (lov - geom.x2_prime) / delta
-    beta_b = (hiv - geom.x2_prime) / delta
+    delta = x1 - region.x1_prime
+    beta_a = (lov - region.x2_prime) / delta
+    beta_b = (hiv - region.x2_prime) / delta
     beta = 0.5 * (beta_a + beta_b)
-    x2 = geom.x2_prime + beta * delta
+    return x1, region.x2_prime + beta * delta
 
-    p1, p2, f1, f2 = _masses_from_x(x1, x2, geom, eps, model.alphabet_size)
-    if np.any(f1 < eps * (1.0 - 1e-9)) or np.any(f2 < eps * (1.0 - 1e-9)):
-        return None  # numeric edge; let the scan try the next pair
-    forged = LikelihoodModel(make_pmf(f1), make_pmf(f2))
+
+def _largest_run(mask: np.ndarray) -> tuple[int, int]:
+    """[start, end) of the longest run of True in a mask with at least one;
+    the earliest of equally long runs."""
+    # a bool diff marks every change; the padding makes them alternate start, end
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    starts, ends = edges[::2], edges[1::2]
+    k = int(np.argmax(ends - starts))
+    return int(starts[k]), int(ends[k])
+
+
+def _entry(
+    region: DistortionRegion, x1: float, x2: float, floor_satisfied: bool
+) -> AttackPlanEntry | None:
+    """The forgery at (x1, x2) with its provenance; None when it was meant to
+    satisfy the floor and a mass falls below it."""
+    p1, p2, f1, f2 = _masses_from_x(region, x1, x2)
+    floor = region.eps * (1.0 - 1e-9)
+    if floor_satisfied and (np.any(f1 < floor) or np.any(f2 < floor)):
+        return None
     return AttackPlanEntry(
-        forged=forged,
+        forged=LikelihoodModel(make_pmf(f1), make_pmf(f2)),
         strategy="known_divergences",
-        eps=eps,
-        params=_entry_params(geom, x1, x2, p1, p2, u_k, s1, s2, floor_satisfied=True),
+        eps=region.eps,
+        params={
+            "support_pair": region.support_pair,
+            "d_k": region.d_k,
+            "x1": x1,
+            "x2": x2,
+            "beta": (x2 - region.x2_prime) / (x1 - region.x1_prime),
+            "p1": p1,
+            "p2": p2,
+            "alpha": region.alpha_k,
+            "u_k": region.u_k,
+            "s1": region.s1,
+            "s2": region.s2,
+            "epsilon_bound": region.epsilon_bound,
+            "floor_satisfied": floor_satisfied,
+        },
     )
-
-
-def _entry_params(
-    geom: DistortionRegion,
-    x1: float,
-    x2: float,
-    p1: float,
-    p2: float,
-    u_k: float,
-    s1: float,
-    s2: float,
-    floor_satisfied: bool,
-) -> dict:
-    beta = (x2 - geom.x2_prime) / (x1 - geom.x1_prime)
-    return {
-        "support_pair": geom.support_pair,
-        "d_k": geom.d_k,
-        "x1": x1,
-        "x2": x2,
-        "beta": beta,
-        "p1": p1,
-        "p2": p2,
-        "alpha": geom.alpha_k,
-        "u_k": u_k,
-        "s1": s1,
-        "s2": s2,
-        "epsilon_bound": geom.epsilon_bound,
-        "floor_satisfied": floor_satisfied,
-    }
 
 
 def multi_adversary_known(
@@ -763,21 +732,18 @@ def one_variable_feasibility(
     wedge inside the epsilon box. Solved exactly by interval intersection
     of the three linear conditions in x1.
     """
-    geom = distortion_region(model, u_k, s1, s2, eps, pair)
-    i, j = geom.support_pair
-    l11, l21 = model.given_theta1[i], model.given_theta1[j]
-    l12, l22 = model.given_theta2[i], model.given_theta2[j]
-    if l21 == 0.0 or l22 == 0.0:
+    region = distortion_region(model, u_k, s1, s2, eps, pair)
+    if region.l21 == 0.0 or region.l22 == 0.0:
         raise DegeneratePairError("zero likelihood at the second pair symbol")
-    if geom.empty:
+    if region.empty:
         return False
 
-    lo, hi = -geom.x_plus, geom.x_plus
+    lo, hi = -region.x_plus, region.x_plus
     # side constraint relative to the wedge apex
-    if geom.d_k > 0:
-        lo = max(lo, geom.x1_prime)
+    if region.d_k > 0:
+        lo = max(lo, region.x1_prime)
     else:
-        hi = min(hi, geom.x1_prime)
+        hi = min(hi, region.x1_prime)
 
     def clip(a_coeff: float, b_const: float, lo: float, hi: float) -> tuple[float, float]:
         # a_coeff * x1 < b_const
@@ -787,10 +753,11 @@ def one_variable_feasibility(
             return max(lo, b_const / a_coeff), hi
         return (lo, hi) if b_const > 0.0 else (1.0, 0.0)
 
+    u = region.u_k
     # r1(x1) < -x1  <=>  u(l11 - l21) x1 > s1
-    lo, hi = clip(-(u_k * (l11 - l21)), -s1, lo, hi)
+    lo, hi = clip(-(u * (region.l11 - region.l21)), -region.s1, lo, hi)
     # -x1 < r2(x1)  <=>  u(l12 - l22) x1 < -s2
-    lo, hi = clip(u_k * (l12 - l22), -s2, lo, hi)
+    lo, hi = clip(u * (region.l12 - region.l22), -region.s2, lo, hi)
     return lo < hi - _STRICT_MARGIN
 
 

@@ -133,7 +133,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 "epsilon": entry.eps,
                 "theta1": [float(v) for v in entry.forged.given_theta1.mass],
                 "theta2": [float(v) for v in entry.forged.given_theta2.mass],
-                "params": _jsonable(entry.params),
+                "params": entry.params,
             }
         )
     doc = {"strategy": scenario.plan.strategy, "epsilon": scenario.plan.eps, "forged": entries}
@@ -142,16 +142,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:

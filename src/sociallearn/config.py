@@ -455,42 +455,32 @@ def build_plan(
     if at.strategy == "none" or not malicious:
         return None
     eps = at.epsilon
-    if at.strategy == "unknown_divergences":
-        entries = tuple(
-            AttackPlanEntry(
-                forged=unknown_divergence_attack(models[k], eps),
-                strategy="unknown_divergences",
-                eps=eps,
-                params={},
-            )
-            for k in malicious
+    if at.strategy == "known_divergences":
+        # the minimal network knowledge is (s1, s2) plus the adversary's own
+        # centrality; defaults are computed from the scenario, but both
+        # divergences can be supplied externally in the config.
+        s1 = at.s1 if at.s1 is not None else normal_divergence(net, agents, 1, u)
+        s2 = at.s2 if at.s2 is not None else normal_divergence(net, agents, 2, u)
+        return multi_adversary_known(
+            [models[k] for k in malicious],
+            [u[k] for k in malicious],
+            s1,
+            s2,
+            eps,
+            aggregate_centrality=at.aggregate_centrality,
         )
-        return AttackPlan(entries=entries, strategy="unknown_divergences", eps=eps)
     if at.strategy == "random":
-        rng = np.random.default_rng(at.seed)
-        entries = tuple(
-            AttackPlanEntry(
-                forged=random_attack(models[k], eps, rng),
-                strategy="random",
-                eps=eps,
-                params={"seed": at.seed},
-            )
-            for k in malicious
+        rng = np.random.default_rng(at.seed)  # one stream, drawn in adversary order
+        forge, params = (lambda m: random_attack(m, eps, rng)), {"seed": at.seed}
+    else:
+        forge, params = (lambda m: unknown_divergence_attack(m, eps)), {}
+    entries = tuple(
+        AttackPlanEntry(
+            forged=forge(models[k]), strategy=at.strategy, eps=eps, params=dict(params)
         )
-        return AttackPlan(entries=entries, strategy="random", eps=eps)
-    # known_divergences: the minimal network knowledge is (s1, s2) plus the
-    # adversary's own centrality; defaults are computed from the scenario,
-    # but both divergences can be supplied externally in the config.
-    s1 = at.s1 if at.s1 is not None else normal_divergence(net, agents, 1, u)
-    s2 = at.s2 if at.s2 is not None else normal_divergence(net, agents, 2, u)
-    return multi_adversary_known(
-        [models[k] for k in malicious],
-        [u[k] for k in malicious],
-        s1,
-        s2,
-        eps,
-        aggregate_centrality=at.aggregate_centrality,
+        for k in malicious
     )
+    return AttackPlan(entries=entries, strategy=at.strategy, eps=eps)
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:

@@ -108,7 +108,6 @@ class Trajectory:
 
     theta_true: Hypothesis
     seed: int
-    horizon: int
     steps: np.ndarray
     log_ratio: np.ndarray
     final_log_ratio: np.ndarray
@@ -224,7 +223,6 @@ def _trajectories(
         Trajectory(
             theta_true=theta_true,
             seed=int(seed),
-            horizon=int(horizon),
             steps=steps,
             log_ratio=records[0, s],
             final_log_ratio=finals[0, s],

@@ -63,10 +63,6 @@ class Network:
     def malicious_indices(self) -> tuple[int, ...]:
         return tuple(k for k, r in enumerate(self.roles) if r is Role.MALICIOUS)
 
-    @property
-    def normal_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, r in enumerate(self.roles) if r is Role.NORMAL)
-
     @functools.cached_property
     def strongly_connected(self) -> bool:
         """Does every agent reach every other along positive weights?"""

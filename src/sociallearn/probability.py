@@ -44,10 +44,6 @@ class Hypothesis(enum.Enum):
     THETA2 = 1
 
     @property
-    def index(self) -> int:
-        return self.value
-
-    @property
     def other(self) -> "Hypothesis":
         return Hypothesis.THETA2 if self is Hypothesis.THETA1 else Hypothesis.THETA1
 

@@ -292,6 +292,14 @@ class TestKnownDivergenceAttack:
             with pytest.raises(OutOfRangeError, match="divergences must be finite"):
                 construct(bsc_model(0.9), 0.25, s1, s2, 1e-3)
 
+    @pytest.mark.parametrize(
+        "construct", [known_divergence_attack, distortion_region, one_variable_feasibility]
+    )
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.5, 0.7, math.nan])
+    def test_bad_epsilon_refused(self, construct, bad):
+        with pytest.raises(OutOfRangeError, match="epsilon must lie in"):
+            construct(bsc_model(0.9), 0.25, 0.05, 0.05, bad)
+
 
 class TestMultiAdversary:
     def test_all_informative(self):
@@ -366,7 +374,7 @@ class TestRegionMembership:
                 continue  # skip boundary-ambiguous draws
             inside = r1v < x2 < r2v
 
-            p1, p2, f1, f2 = _masses_from_x(x1, x2, geom, eps, n)
+            p1, p2, f1, f2 = _masses_from_x(geom, x1, x2)
             if min(p1, p2, geom.alpha_k - p1, geom.alpha_k - p2) <= 0.0:
                 continue  # outside the valid mass square
             forged = LikelihoodModel(make_pmf(f1), make_pmf(f2))
@@ -376,6 +384,51 @@ class TestRegionMembership:
             )
             assert deceives == inside
             checked += 1
+
+
+def reference_largest_run(mask):
+    """[start, end) of the longest True run by a plain scan; earliest on ties."""
+    best, start = None, None
+    for m, v in enumerate(list(mask) + [False]):
+        if v and start is None:
+            start = m
+        if not v and start is not None:
+            if best is None or m - start > best[1] - best[0]:
+                best = (start, m)
+            start = None
+    return best
+
+
+class TestLargestRun:
+    @pytest.mark.parametrize(
+        "mask, run",
+        [
+            ([0, 1, 1, 0, 1, 1, 0], (1, 3)),  # equal longest runs: the earlier wins
+            ([1, 1, 0, 0, 1, 1], (0, 2)),
+            ([0, 0, 1, 0, 1, 1, 1], (4, 7)),  # the run touches the last grid point
+            ([0, 0, 0, 1, 0], (3, 4)),  # a single True
+            ([1], (0, 1)),
+            ([1] * 768, (0, 768)),  # all True
+        ],
+    )
+    def test_cases(self, mask, run):
+        from sociallearn.attacks import _largest_run
+
+        mask = np.asarray(mask, dtype=bool)
+        assert _largest_run(mask) == run == reference_largest_run(mask)
+
+    def test_matches_plain_scan(self):
+        from sociallearn.attacks import _largest_run
+
+        rng = np.random.default_rng(768)
+        for _ in range(2000):
+            size = int(rng.integers(1, 60))
+            mask = rng.random(size) < rng.uniform(0.05, 0.95)
+            if not mask.any():
+                continue
+            start, end = _largest_run(mask)
+            assert (start, end) == reference_largest_run(mask)
+            assert isinstance(start, int) and isinstance(end, int)
 
 
 class TestOneVariableFeasibility:
