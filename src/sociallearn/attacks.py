@@ -433,10 +433,18 @@ def distortion_region(
     eps: float,
     pair: tuple[int, int] | None = None,
 ) -> DistortionRegion:
-    """Region geometry for ``pair`` (default: the canonical support pair)."""
+    """Region geometry for ``pair`` (default: the canonical support pair).
+
+    Raises :class:`OutOfRangeError` for a pair index outside the alphabet and
+    :class:`DegeneratePairError` for a pair with a zero determinant (``i == j``).
+    """
     _check_region_inputs(u_k, s1, s2, eps, model.alphabet_size)
     if pair is None:
         pair = select_support_pair(model)
+    elif not all(0 <= x < model.alphabet_size for x in pair):
+        raise OutOfRangeError(
+            f"support pair {pair} outside the alphabet 0..{model.alphabet_size - 1}"
+        )
     return _pair_geometry(model, u_k, s1, s2, eps, pair)
 
 
@@ -535,8 +543,6 @@ class AttackPlan:
     """Per-adversary forged models; index aligned with the adversary list."""
 
     entries: tuple[AttackPlanEntry, ...]
-    strategy: str
-    eps: float
 
 
 def known_divergence_attack(
@@ -714,7 +720,7 @@ def multi_adversary_known(
             continue
         u_eff = u_total if aggregate_centrality else float(u_k)
         entries.append(known_divergence_attack(m, u_eff, s1, s2, eps))
-    return AttackPlan(entries=tuple(entries), strategy="known_divergences", eps=eps)
+    return AttackPlan(entries=tuple(entries))
 
 
 def one_variable_feasibility(

@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface: it parses, applies the overrides, dispatches and prints.
 
 Subcommands map one-to-one onto the package's artifacts:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import sys
 
 from .config import (
@@ -30,57 +30,48 @@ from .config import (
     load_config,
     validate_config,
 )
-from .errors import ConfigValidationError, SocialLearnError
+from .errors import ConfigValidationError, OutOfRangeError, SocialLearnError
 from .simulator import (
-    _report_dict,
+    attack_document,
     emit_results,
     emit_sweep_results,
+    predict_document,
+    render_json,
     run_experiment,
     run_sweep,
     write_json,
 )
 
 
-def _load(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
-
-
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    e = cfg.experiment
-    if getattr(args, "seed", None) is not None:
-        e = dataclasses.replace(e, seeds=(args.seed,))
-    if getattr(args, "horizon", None) is not None:
-        e = dataclasses.replace(e, horizon=args.horizon)
-    if getattr(args, "stride", None) is not None:
-        e = dataclasses.replace(e, stride=args.stride)
-    cfg = dataclasses.replace(cfg, experiment=e)
-    o = cfg.output
-    if getattr(args, "out", None) is not None:
-        o = dataclasses.replace(o, directory=args.out)
-    if getattr(args, "format", None) is not None:
-        o = dataclasses.replace(o, format=args.format)
-    cfg = dataclasses.replace(cfg, output=o)
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config at ``--config`` with the given overrides, validated again."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = load_config(fh.read())
+    seeds = None if args.seed is None else (args.seed,)
+    cfg = dataclasses.replace(
+        cfg,
+        experiment=_with(cfg.experiment, seeds=seeds, horizon=args.horizon, stride=args.stride),
+        output=_with(cfg.output, directory=args.out, format=args.format),
+    )
     violations = validate_config(cfg)  # an override such as --seed -1 is a value like any other
     if violations:
         raise ConfigValidationError(violations)
     return cfg
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _apply_overrides(_load(args.config), args)
-        build_network(cfg)  # refuses a network outside the theory, as every command does
-    except SocialLearnError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+def _with(section, **values):
+    """``section`` with the values that were given (not None) replaced."""
+    return dataclasses.replace(section, **{k: v for k, v in values.items() if v is not None})
+
+
+def cmd_validate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    build_network(cfg)  # refuses a network outside the theory, as every command does
     print(cfg.echo(), end="")
     print("ok")
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.config), args)
+def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     result = run_experiment(cfg, jobs=args.jobs)
     paths = emit_results(result, cfg.output.directory)
     for p in paths:
@@ -95,8 +86,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.config), args)
+def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     result = run_sweep(cfg, jobs=args.jobs)
     paths = emit_sweep_results(result, cfg.output.directory)
     for p in paths:
@@ -106,44 +96,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.config), args)
+def cmd_predict(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     scenario = build_scenario(cfg)
-    doc = {
-        "config": cfg.to_dict(),
-        "deception_report": _report_dict(scenario.report()),
-        "scenario": scenario.report_inputs,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(render_json(predict_document(cfg, scenario, scenario.report())), end="")
     return 0
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load(args.config), args)
+def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     scenario = build_scenario(cfg)
     if scenario.plan is None:
         print("no attack configured (strategy none or no malicious agents)", file=sys.stderr)
         return 1
-    entries = []
-    for agent_idx, entry in zip(scenario.net.malicious_indices, scenario.plan.entries):
-        entries.append(
-            {
-                "agent": agent_idx,
-                "strategy": entry.strategy,
-                "epsilon": entry.eps,
-                "theta1": [float(v) for v in entry.forged.given_theta1.mass],
-                "theta2": [float(v) for v in entry.forged.given_theta2.mass],
-                "params": entry.params,
-            }
-        )
-    doc = {"strategy": scenario.plan.strategy, "epsilon": scenario.plan.eps, "forged": entries}
+    doc = attack_document(cfg, scenario)
     if args.out:
         print(write_json(doc, args.out, "attack.json"))
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(render_json(doc), end="")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sociallearn",
@@ -179,13 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
     try:
-        return args.fn(args)
+        if getattr(args, "jobs", 1) < 1:
+            raise OutOfRangeError(f"--jobs must be >= 1, got {args.jobs}")
+        return args.fn(_config(args), args)
     except SocialLearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # validate reports a refusal as its result, so it prints it bare
+        prefix = "" if args.command == "validate" else "error: "
+        print(f"{prefix}{exc}", file=sys.stderr)
         return 1
 
 

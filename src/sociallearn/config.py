@@ -408,7 +408,7 @@ class Scenario:
     agents: tuple[AgentConfig, ...]
     plan: AttackPlan | None
     theta_true: Hypothesis
-    report_inputs: dict
+    adversary_centrality: float
 
     def report(self) -> DeceptionReport:
         """The closed-form deception report of this scenario."""
@@ -480,7 +480,7 @@ def build_plan(
         )
         for k in malicious
     )
-    return AttackPlan(entries=entries, strategy=at.strategy, eps=eps)
+    return AttackPlan(entries=entries)
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
@@ -499,18 +499,13 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
             replace(a, forged_model=forged[k]) if k in forged else a
             for k, a in enumerate(agents)
         )
-    report_inputs = {
-        "adversary_centrality": adversary_centrality(u, net.roles),
-        "perron": [float(x) for x in u],
-        "violations": [],  # kept for the result bytes; such a network is refused above
-    }
     return Scenario(
         net=net,
         perron=u,
         agents=agents,
         plan=plan,
         theta_true=Hypothesis.from_name(cfg.experiment.theta_true),
-        report_inputs=report_inputs,
+        adversary_centrality=adversary_centrality(u, net.roles),
     )
 
 

@@ -115,10 +115,6 @@ class Trajectory:
     def belief_theta1(self) -> np.ndarray:
         return _sigmoid(self.log_ratio)
 
-    def network_average_true_belief(self) -> np.ndarray:
-        """Average over agents of the belief in the true state, per record."""
-        return network_average_true_belief(self.log_ratio.T, self.theta_true)
-
     def final_network_average_true_belief(self) -> float:
         return network_average_true_belief(self.final_log_ratio, self.theta_true)
 

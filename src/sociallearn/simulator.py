@@ -15,8 +15,9 @@ that chunk are computed, each float column is rendered by one ``repr`` per
 value, and the chunk goes out in one write. So memory stays bounded whatever
 the horizon.
 
-Structured format: a single JSON document embedding the echoed config, the
-closed-form deception report, and per-seed summaries.
+The four JSON documents are built here and rendered by ``render_json``: the
+``predict`` output (``predict_document``), ``summary.json`` (that document plus
+per-seed summaries), ``sweep.json`` and ``attack.json`` (``attack_document``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, cycle
 from typing import Sequence
@@ -52,6 +53,9 @@ __all__ = [
     "run_sweep",
     "emit_results",
     "emit_sweep_results",
+    "predict_document",
+    "attack_document",
+    "render_json",
     "write_json",
 ]
 
@@ -71,19 +75,16 @@ class ExperimentResult:
 
     def prediction_table(self) -> list[dict]:
         """Side-by-side of the closed-form verdict and each seed's outcome."""
-        rows = []
         theta = self.scenario.theta_true
-        for t in self.trajectories:
-            final = t.final_network_average_true_belief()
-            rows.append(
-                {
-                    "seed": t.seed,
-                    "final_true_belief": final,
-                    "predicted_verdict": self.report.verdict(theta).value,
-                    "agrees": predicted_and_empirical_agree(self.report, theta, final),
-                }
-            )
-        return rows
+        return [
+            {
+                "seed": t.seed,
+                "final_true_belief": final,
+                "predicted_verdict": self.report.verdict(theta).value,
+                "agrees": predicted_and_empirical_agree(self.report, theta, final),
+            }
+            for t, final in zip(self.trajectories, self.final_true_beliefs())
+        ]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -168,7 +169,7 @@ def _sweep_point(value: float, scenario: Scenario, finals: np.ndarray) -> SweepP
     beliefs = learning.network_average_true_belief(lam, scenario.theta_true)
     return SweepPoint(
         value=float(value),
-        adversary_centrality=float(scenario.report_inputs["adversary_centrality"]),
+        adversary_centrality=scenario.adversary_centrality,
         margin_true=scenario.report().margin(scenario.theta_true),
         per_seed_final=tuple(float(x) for x in beliefs),
     )
@@ -237,28 +238,49 @@ def _theory_root(cfg: ExperimentConfig) -> float | None:
     except NoSignChangeError:
         return None
     if sweep.parameter == "adversary_centrality":
-        scenario = build_scenario(apply_sweep_value(cfg, root))
-        return float(scenario.report_inputs["adversary_centrality"])
+        return build_scenario(apply_sweep_value(cfg, root)).adversary_centrality
     return root
 
 
 # --- result files ------------------------------------------------------------------
 
 
-def _report_dict(report: DeceptionReport) -> dict:
+def predict_document(cfg: ExperimentConfig, scenario: Scenario, report: DeceptionReport) -> dict:
+    """The ``predict`` document; ``summary.json`` extends it with ``per_seed``."""
     return {
-        "s1": report.s1,
-        "s2": report.s2,
-        "adversary_indices": list(report.adversary_indices),
-        "r1": list(report.r1),
-        "r2": list(report.r2),
-        "margin1": report.margin1,
-        "margin2": report.margin2,
-        "verdict1": report.verdict1.value,
-        "verdict2": report.verdict2.value,
-        "cost1": report.cost1,
-        "cost2": report.cost2,
+        "config": cfg.to_dict(),
+        "deception_report": {
+            **asdict(report),
+            "verdict1": report.verdict1.value,
+            "verdict2": report.verdict2.value,
+        },
+        "scenario": {
+            "adversary_centrality": scenario.adversary_centrality,
+            "perron": scenario.perron.tolist(),
+            "violations": [],  # kept for the result bytes; such a network is refused
+        },
     }
+
+
+def attack_document(cfg: ExperimentConfig, scenario: Scenario) -> dict:
+    """The ``attack`` document of a scenario with an attack plan."""
+    forged = [
+        {
+            "agent": k,
+            "strategy": entry.strategy,
+            "epsilon": entry.eps,
+            "theta1": entry.forged.given_theta1.mass,
+            "theta2": entry.forged.given_theta2.mass,
+            "params": entry.params,
+        }
+        for k, entry in zip(scenario.net.malicious_indices, scenario.plan.entries)
+    ]
+    return {"strategy": cfg.attack.strategy, "epsilon": cfg.attack.epsilon, "forged": forged}
+
+
+def render_json(doc: dict) -> str:
+    """A result document as written: sorted keys, indent 2, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @contextlib.contextmanager
@@ -273,10 +295,9 @@ def _result_file(out_dir: str, name: str):
 
 
 def write_json(doc: dict, out_dir: str, name: str) -> str:
-    """Write ``doc`` as ``out_dir/name`` (sorted keys, indent 2); returns the path."""
+    """Write ``doc`` as ``out_dir/name`` by ``render_json``; returns the path."""
     with _result_file(out_dir, name) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(doc))
     return os.path.join(out_dir, name)
 
 
@@ -313,9 +334,7 @@ def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:
             _write_trajectories(fh, result)
         written.append(os.path.join(out_dir, "trajectories.csv"))
     doc = {
-        "config": result.config.to_dict(),
-        "deception_report": _report_dict(result.report),
-        "scenario": result.scenario.report_inputs,
+        **predict_document(result.config, result.scenario, result.report),
         "per_seed": result.prediction_table(),
     }
     written.append(write_json(doc, out_dir, "summary.json"))

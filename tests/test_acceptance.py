@@ -319,7 +319,7 @@ def test_09_topology_regime_reproduction():
     from sociallearn import build_scenario
 
     er_sc = build_scenario(er_cfg)
-    er_u = er_sc.report_inputs["adversary_centrality"]
+    er_u = er_sc.adversary_centrality
     straddle = er_u < critical < star_u
 
     star_agents = agents_for(star, [model] * 15, {0: forged})

@@ -23,6 +23,7 @@ from sociallearn import (
 )
 from sociallearn.errors import (
     AllUninformativeError,
+    DegeneratePairError,
     EpsilonTooLargeError,
     FloorViolationError,
     OutOfRangeError,
@@ -209,6 +210,19 @@ class TestDistortionRegion:
     def test_box_symmetry(self):
         reg = distortion_region(bsc_model(0.7), 0.3, 0.2, 0.4, 1e-3)
         assert reg.x_minus == -reg.x_plus
+
+    @pytest.mark.parametrize("construct", [distortion_region, one_variable_feasibility])
+    @pytest.mark.parametrize("pair", [(0, 5), (3, 0), (-1, 0), (1, -3)])
+    def test_pair_outside_alphabet_refused(self, construct, pair):
+        # a negative index would otherwise be read from the end of the alphabet
+        m = make_model([0.6, 0.3, 0.1], [0.7, 0.1, 0.2])
+        with pytest.raises(OutOfRangeError, match="outside the alphabet"):
+            construct(m, 0.3, 0.5, 0.5, 1e-3, pair=pair)
+
+    def test_repeated_symbol_pair_is_degenerate(self):
+        m = make_model([0.6, 0.3, 0.1], [0.7, 0.1, 0.2])
+        with pytest.raises(DegeneratePairError):
+            distortion_region(m, 0.3, 0.5, 0.5, 1e-3, pair=(1, 1))
 
 
 class TestKnownDivergenceAttack:

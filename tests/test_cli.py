@@ -8,8 +8,10 @@ import sys
 import pytest
 
 from sociallearn.cli import main
+from sociallearn.config import load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml"))
 
 
 def cfg_path(name):
@@ -249,3 +251,37 @@ sweep: {parameter: bsc_p, values: [0.7, 0.95]}
         assert "empirical crossing" in out
         doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert len(doc["points"]) == 2
+
+
+class TestSharedDocuments:
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_predict_is_the_summary_head(self, tmp_path, capsys, name):
+        overrides = ["--horizon", "30", "--out", str(tmp_path)]
+        assert main(["predict", "--config", cfg_path(name), *overrides]) == 0
+        predicted = json.loads(capsys.readouterr().out)
+        assert main(["run", "--config", cfg_path(name), *overrides]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        del summary["per_seed"]
+        assert predicted == summary
+
+    @pytest.mark.parametrize("name", [n for n in CONFIGS if n != "minimal_no_attack.yaml"])
+    def test_attack_stdout_is_attack_json(self, tmp_path, capsys, name):
+        assert main(["attack", "--config", cfg_path(name)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["attack", "--config", cfg_path(name), "--out", str(tmp_path)]) == 0
+        assert printed.encode() == (tmp_path / "attack.json").read_bytes()
+
+
+class TestRepeatedCalls:
+    def test_no_override_leaks_into_the_next_call(self, tmp_path):
+        path = cfg_path("deceived_random_bsc08.yaml")
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["run", "--config", path, "--horizon", "20"]
+        assert main(argv + ["--seed", "3", "--format", "tabular", "--out", str(first)]) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        assert (first / "trajectories.csv").exists()
+        assert not (second / "trajectories.csv").exists()
+        doc = json.loads((second / "summary.json").read_text())
+        with open(path, encoding="utf-8") as fh:
+            seeds = load_config(fh.read()).experiment.seeds
+        assert [row["seed"] for row in doc["per_seed"]] == list(seeds)
