@@ -49,6 +49,10 @@ key is refused, and a model takes only the keys of its ``kind``. Loading
 collects *every* violation, each naming its path, before failing, and the
 echo materializes all defaults, so a result file records the exact knobs
 that produced it.
+
+Configs are parsed and echoed by libyaml when the installed PyYAML has it,
+and by PyYAML's pure-Python classes otherwise. Both share one constructor,
+resolver and representer, so they give the same data and the same bytes.
 """
 
 from __future__ import annotations
@@ -86,6 +90,10 @@ from .network import (
     validate_network,
 )
 from .probability import Hypothesis, LikelihoodModel, bsc_model, make_model
+
+#: libyaml when PyYAML was built with it; the pure classes are the fallback
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _TOPOLOGY_KINDS = (
     "erdos_renyi",
@@ -181,7 +189,7 @@ class ExperimentConfig:
         return d
 
     def echo(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
+        return yaml.dump(self.to_dict(), Dumper=_DUMPER, sort_keys=True)
 
 
 #: field name -> type per section, resolved once rather than on every load
@@ -213,7 +221,7 @@ def _echo(value: Any) -> Any:
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate configuration text; all violations reported at once."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"not valid YAML: {exc}") from exc
     if raw is None:

@@ -113,10 +113,9 @@ def path_adjacency(n: int) -> np.ndarray:
 
 def edge_list_adjacency(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     adj = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        if i == j:
-            continue  # self-loops come from the self-loop mask, not edges
-        adj[i, j] = adj[j, i] = True
+    i, j = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2).T
+    off = i != j  # self-loops come from the self-loop mask, not edges
+    adj[i[off], j[off]] = adj[j[off], i[off]] = True
     return adj
 
 
@@ -156,16 +155,12 @@ def uniform_combination(
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric (undirected links)")
     n = adj.shape[0]
-    loops = np.broadcast_to(np.asarray(self_loops, dtype=bool), (n,))
-    a = np.zeros((n, n), dtype=float)
-    for k in range(n):
-        nbrs = list(np.flatnonzero(adj[:, k]))
-        if loops[k] and k not in nbrs:
-            nbrs.append(k)
-        if not nbrs:
-            raise IsolatedAgentError(f"agent {k} has no neighbors and no self-loop")
-        a[np.asarray(sorted(nbrs)), k] = 1.0 / len(nbrs)
-    return a
+    support = adj | np.diag(np.broadcast_to(np.asarray(self_loops, dtype=bool), (n,)))
+    deg = support.sum(axis=0)
+    isolated = np.flatnonzero(deg == 0)
+    if isolated.size:
+        raise IsolatedAgentError(f"agent {isolated[0]} has no neighbors and no self-loop")
+    return np.where(support, 1.0 / deg, 0.0)
 
 
 def trust_weighted_complete(
@@ -231,16 +226,13 @@ def validate_network(net: Network) -> list[Violation]:
 
 
 def _reaches_all(support: np.ndarray) -> bool:
-    n = support.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    """Does agent 0 reach every agent, stepping from ``v`` to ``w`` where ``support[w, v]``?"""
+    seen = np.zeros(support.shape[0], dtype=bool)
     seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in np.flatnonzero(support[:, v]):
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = support[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

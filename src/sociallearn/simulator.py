@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, cycle
@@ -125,6 +124,8 @@ def _in_chunks(fn, items: Sequence, jobs: int) -> list:
     k = min(jobs, len(items))
     if k <= 1:
         return [fn(items)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
     chunks = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
     with ProcessPoolExecutor(max_workers=k) as pool:
         return list(pool.map(fn, chunks))

@@ -1,8 +1,9 @@
 """Shared generators for randomized property tests (seeded, no hypothesis dep),
 the references the log-domain kernel is checked against (the belief-domain
-state and adapt/combine/step, a per-step log-domain loop), the per-row CSV
-writer the chunked one is checked against, and the closed-form margin of the
-shared-model centrality family, used as an oracle."""
+state and adapt/combine/step, a per-step log-domain loop), the per-column
+uniform combination and the per-row CSV writer the array versions are checked
+against, and the closed-form margin of the shared-model centrality family,
+used as an oracle."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from sociallearn import (
     uniform_combination,
 )
 from sociallearn.analysis import _state_pmfs
-from sociallearn.errors import ZeroLikelihoodError
+from sociallearn.errors import IsolatedAgentError, ZeroLikelihoodError
 from sociallearn.learning import _sigmoid
 
 
@@ -190,6 +191,24 @@ def step(
         nbrs = np.flatnonzero(a[:, k] > 0.0)
         new_pairs[k] = combine(psis[nbrs], a[nbrs, k])
     return BeliefState(np.log(new_pairs[:, 0]) - np.log(new_pairs[:, 1]))
+
+
+# --- per-column combination reference ----------------------------------------------
+
+def reference_uniform_combination(adjacency, self_loops) -> np.ndarray:
+    """``uniform_combination`` one column at a time: 1/deg(k) on each neighbor."""
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[0]
+    loops = np.broadcast_to(np.asarray(self_loops, dtype=bool), (n,))
+    a = np.zeros((n, n), dtype=float)
+    for k in range(n):
+        nbrs = list(np.flatnonzero(adj[:, k]))
+        if loops[k] and k not in nbrs:
+            nbrs.append(k)
+        if not nbrs:
+            raise IsolatedAgentError(f"agent {k} has no neighbors and no self-loop")
+        a[np.asarray(sorted(nbrs)), k] = 1.0 / len(nbrs)
+    return a
 
 
 # --- per-row CSV reference -------------------------------------------------------

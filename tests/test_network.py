@@ -21,7 +21,7 @@ from sociallearn import (
 from sociallearn.errors import IsolatedAgentError, SocialLearnError
 from sociallearn.network import PERRON_RESIDUAL_TOL, _reaches_all
 
-from helpers import random_network
+from helpers import random_network, reference_uniform_combination
 
 
 def degree_centrality(adjacency_with_self: np.ndarray) -> np.ndarray:
@@ -77,6 +77,27 @@ class TestUniformCombination:
         with pytest.raises(IsolatedAgentError):
             uniform_combination(adj, np.array([True, True, False]))
 
+    @pytest.mark.parametrize("n", [15, 100, 300])
+    def test_same_bits_as_per_column_reference(self, n):
+        rng = np.random.default_rng(n)
+        adj = erdos_renyi_adjacency(n, 0.2, int(rng.integers(0, 2**31 - 1)))
+        masks = (True, rng.random(n) < 0.5, False)
+        with_diagonal = adj | np.eye(n, dtype=bool)
+        for a in (adj, with_diagonal):
+            for loops in masks:
+                got = uniform_combination(a, loops)
+                assert np.array_equal(got, reference_uniform_combination(a, loops))
+
+    def test_isolated_agent_named_like_reference(self):
+        adj = np.zeros((5, 5), dtype=bool)
+        adj[0, 2] = adj[2, 0] = True
+        loops = np.array([True, False, True, False, True])
+        with pytest.raises(IsolatedAgentError) as ref:
+            reference_uniform_combination(adj, loops)
+        with pytest.raises(IsolatedAgentError) as err:
+            uniform_combination(adj, loops)
+        assert str(err.value) == str(ref.value) == "agent 1 has no neighbors and no self-loop"
+
 
 class TestValidateNetwork:
     def test_two_disconnected_pairs(self):
@@ -107,6 +128,23 @@ class TestValidateNetwork:
         net = Network(a, (Role.MALICIOUS,) * 3)
         codes = {v.code for v in validate_network(net)}
         assert "NoNormalAgent" in codes
+
+
+class TestStronglyConnected:
+    def test_one_way_link_refused(self):
+        # agent 1 listens to agent 0, who listens only to itself
+        a = np.array([[1.0, 0.5], [0.0, 0.5]])
+        support = a > 0.0
+        assert not _reaches_all(support)
+        assert _reaches_all(support.T)
+        assert not make_network(a, 0).strongly_connected
+
+    def test_directed_three_cycle_with_one_self_loop(self):
+        # agent k listens to agent k - 1; only agent 0 also listens to itself
+        a = np.array([[0.5, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]])
+        net = make_network(a, 0)
+        assert net.strongly_connected
+        assert validate_network(net) == []
 
 
 class TestPerronVector:

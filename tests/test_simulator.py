@@ -17,7 +17,7 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
-from sociallearn import simulator
+from sociallearn import config, simulator
 from sociallearn.config import apply_sweep_value
 from sociallearn.errors import ConfigParseError, ConfigValidationError
 from sociallearn.learning import network_average_true_belief
@@ -151,6 +151,42 @@ output: {format: parquet}
             mutated.setdefault(section, {})[key] = value
             echo = load_config(yaml.safe_dump(mutated)).echo()
             assert echo != base_echo, f"{section}.{key} missing from echo"
+
+
+PURE_YAML = (yaml.SafeLoader, yaml.SafeDumper)
+LIBYAML = (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None))
+needs_libyaml = pytest.mark.skipif(
+    not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
+)
+
+
+def under_backend(backend, fn):
+    """``fn()`` with ``config`` parsing and echoing through one YAML backend."""
+    loader, dumper = backend
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "_LOADER", loader)
+        mp.setattr(config, "_DUMPER", dumper)
+        return fn()
+
+
+class TestYamlBackends:
+    @needs_libyaml
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_same_data_and_echo_bytes(self, name):
+        text = read_config(name)
+        pure = under_backend(PURE_YAML, lambda: load_config(text))
+        fast = under_backend(LIBYAML, lambda: load_config(text))
+        assert fast.to_dict() == pure.to_dict()
+        assert under_backend(LIBYAML, fast.echo) == under_backend(PURE_YAML, fast.echo)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [pytest.param(PURE_YAML, id="pure"), pytest.param(LIBYAML, id="libyaml", marks=needs_libyaml)],
+    )
+    def test_parse_error_gives_the_line(self, backend):
+        with pytest.raises(ConfigParseError) as err:
+            under_backend(backend, lambda: load_config("topology: [unclosed"))
+        assert "line" in str(err.value)
 
 
 class TestRunExperiment:
