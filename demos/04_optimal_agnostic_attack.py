@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""The network-agnostic forgery: closed form, brute-force check, limits.
+"""The network-agnostic forgery: closed form, exact check, limits.
 
 Without any knowledge of the network, an adversary can still minimize the
 expected cost of the threshold comparison averaged over both candidate true
 states. The minimizer has a crisp shape: floor every symbol that supports a
 state, and give the remaining symbols mass proportional to their confidence
-gap z(s) = L(s|theta1) - L(s|theta2).
+gap z(s) = L(s|theta1) - L(s|theta2), flooring any whose share would fall
+below the floor.
 
-We verify the closed form against an independent dense-grid + refinement
-search, then show its built-in limitation: on a non-separable observation
+We verify the closed form against an independent oracle that enumerates
+every face of the floored simplex, then show its built-in limitation: on a non-separable observation
 model (one symbol is the most likely under BOTH states) the strategy can
 only deceive for one candidate true state, no matter how small the floor.
 A random-forgery baseline fails almost always, underscoring that the
@@ -35,15 +36,15 @@ def main():
     eps = 0.01
     forged = unknown_divergence_attack(model, eps)
     closed = unknown_divergence_objective(model, forged)
-    _, brute = oracle_optimal_attack(model, eps)
+    _, oracle = oracle_optimal_attack(model, eps)
 
     print("three-symbol example (eps = 0.01):")
     print(f"  true | theta1: {model.given_theta1.mass}")
     print(f"  true | theta2: {model.given_theta2.mass}")
     print(f"  forged | theta1: {[round(v, 4) for v in forged.given_theta1.mass]}")
     print(f"  forged | theta2: {[round(v, 4) for v in forged.given_theta2.mass]}")
-    print(f"  closed-form objective {closed:.8f} vs brute force {brute:.8f} "
-          f"(gap {abs(closed - brute):.2e})\n")
+    print(f"  closed-form objective {closed:.8f} vs face oracle {oracle:.8f} "
+          f"(gap {abs(closed - oracle):.2e})\n")
 
     print("separability decides whether both states can be deceived:")
     for name, m in (

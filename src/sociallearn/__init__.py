@@ -8,7 +8,7 @@ the likelihood models used in their Bayesian update. Provides:
 * the closed-form deception threshold (normal sub-network divergence
   versus centrality-weighted adversary contributions) and its verdicts;
 * both constructive attack strategies (known and unknown network
-  divergences), a brute-force optimality oracle, separability
+  divergences), an exact face-enumeration optimality oracle, separability
   certificates, and a random baseline;
 * Monte Carlo experiment orchestration with parameter sweeps, phase
   transition detection, and reproducible result files.

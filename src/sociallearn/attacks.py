@@ -30,10 +30,11 @@ entry. Both paths build their entry through one function.
 **Unknown-divergence construction.** Without network knowledge the
 adversary minimizes the expected-cost objective assuming equally likely
 states; the minimizer floors every symbol of the confidence-aligned set and
-distributes the remaining mass proportionally to the confidence gap
-``z(s) = L(s|theta1) - L(s|theta2)``. A dense-grid-plus-refinement oracle
-(`oracle_optimal_attack`) independently verifies optimality for small
-alphabets.
+water-fills the remaining mass in proportion to the confidence gap
+``z(s) = L(s|theta1) - L(s|theta2)``, flooring any symbol whose share
+would fall below the floor. An oracle (`oracle_optimal_attack`) that
+enumerates every face of the floored simplex independently verifies
+optimality for alphabets of up to 12 symbols.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import (
     AllUninformativeError,
     DegeneratePairError,
     EpsilonTooLargeError,
-    FloorViolationError,
     OutOfRangeError,
     UninformativeModelError,
 )
@@ -75,9 +75,8 @@ __all__ = [
 
 _STRICT_MARGIN = 1e-9
 _GRID_POINTS = 768
-#: oracle search: grid points per simplex axis, then window-halving rounds
-_ORACLE_AXIS_POINTS = 13
-_ORACLE_ROUNDS = 48
+#: the oracle enumerates 2^A faces per column
+_FACES_MAX_ALPHABET = 12
 
 
 # =============================================================================
@@ -185,16 +184,16 @@ def _check_epsilon(eps: float, alphabet_size: int) -> None:
 
 
 def unknown_divergence_attack(model: LikelihoodModel, eps: float) -> LikelihoodModel:
-    """Closed-form optimal forged model for a network-agnostic adversary.
+    """Exact optimal forged model for a network-agnostic adversary.
 
-    Column theta_j floors every symbol of the confidence set aligned with
-    theta_j and gives each remaining symbol mass proportional to its
-    confidence gap |z(s)|. Tie symbols (z = 0) carry zero objective weight;
-    they are floored in both columns and the strictly-signed mass is scaled
-    accordingly, which leaves the objective value untouched while keeping
-    the full-support floor valid. If a proportional mass would fall below
-    the floor, the closed form does not apply and
-    :class:`FloorViolationError` is raised explicitly.
+    Column theta_j maximizes ``sum_s w_s ln x_s`` over the epsilon-floored
+    simplex, with ``w = -z`` for theta1 and ``w = z`` for theta2. It floors
+    every symbol of the confidence set aligned with theta_j and water-fills
+    the rest: each remaining symbol gets mass proportional to its
+    confidence gap |z(s)|, except those whose share would fall below the
+    floor, which are floored too. Tie symbols (z = 0) carry zero objective
+    weight; they are floored in both columns, which leaves the objective
+    value untouched while keeping the full-support floor valid.
     """
     if not is_informative(model):
         raise UninformativeModelError(
@@ -202,25 +201,31 @@ def unknown_divergence_attack(model: LikelihoodModel, eps: float) -> LikelihoodM
         )
     _check_epsilon(eps, model.alphabet_size)
     z = model.given_theta1.as_array() - model.given_theta2.as_array()
-    f1 = _closed_form_column(z, z < 0.0, eps, "theta1")
-    f2 = _closed_form_column(z, z > 0.0, eps, "theta2")
+    f1 = _closed_form_column(z, z < 0.0, eps)
+    f2 = _closed_form_column(z, z > 0.0, eps)
     return LikelihoodModel(make_pmf(f1), make_pmf(f2))
 
 
-def _closed_form_column(z: np.ndarray, free: np.ndarray, eps: float, name: str) -> np.ndarray:
+def _closed_form_column(z: np.ndarray, free: np.ndarray, eps: float) -> np.ndarray:
     """One forged column: the floor off ``free``, mass proportional to z on it.
 
     theta1 takes ``free = z < 0`` and theta2 ``free = z > 0``; tie symbols
-    are off ``free`` in both, so both columns floor them.
+    are off ``free`` in both, so both columns floor them. While a
+    proportional mass falls below the floor, the free symbol with the
+    smallest |z| joins the floor and the mass is shared again. This is the
+    water-filling solution of the KKT conditions (Boyd & Vandenberghe,
+    *Convex Optimization*, 5.5.3): ``x_s = max(eps, |z_s| / nu)``, so the
+    floored symbols are exactly those with ``|z_s| <= nu eps``.
     """
-    column = np.full(len(z), eps)
-    mass = z[free] / z[free].sum() * (1.0 - float(np.count_nonzero(~free)) * eps)
-    if np.any(mass < eps):
-        raise FloorViolationError(
-            f"{name} column of the closed form dips below the epsilon floor"
-        )
-    column[free] = mass
-    return column
+    free = free.copy()
+    while True:
+        mass = z[free] / z[free].sum() * (1.0 - float(np.count_nonzero(~free)) * eps)
+        if not np.any(mass < eps):
+            column = np.full(len(z), eps)
+            column[free] = mass
+            return column
+        on = np.flatnonzero(free)
+        free[on[np.argmin(np.abs(z[on]))]] = False
 
 
 def unknown_divergence_objective(model: LikelihoodModel, forged: LikelihoodModel) -> float:
@@ -235,67 +240,50 @@ def unknown_divergence_objective(model: LikelihoodModel, forged: LikelihoodModel
     return float(np.sum(z * (lf1 - lf2)))
 
 
-def _floored_simplex_minimize(
-    z: np.ndarray, eps: float, sign: float
-) -> tuple[np.ndarray, float]:
-    """Brute-force min of sign * sum z ln(x) over the eps-floored simplex.
+def _face_maximum(w: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """Max of ``sum_s w_s ln x_s`` over the eps-floored simplex, by faces.
 
-    Dense grid over the first n-1 coordinates followed by geometric window
-    shrinking around the incumbent. Independent of the closed form by
-    construction (pure search, no stationarity conditions).
+    A face is a set of floored symbols (x = eps); the free rest C shares
+    ``R = 1 - (n - |C|) eps``. The maximum lies in the relative interior of
+    some face, where it is stationary: ``x_C = w_C R / sum(w_C)``, a point
+    of the face only when the free weights share a sign. A face whose free
+    weights are all zero is flat, so its vertices carry its value. Every
+    face's stationary point and every vertex is a candidate; the best
+    feasible one wins. Nothing here assumes which symbols the optimum floors.
     """
-    n = len(z)
-    lo, hi = eps, 1.0 - (n - 1) * eps
-
-    def best_of(cands: np.ndarray) -> tuple[np.ndarray | None, float]:
-        last = 1.0 - cands.sum(axis=1)
-        ok = last >= eps - 1e-15
-        if not ok.any():
-            return None, math.inf
-        cands = cands[ok]
-        full = np.column_stack([cands, last[ok]])
-        vals = sign * (np.log(full) @ z)
-        k = int(np.argmin(vals))
-        return full[k], float(vals[k])
-
-    def grid(axes: list[np.ndarray]) -> np.ndarray:
-        # every combination, last axis fastest: the order of itertools.product
-        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n - 1)
-
-    cands = grid([np.linspace(lo, hi, _ORACLE_AXIS_POINTS)] * (n - 1))
-    x, v = best_of(cands)
-    width = hi - lo
-    for _ in range(_ORACLE_ROUNDS):
-        width *= 0.5
-        cands = grid(
-            [
-                np.linspace(
-                    max(lo, c - width / 2.0), min(hi, c + width / 2.0), _ORACLE_AXIS_POINTS
-                )
-                for c in x[: n - 1]
-            ]
-        )
-        x2, v2 = best_of(cands)
-        if x2 is not None and v2 < v:
-            x, v = x2, v2
-    return x, sign * v
+    n = len(w)
+    free = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1 == 1  # every non-empty C
+    size = free.sum(axis=1)
+    share = 1.0 - (n - size) * eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(free, w * (share / (free @ w))[:, None], eps)
+    vertex = size == 1  # the only point of its face, whatever its weight
+    x[vertex] = np.where(free[vertex], share[vertex, None], eps)
+    x = x[np.all(x >= eps, axis=1)]  # NaN rows (all-zero weights) drop out too
+    values = np.log(x) @ w
+    k = int(np.argmax(values))
+    return x[k], float(values[k])
 
 
 def oracle_optimal_attack(model: LikelihoodModel, eps: float) -> tuple[LikelihoodModel, float]:
-    """Grid + refinement minimizer of the network-agnostic objective.
+    """Exact minimizer of the network-agnostic objective by face enumeration.
 
-    Verification oracle for small alphabets (cost grows geometrically with
-    alphabet size; intended for |alphabet| <= 4). Returns the best forged
-    model found and its objective value.
+    Each forged column is maximized independently over every face of the
+    epsilon-floored simplex (:func:`_face_maximum`), which makes this an
+    optimality check on :func:`unknown_divergence_attack` that shares none
+    of its reasoning. The cost is 2^A faces per column, so alphabets are
+    capped at ``_FACES_MAX_ALPHABET`` symbols. Returns the forged model and
+    its objective value.
     """
-    if model.alphabet_size > 4:
-        raise OutOfRangeError("oracle is restricted to alphabets of size <= 4")
+    if model.alphabet_size > _FACES_MAX_ALPHABET:
+        raise OutOfRangeError(
+            f"oracle is restricted to alphabets of size <= {_FACES_MAX_ALPHABET}"
+        )
     _check_epsilon(eps, model.alphabet_size)
     z = model.given_theta1.as_array() - model.given_theta2.as_array()
-    x1, v1 = _floored_simplex_minimize(z, eps, sign=+1.0)
-    x2, v2 = _floored_simplex_minimize(z, eps, sign=-1.0)
-    forged = LikelihoodModel(make_pmf(x1), make_pmf(x2))
-    return forged, float(v1 - v2)
+    x1, v1 = _face_maximum(-z, eps)
+    x2, v2 = _face_maximum(z, eps)
+    return LikelihoodModel(make_pmf(x1), make_pmf(x2)), -v1 - v2
 
 
 # =============================================================================

@@ -65,7 +65,12 @@ class UninformativeModelError(SocialLearnError):
 
 
 class FloorViolationError(SocialLearnError):
-    """A closed-form forged mass would fall below the epsilon floor."""
+    """A forged mass would fall below the epsilon floor.
+
+    Nothing in the package raises it: the network-agnostic forgery
+    water-fills, so every mass it returns is at least epsilon. The class
+    stays so that callers that catch it keep importing.
+    """
 
 
 class DegeneratePairError(SocialLearnError):

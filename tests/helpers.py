@@ -2,8 +2,9 @@
 the references the log-domain kernel is checked against (the belief-domain
 state and adapt/combine/step, a per-step log-domain loop), the per-column
 uniform combination and the per-row CSV writer the array versions are checked
-against, and the closed-form margin of the shared-model centrality family,
-used as an oracle."""
+against, the closed-form margin of the shared-model centrality family, used as
+an oracle, and a grid search over the floored simplex that the agnostic
+forgery's exact oracle is checked against."""
 
 from __future__ import annotations
 
@@ -254,3 +255,57 @@ def homogeneous_centrality_margin(
         return u_total * r_unit - (1.0 - u_total) * kl_j
 
     return margin
+
+
+# --- grid-search reference for the agnostic forgery ---------------------------
+
+#: grid points per simplex axis, then window-halving rounds
+_GRID_AXIS_POINTS = 13
+_GRID_ROUNDS = 48
+
+
+def _grid_simplex_minimize(z: np.ndarray, eps: float, sign: float) -> np.ndarray:
+    """Min of sign * sum z ln(x) over the eps-floored simplex by pure search.
+
+    A dense grid over the first n-1 coordinates, then geometric window
+    shrinking around the incumbent; no stationarity conditions. The cost
+    grows as 13^(n-1), so it is meant for n <= 4.
+    """
+    n = len(z)
+    lo, hi = eps, 1.0 - (n - 1) * eps
+
+    def best_of(cands: np.ndarray) -> tuple[np.ndarray | None, float]:
+        last = 1.0 - cands.sum(axis=1)
+        ok = last >= eps  # only floor-feasible points compete
+        if not ok.any():
+            return None, np.inf
+        full = np.column_stack([cands[ok], last[ok]])
+        vals = sign * (np.log(full) @ z)
+        k = int(np.argmin(vals))
+        return full[k], float(vals[k])
+
+    def grid(axes: list[np.ndarray]) -> np.ndarray:
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n - 1)
+
+    x, v = best_of(grid([np.linspace(lo, hi, _GRID_AXIS_POINTS)] * (n - 1)))
+    width = hi - lo
+    for _ in range(_GRID_ROUNDS):
+        width *= 0.5
+        axes = [
+            np.linspace(max(lo, c - width / 2.0), min(hi, c + width / 2.0), _GRID_AXIS_POINTS)
+            for c in x[: n - 1]
+        ]
+        x2, v2 = best_of(grid(axes))
+        if x2 is not None and v2 < v:
+            x, v = x2, v2
+    return x
+
+
+def grid_oracle(model: LikelihoodModel, eps: float) -> LikelihoodModel:
+    """The forged model that grid search finds for the network-agnostic
+    objective, one column at a time."""
+    z = model.given_theta1.as_array() - model.given_theta2.as_array()
+    return LikelihoodModel(
+        make_pmf(_grid_simplex_minimize(z, eps, +1.0)),
+        make_pmf(_grid_simplex_minimize(z, eps, -1.0)),
+    )

@@ -37,7 +37,7 @@ from sociallearn import (
 )
 from sociallearn.attacks import select_support_pair
 from sociallearn.cli import main as cli_main
-from sociallearn.errors import AllUninformativeError, FloorViolationError
+from sociallearn.errors import AllUninformativeError
 from sociallearn.learning import network_average_true_belief, run
 from sociallearn.network import adversary_centrality
 
@@ -100,21 +100,19 @@ def test_01_known_divergence_property_suite():
 
 
 def test_02_unknown_divergence_oracle_equivalence():
-    """Closed-form optimum vs dense-grid + refinement oracle, |gap| <= 1e-6."""
+    """Water-filled closed form vs the face-enumeration oracle, |gap| <= 1e-6."""
     t0 = time.time()
     rng = np.random.default_rng(7)
     worst = 0.0
-    floor_raises = 0
+    below_floor = 0
     compared = 0
     for _ in range(200):
         alphabet = int(rng.integers(2, 5))
         model = random_model(rng, alphabet, floor=0.0)
         for eps in (1e-3, 1e-2):
-            try:
-                forged = unknown_divergence_attack(model, eps)
-            except FloorViolationError:
-                floor_raises += 1  # excluded from comparison, raised explicitly
-                continue
+            forged = unknown_divergence_attack(model, eps)
+            masses = forged.given_theta1.mass + forged.given_theta2.mass
+            below_floor += min(masses) < eps
             closed = unknown_divergence_objective(model, forged)
             _, oracle_value = oracle_optimal_attack(model, eps)
             worst = max(worst, abs(closed - oracle_value))
@@ -122,9 +120,9 @@ def test_02_unknown_divergence_oracle_equivalence():
     elapsed = time.time() - t0
     _report(
         2,
-        f"closed form within 1e-6 of the brute-force optimum on {compared} cases "
-        f"(worst gap {worst:.2e}, {floor_raises} explicit floor raises), runtime < 5 min",
-        worst <= 1e-6 and compared > 0 and elapsed < 300.0,
+        f"closed form within 1e-6 of the exact optimum on {compared} cases "
+        f"(worst gap {worst:.2e}, {below_floor} forgeries below the floor), runtime < 5 min",
+        worst <= 1e-6 and below_floor == 0 and compared > 0 and elapsed < 300.0,
         elapsed,
     )
 

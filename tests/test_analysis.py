@@ -1,19 +1,23 @@
 """Closed-form predictions: divergences, contributions, verdicts, roots."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from sociallearn import (
     Hypothesis,
+    Role,
     Verdict,
     adversary_contribution,
     bsc_model,
+    build_scenario,
     critical_parameter,
     deception_verdict,
     erdos_renyi_adjacency,
     kl_divergence,
+    load_config,
     make_model,
     make_network,
     multi_adversary_known,
@@ -24,7 +28,8 @@ from sociallearn import (
     uniform_combination,
     unknown_divergence_attack,
 )
-from sociallearn.errors import FloorViolationError, NoSignChangeError
+from sociallearn.analysis import _state_pmfs
+from sociallearn.errors import NoSignChangeError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.network import adversary_centrality
 
@@ -36,6 +41,8 @@ from helpers import (
     random_uninformative_model,
 )
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml"))
 BSC08_KL = 0.8317766166719344  # 0.6 ln 4
 NONSEP = make_model([0.8, 0.2], [0.55, 0.45])
 
@@ -72,7 +79,47 @@ class TestNormalDivergence:
         )
 
 
+def kl_form(u_k, true_model, forged_model, j):
+    """The contribution as u_k [ D(L_j || forged_j) - D(L_j || forged_j') ]."""
+    weights, _ = _state_pmfs(true_model, j)
+    f_j, f_other = _state_pmfs(forged_model, j)
+    return u_k * (kl_divergence(weights, f_j) - kl_divergence(weights, f_other))
+
+
 class TestAdversaryContribution:
+    @staticmethod
+    def assert_kl_form(u, agents):
+        for k, agent in enumerate(agents):
+            if agent.role is not Role.MALICIOUS:
+                continue
+            for j in (1, 2):
+                args = (float(u[k]), agent.true_model, agent.inference_model, j)
+                val, alt = adversary_contribution(*args), kl_form(*args)
+                assert abs(val - alt) <= 1e-10 * abs(val), (k, j, val, alt)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_kl_form_on_bundled_configs(self, name):
+        with open(os.path.join(CONFIG_DIR, name), "r", encoding="utf-8") as fh:
+            scenario = build_scenario(load_config(fh.read()))
+        self.assert_kl_form(scenario.perron, scenario.agents)
+
+    def test_kl_form_on_random_scenarios(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            n_mal = int(rng.integers(1, n))
+            net = random_network(rng, n, n_malicious=n_mal)
+            models = [random_model(rng, int(rng.integers(2, 6))) for _ in range(n)]
+            eps = float(rng.uniform(1e-6, 0.5 / max(m.alphabet_size for m in models)))
+            # odd adversaries forge the agnostic optimum, even ones a random model
+            forged = {
+                k: unknown_divergence_attack(models[k], eps)
+                if k % 2
+                else random_model(rng, models[k].alphabet_size)
+                for k in range(n_mal)
+            }
+            self.assert_kl_form(perron_vector(net), agents_for(net, models, forged))
+
     def test_uninformative_true_model_antisymmetry(self):
         rng = np.random.default_rng(2)
         m = random_uninformative_model(rng, 4)
@@ -176,10 +223,7 @@ class TestDeceptionVerdict:
             net = random_network(rng, n, n_malicious=n_mal)
             shared = random_model(rng, int(rng.integers(2, 5)), floor=0.05)
             models = [shared] * n
-            try:
-                forged = unknown_forged([shared] * n_mal, 5e-3)
-            except FloorViolationError:
-                continue
+            forged = unknown_forged([shared] * n_mal, 5e-3)
             agents = agents_for(net, models, forged)
             report = deception_verdict(net, agents)
             if abs(report.margin1) <= 0.05:

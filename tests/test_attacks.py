@@ -25,12 +25,11 @@ from sociallearn.errors import (
     AllUninformativeError,
     DegeneratePairError,
     EpsilonTooLargeError,
-    FloorViolationError,
     OutOfRangeError,
     UninformativeModelError,
 )
 
-from helpers import random_model, random_uninformative_model
+from helpers import grid_oracle, random_model, random_uninformative_model
 
 # the non-separable two-symbol benchmark used across the experiments
 NONSEP = make_model([0.8, 0.2], [0.55, 0.45])
@@ -122,21 +121,41 @@ class TestUnknownDivergenceAttack:
             [eps, 1 - 2 * eps, eps], abs=1e-15
         )
 
-    def test_floor_violation_raises(self):
-        # one positive confidence gap 8 orders smaller than the other
+    def test_water_filled_column_is_the_oracle_optimum(self):
+        # one positive confidence gap 8 orders smaller than the other: its
+        # proportional share falls below the floor, so it is floored too
         m = make_model([0.45, 0.2 + 1e-9, 0.35 - 1e-9], [0.35, 0.2, 0.45])
-        with pytest.raises(FloorViolationError):
-            unknown_divergence_attack(m, 0.01)
+        forged = unknown_divergence_attack(m, 0.01)
+        oracle, value = oracle_optimal_attack(m, 0.01)
+        assert forged.given_theta1.as_array() == pytest.approx([0.01, 0.01, 0.98], abs=1e-15)
+        assert forged.given_theta2.as_array() == pytest.approx([0.98, 0.01, 0.01], abs=1e-15)
+        for mine, best in ((forged.given_theta1, oracle.given_theta1),
+                           (forged.given_theta2, oracle.given_theta2)):
+            assert mine.as_array() == pytest.approx(best.as_array(), rel=1e-12)
+        assert unknown_divergence_objective(m, forged) == pytest.approx(value, rel=1e-12)
+
+    def test_matches_oracle_on_every_model(self):
+        rng = np.random.default_rng(33)
+        for _ in range(1200):
+            alphabet = int(rng.integers(2, 9))
+            m = make_model(rng.dirichlet(np.ones(alphabet)), rng.dirichlet(np.ones(alphabet)))
+            eps = float(rng.uniform(0.0, 1.0 / alphabet))
+            forged = unknown_divergence_attack(m, eps)
+            oracle, value = oracle_optimal_attack(m, eps)
+            for pmf in (forged.given_theta1, forged.given_theta2):
+                assert min(pmf.mass) >= eps
+            closed = unknown_divergence_objective(m, forged)
+            assert closed == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert closed == pytest.approx(
+                unknown_divergence_objective(m, oracle), rel=1e-12, abs=0.0
+            )
 
     def test_floor_and_normalization(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             m = random_model(rng, int(rng.integers(2, 6)))
             eps = float(rng.uniform(1e-4, 0.5 / m.alphabet_size))
-            try:
-                forged = unknown_divergence_attack(m, eps)
-            except FloorViolationError:
-                continue
+            forged = unknown_divergence_attack(m, eps)
             for pmf in (forged.given_theta1, forged.given_theta2):
                 arr = pmf.as_array()
                 assert np.all(arr >= eps * (1 - 1e-12))
@@ -149,18 +168,48 @@ class TestUnknownDivergenceAttack:
 class TestOracle:
     def test_matches_closed_form_small_sample(self):
         rng = np.random.default_rng(21)
-        checked = 0
-        while checked < 12:
+        for _ in range(12):
             m = random_model(rng, int(rng.integers(2, 5)))
             eps = float(rng.choice([1e-3, 1e-2]))
-            try:
-                forged = unknown_divergence_attack(m, eps)
-            except FloorViolationError:
-                continue
+            forged = unknown_divergence_attack(m, eps)
             closed = unknown_divergence_objective(m, forged)
             _, oracle_val = oracle_optimal_attack(m, eps)
             assert abs(closed - oracle_val) < 1e-6
-            checked += 1
+
+    def test_never_worse_than_grid_search(self):
+        rng = np.random.default_rng(55)
+        for case in range(40):
+            alphabet = int(rng.integers(2, 5))
+            m = random_model(rng, alphabet, floor=0.0)
+            if alphabet > 2 and case % 2:
+                # a tie model: move mass between two symbols, so z(0) = 0
+                t1 = m.given_theta1.as_array()
+                shift = float(rng.uniform(-1.0, 1.0)) * min(t1[1], t1[2])
+                t2 = t1.copy()
+                t2[1] += shift
+                t2[2] -= shift
+                m = make_model(t1, t2)
+            eps = float(rng.uniform(1e-4, 1.0 / alphabet))
+            face, value = oracle_optimal_attack(m, eps)
+            grid = grid_oracle(m, eps)
+            # both forgeries scored by one function, so rounding cannot decide
+            face_value = unknown_divergence_objective(m, face)
+            assert face_value <= unknown_divergence_objective(m, grid)
+            assert face_value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert value == pytest.approx(
+                unknown_divergence_objective(m, grid), rel=1e-12, abs=0.0
+            )
+
+    def test_alphabet_cap(self):
+        rng = np.random.default_rng(4)
+
+        def model(alphabet):
+            return make_model(rng.dirichlet(np.ones(alphabet)), rng.dirichlet(np.ones(alphabet)))
+
+        forged, _ = oracle_optimal_attack(model(12), 0.01)
+        assert min(forged.given_theta1.mass + forged.given_theta2.mass) >= 0.01
+        with pytest.raises(OutOfRangeError):
+            oracle_optimal_attack(model(13), 0.01)
 
     def test_flat_objective_for_uninformative(self):
         m = random_uninformative_model(np.random.default_rng(2), 3)

@@ -174,6 +174,29 @@ attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
         assert entry["theta1"] == [eps, 1.0 - eps]
         assert entry["theta2"] == [1.0 - eps, eps]
 
+    def test_forgery_with_a_floored_free_symbol(self, tmp_path):
+        # theta2's proportional share of symbol 1 would be 0.114 < epsilon
+        path = write(
+            tmp_path,
+            """
+topology: {kind: star, n_agents: 3, hub: 0}
+agents:
+  n_malicious: 1
+  model: {kind: rows, theta1: [0.5, 0.35, 0.15], theta2: [0.2, 0.3, 0.5]}
+attack: {strategy: unknown_divergences, epsilon: 0.2}
+""",
+        )
+        for command in ("predict", "attack"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sociallearn.cli", command, "--config", path],
+                capture_output=True, text=True, env=_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+        entry = json.loads(proc.stdout)["forged"][0]
+        assert entry["theta1"] == [0.2, 0.2, 0.6]
+        assert entry["theta2"] == [0.6, 0.2, 0.2]
+
     def test_output_file_with_provenance(self, tmp_path):
         main(
             [
