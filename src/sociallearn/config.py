@@ -34,6 +34,7 @@ One canonical schema (all keys optional unless noted):
       initial_belief_theta1: 0.5 # scalar or per-agent list, strictly in (0,1)
     sweep:
       parameter: bsc_p           # bsc_p | epsilon | adversary_centrality
+                                 # (trust_weight; only it moves the network)
       grid: {start: 0.55, stop: 0.95, step: 0.01}   # or  values: [...]
     output:
       directory: out
@@ -50,6 +51,18 @@ collects *every* violation, each naming its path, before failing, and the
 echo materializes all defaults, so a result file records the exact knobs
 that produced it.
 
+A scenario is assembled in two parts. The topology part
+(``build_topology``: the network, its validation, the Perron vector and the
+adversary centrality) reads only ``topology`` and ``agents.n_malicious``; the
+model part (``assemble_scenario``: agents, attack plan, report) is built on
+it. ``build_scenario`` is the two in turn. A sweep's value -> scenario builder
+(``sweep_scenarios``) therefore builds the topology once for a ``bsc_p`` or
+``epsilon`` sweep, grid and theory root alike, and once per value only for
+``adversary_centrality``. The attack plan forges once per distinct model
+under ``unknown_divergences`` (a shared ``model`` gives every adversary the
+same one); ``random`` draws one stream in adversary order and
+``known_divergences`` forges per adversary, as it reads each one's centrality.
+
 Configs are parsed and echoed by libyaml when the installed PyYAML has it,
 and by PyYAML's pure-Python classes otherwise. Both share one constructor,
 resolver and representer, so they give the same data and the same bytes.
@@ -60,7 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import UnionType
-from typing import Any, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -408,6 +421,15 @@ def _model_list(cfg: ExperimentConfig) -> list[LikelihoodModel]:
 # --- scenario assembly -------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Topology:
+    """The network part of a scenario: network, Perron vector, adversary centrality."""
+
+    net: Network
+    perron: np.ndarray
+    adversary_centrality: float
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Runnable assembly: network, Perron vector, agents (forged models bound), plan."""
 
@@ -479,23 +501,33 @@ def build_plan(
         )
     if at.strategy == "random":
         rng = np.random.default_rng(at.seed)  # one stream, drawn in adversary order
-        forge, params = (lambda m: random_attack(m, eps, rng)), {"seed": at.seed}
+        forged = [random_attack(models[k], eps, rng) for k in malicious]
+        params = {"seed": at.seed}
     else:
-        forge, params = (lambda m: unknown_divergence_attack(m, eps)), {}
+        # one forgery per distinct model; a shared ``model`` gives every adversary the same
+        distinct = dict.fromkeys(models[k] for k in malicious)
+        once = {m: unknown_divergence_attack(m, eps) for m in distinct}
+        forged = [once[models[k]] for k in malicious]
+        params = {}
     entries = tuple(
-        AttackPlanEntry(
-            forged=forge(models[k]), strategy=at.strategy, eps=eps, params=dict(params)
-        )
-        for k in malicious
+        AttackPlanEntry(forged=f, strategy=at.strategy, eps=eps, params=dict(params))
+        for f in forged
     )
     return AttackPlan(entries=entries)
 
 
-def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Network, centrality and attack, built once each (see ``build_network``
-    for the networks refused)."""
+def build_topology(cfg: ExperimentConfig) -> Topology:
+    """The network part of a scenario, its Perron vector solved once (see
+    ``build_network`` for the networks refused)."""
     net = build_network(cfg)
     u = perron_vector(net)
+    return Topology(net=net, perron=u, adversary_centrality=adversary_centrality(u, net.roles))
+
+
+def assemble_scenario(cfg: ExperimentConfig, topology: Topology) -> Scenario:
+    """The model part of a scenario on a built ``topology``: agents, and the
+    attack plan with its forged models bound to the adversaries."""
+    net, u = topology.net, topology.perron
     agents = tuple(
         AgentConfig(role=role, true_model=model)
         for role, model in zip(net.roles, _model_list(cfg))
@@ -513,8 +545,14 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         agents=agents,
         plan=plan,
         theta_true=Hypothesis.from_name(cfg.experiment.theta_true),
-        adversary_centrality=adversary_centrality(u, net.roles),
+        adversary_centrality=topology.adversary_centrality,
     )
+
+
+def build_scenario(cfg: ExperimentConfig) -> Scenario:
+    """Network, centrality and attack, built once each: the model part
+    assembled on the topology part."""
+    return assemble_scenario(cfg, build_topology(cfg))
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
@@ -530,3 +568,16 @@ def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     if p == "adversary_centrality":
         return replace(cfg, topology=replace(cfg.topology, trust_weight=value))
     raise ConfigValidationError([f"unknown sweep parameter {p!r}"])
+
+
+def sweep_scenarios(cfg: ExperimentConfig) -> Callable[[float], Scenario]:
+    """Sweep value -> scenario at that value.
+
+    Only an ``adversary_centrality`` sweep moves the network, so only it
+    builds a topology per value; ``bsc_p`` and ``epsilon`` sweeps build theirs
+    once, here, and assemble each value's models on it.
+    """
+    if cfg.sweep.parameter == "adversary_centrality":
+        return lambda value: build_scenario(apply_sweep_value(cfg, value))
+    topology = build_topology(cfg)
+    return lambda value: assemble_scenario(apply_sweep_value(cfg, value), topology)

@@ -26,17 +26,23 @@ bit-identical whatever stack it runs in. (Neither ``einsum`` nor one
 ``(n, seeds)`` matrix product keeps those bits.)
 
 Symbols are drawn and turned into log-likelihood ratios a block of steps at
-a time, into a ``(G, S, n, steps)`` array. A block holds at most
-``_BLOCK_STEPS`` steps and at most ``_BLOCK_ELEMENTS`` ratios over the whole
-stack (one step when a step alone is more), so memory stays
-O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Each (seed, agent)
-stream draws its uniforms for a block once; every scenario maps them through
-its own inverse CDF (``probability._inverse_cdf``, the one ``sample`` uses),
-which selects log-likelihood ratios out of per-agent tables bit for bit,
-without arithmetic. The block length never changes the bits: a stream's
-uniforms are the same however they are split. The check for a realized
-symbol of zero likelihood scans each block only when some table entry is
-infinite, since otherwise no realized ratio can be.
+a time, with two block lengths. A *draw block* of each (seed, agent) stream's
+uniforms, an ``(S, n, steps)`` array, is drawn by one generator call per
+stream; a *ratio block*, a ``(G', S, n, steps)`` array of log-likelihood
+ratios, is mapped from a slice of it. Each length is at most
+``_BLOCK_STEPS`` steps and at most ``_BLOCK_ELEMENTS`` values (one step when
+a step alone is more), and a draw block is a whole number of ratio blocks,
+so memory stays O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Every
+scenario maps the uniforms through its own inverse CDF
+(``probability._inverse_cdf``, the one ``sample`` uses), which selects
+log-likelihood ratios out of per-agent tables bit for bit, without
+arithmetic. The tables hold one row per distinct (true, inference) model
+pair, and their scenario axis ``G'`` is 1 when every scenario's agents are
+equal (say, a grid that moves only the network), so one ratio block then
+serves the whole stack by broadcasting. No block length changes the bits: a
+stream's uniforms are the same however they are split. The check for a
+realized symbol of zero likelihood scans each block only when some table
+entry is infinite, since otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -124,26 +130,47 @@ def _symbol_tables(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Inverse-CDF inputs for a stack of scenarios, symbols on the leading axis.
 
-    Returns ``cum`` of shape ``(A - 1, G, 1, n, 1)`` (each agent's cumulative
-    true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G, 1, n, 1)``
+    Returns ``cum`` of shape ``(A - 1, G', 1, n, 1)`` (each agent's cumulative
+    true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, 1)``
     (symbol -> ln(inference(theta1)/inference(theta2))) with ``A`` the
-    largest alphabet, and whether every table entry is finite.
+    largest alphabet, and whether every table entry is finite. ``G'`` is 1
+    when every scenario's agents are equal, else the scenario count; each
+    distinct (true, inference) model pair is tabulated once.
     """
-    width = max(a.true_model.alphabet_size for agents in agent_lists for a in agents)
-    shape = (len(agent_lists), 1, len(agent_lists[0]))
-    cum = np.full((width - 1, *shape, 1), np.inf)
-    llr = np.zeros((width, *shape, 1))
-    finite = True
-    for g, agents in enumerate(agent_lists):
-        for k, agent in enumerate(agents):
-            m = agent.inference_model
-            with np.errstate(divide="ignore"):
-                table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
-            finite = finite and bool(np.all(np.isfinite(table)))
-            pmf = agent.true_model.given(theta_true).as_array()
-            llr[: len(table), g, 0, k, 0] = table
-            cum[: len(pmf) - 1, g, 0, k, 0] = np.cumsum(pmf)[:-1]
-    return cum, llr, finite
+    if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
+        agent_lists = agent_lists[:1]
+    pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
+    rows = np.array([
+        [pairs.setdefault((a.true_model, a.inference_model), len(pairs)) for a in agents]
+        for agents in agent_lists
+    ])
+    width = max(true.alphabet_size for true, _ in pairs)
+    cum = np.full((len(pairs), width - 1), np.inf)
+    llr = np.zeros((len(pairs), width))
+    for p, (true, m) in enumerate(pairs):
+        with np.errstate(divide="ignore"):
+            table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
+        pmf = true.given(theta_true).as_array()
+        llr[p, : len(table)] = table
+        cum[p, : len(pmf) - 1] = np.cumsum(pmf)[:-1]
+
+    def by_agent(per_pair: np.ndarray) -> np.ndarray:  # (G', n, A) -> (A, G', 1, n, 1)
+        return np.ascontiguousarray(np.moveaxis(per_pair[rows], -1, 0)[:, :, None, :, None])
+
+    return by_agent(cum), by_agent(llr), bool(np.all(np.isfinite(llr)))
+
+
+def _block_lengths(n_tables: int, per_step: int, horizon: int) -> tuple[int, int]:
+    """``(ratio, draw)``: the steps of a ratio block and of a draw block.
+
+    A step draws ``per_step`` uniforms (one per seed and agent) and maps them
+    to ``n_tables`` times as many ratios. Each block is the longest within
+    ``_BLOCK_STEPS``, ``_BLOCK_ELEMENTS`` values and the horizon (one step
+    when a step alone is more), the draw block a whole number of ratio blocks.
+    """
+    ratio = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // (n_tables * per_step), horizon))
+    draw = ratio * max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // per_step, horizon) // ratio)
+    return ratio, draw
 
 
 def _simulate(
@@ -181,23 +208,25 @@ def _simulate(
     records = np.empty((n_grid, n_seeds, len(steps), n))
     # each matrix keeps the strides of ``net.combination.T``, so each gemv is a lone run's
     at = np.stack([net.combination for net in nets])[:, None].swapaxes(-1, -2)
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // (n_grid * n_seeds * n), horizon))
-    u = np.empty((n_seeds, n, block))
-    llr = np.empty((n_grid, n_seeds, n, block))
-    for start in range(0, horizon, block):
-        size = min(block, horizon - start)
+    ratio, draw = _block_lengths(tables.shape[1], n_seeds * n, horizon)
+    u = np.empty((n_seeds, n, draw))
+    llr = np.empty((tables.shape[1], n_seeds, n, ratio))
+    for start in range(0, horizon, draw):
+        drawn = min(draw, horizon - start)
         for s, seed_rngs in enumerate(rngs):
             for k, rng in enumerate(seed_rngs):
-                rng.random(out=u[s, k, :size])
-        _inverse_cdf(cum, tables, u[..., :size], llr[..., :size])
-        if not finite and not np.all(np.isfinite(llr[..., :size])):
-            raise ZeroLikelihoodError(
-                "an inference model assigns zero likelihood to a realized symbol"
-            )
-        for j, i in enumerate(range(start + 1, start + size + 1)):
-            lam = at @ (lam + llr[..., j : j + 1])
-            if stride > 0 and i % stride == 0:
-                records[:, :, i // stride - 1] = lam[..., 0]
+                rng.random(out=u[s, k, :drawn])
+        for off in range(0, drawn, ratio):
+            size = min(ratio, drawn - off)
+            _inverse_cdf(cum, tables, u[..., off : off + size], llr[..., :size])
+            if not finite and not np.all(np.isfinite(llr[..., :size])):
+                raise ZeroLikelihoodError(
+                    "an inference model assigns zero likelihood to a realized symbol"
+                )
+            for j, i in enumerate(range(start + off + 1, start + off + size + 1)):
+                lam = at @ (lam + llr[..., j : j + 1])
+                if stride > 0 and i % stride == 0:
+                    records[:, :, i // stride - 1] = lam[..., 0]
     return steps, records, lam[..., 0]
 
 

@@ -28,7 +28,7 @@ import os
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, cycle
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .config import (
     Scenario,
     apply_sweep_value,
     build_scenario,
+    build_topology,
+    sweep_scenarios,
 )
 from .errors import NoSignChangeError, OutputIOError
 from .probability import Hypothesis
@@ -191,7 +193,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     if cfg.sweep is None:
         raise NoSignChangeError("config has no sweep section")
     values = cfg.sweep.values
-    scenarios = [build_scenario(apply_sweep_value(cfg, v)) for v in values]
+    scenario_at = sweep_scenarios(cfg)
+    scenarios = [scenario_at(v) for v in values]
     finals = np.concatenate(_in_chunks(partial(_grid_finals, cfg.experiment), scenarios, jobs))
     points = tuple(map(_sweep_point, values, scenarios, finals))
 
@@ -200,7 +203,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
         for p in points
     ]
     crossing = _interp_crossing(axis, [p.mean_final for p in points])
-    root = _theory_root(cfg)
+    root = _theory_root(cfg, scenario_at)
     return SweepResult(
         config=cfg,
         parameter=cfg.sweep.parameter,
@@ -220,26 +223,30 @@ def _interp_crossing(xs: Sequence[float], means: Sequence[float]) -> float | Non
     return None
 
 
-def _theory_root(cfg: ExperimentConfig) -> float | None:
+def _theory_root(
+    cfg: ExperimentConfig, scenario_at: Callable[[float], Scenario]
+) -> float | None:
     """Bisection root of the closed-form margin along the sweep axis.
 
-    Each step rebuilds the scenario at the trial value, so per-agent models
-    and every sweep parameter take the one path. An ``adversary_centrality``
-    root is found on the trust-weight axis the grid is written in, then
-    reported as the aggregate centrality of the scenario built at it.
+    Each step assembles the scenario at the trial value by ``scenario_at``
+    (``config.sweep_scenarios``, the builder of the grid), so per-agent
+    models and every sweep parameter take the one path, and only an
+    ``adversary_centrality`` step rebuilds the network and its Perron vector.
+    That root is found on the trust-weight axis the grid is written in, then
+    reported as the aggregate centrality of the topology built at it.
     """
     sweep = cfg.sweep
     theta = Hypothesis.from_name(cfg.experiment.theta_true)
 
     def margin_of(value: float) -> float:
-        return build_scenario(apply_sweep_value(cfg, value)).report().margin(theta)
+        return scenario_at(value).report().margin(theta)
 
     try:
         root = critical_parameter(margin_of, (min(sweep.values), max(sweep.values)))
     except NoSignChangeError:
         return None
     if sweep.parameter == "adversary_centrality":
-        return build_scenario(apply_sweep_value(cfg, root)).adversary_centrality
+        return build_topology(apply_sweep_value(cfg, root)).adversary_centrality
     return root
 
 

@@ -20,7 +20,13 @@ from sociallearn import (
 )
 from sociallearn import learning
 from sociallearn.errors import ZeroLikelihoodError
-from sociallearn.learning import _BLOCK_STEPS, _simulate, network_average_true_belief
+from sociallearn.learning import (
+    _BLOCK_STEPS,
+    _block_lengths,
+    _simulate,
+    _symbol_tables,
+    network_average_true_belief,
+)
 
 from helpers import (
     BeliefState,
@@ -293,6 +299,87 @@ class TestStack:
         monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 7)
         _, _, finals_7 = _simulate(*args)
         assert np.array_equal(finals, finals_7)
+
+    def test_block_lengths_at_the_bundled_sweep_shapes(self):
+        # sweep_bsc_p: 41 tables of 10 seeds x 15 agents; the uniforms come in
+        # 43 ratio blocks at a time, so 7 generator calls per stream over 3000 steps
+        assert _block_lengths(41, 10 * 15, 3000) == (10, 430)
+        # sweep_centrality: one table for the whole grid, 5 seeds x 15 agents
+        assert _block_lengths(1, 5 * 15, 3000) == (_BLOCK_STEPS, _BLOCK_STEPS)
+        # a budget below one step's ratios still steps, one step per block
+        assert _block_lengths(41, 10 * 15 * 512, 3000) == (1, 1)
+
+    def test_draw_block_spans_ratio_blocks(self, monkeypatch):
+        # 3 tables x 2 seeds x 5 agents: ratio blocks of 4 steps, draw blocks of
+        # 12, and a horizon of 43 that ends 7 steps into its last draw block
+        nets, agent_lists = mixed_grid(47, points=3)
+        seeds, horizon = [1, 2], 43
+
+        def both_strides():
+            return [
+                _simulate(nets, agent_lists, Hypothesis.THETA1, horizon, seeds, stride, 0.5, None)
+                for stride in (0, 3)
+            ]
+
+        unpatched = both_strides()
+        monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 120)
+        assert _block_lengths(3, 10, horizon) == (4, 12)
+        patched = both_strides()
+        for (_, records, finals), (_, want_records, want_finals) in zip(patched, unpatched):
+            assert np.array_equal(records, want_records)
+            assert np.array_equal(finals, want_finals)
+        (_, _, finals_0), (_, records, finals) = patched
+        for g, (net, agents) in enumerate(zip(nets, agent_lists)):
+            for s, seed in enumerate(seeds):
+                want_records, want_final = reference_run(
+                    net, agents, Hypothesis.THETA1, horizon, seed, stride=3
+                )
+                assert np.array_equal(records[g, s], want_records)
+                assert np.array_equal(finals[g, s], want_final)
+                assert np.array_equal(finals_0[g, s], want_final)
+
+    def test_equal_agents_share_one_table(self):
+        # a grid that moves only the network: one table row set for every point
+        rng = np.random.default_rng(48)
+        nets = [random_network(rng, 5, n_malicious=1) for _ in range(3)]
+        models = [random_model(rng, 3) for _ in range(5)]
+        forged = unknown_divergence_attack(models[0], 1e-2)
+        agent_lists = [agents_for(net, models, {0: forged}) for net in nets]
+        cum, llr, finite = _symbol_tables(agent_lists, Hypothesis.THETA1)
+        assert cum.shape == (2, 1, 1, 5, 1) and llr.shape == (3, 1, 1, 5, 1) and finite
+        _, _, finals = _simulate(nets, agent_lists, Hypothesis.THETA1, 200, [0, 5], 0, 0.5, None)
+        for g, net in enumerate(nets):
+            lone = run_finals(net, agent_lists[g], Hypothesis.THETA1, horizon=200, seeds=[0, 5])
+            assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
+        # equal forgeries built apart count as equal; a different one does not
+        rebuilt = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 1e-2)})]
+        assert _symbol_tables(agent_lists[:1] + rebuilt, Hypothesis.THETA1)[0].shape[1] == 1
+        other = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 2e-2)})]
+        assert _symbol_tables(agent_lists[:1] + other, Hypothesis.THETA1)[0].shape[1] == 2
+
+    def test_memory_bounded_and_flat_in_horizon(self):
+        import tracemalloc
+
+        # the sweep_bsc_p shape: 41 grid points x 10 seeds x 15 agents
+        net = random_network(np.random.default_rng(49), 15, n_malicious=4)
+        agent_lists = []
+        for p in np.linspace(0.55, 0.95, 41):
+            m = bsc_model(p)
+            forged = {k: unknown_divergence_attack(m, 5e-3) for k in range(4)}
+            agent_lists.append(agents_for(net, [m] * 15, forged))
+        peaks = []
+        for horizon in (1000, 4000):
+            tracemalloc.start()
+            try:
+                _simulate([net] * 41, agent_lists, Hypothesis.THETA1, horizon, range(10), 0,
+                          0.5, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the uniform and ratio blocks (at most _BLOCK_ELEMENTS doubles each),
+        # the inverse CDF's temporaries and the (G, S, n) state
+        assert max(peaks) < 3 << 20
+        assert max(peaks) <= 1.1 * min(peaks)
 
     def test_one_point_zeroing_a_realized_symbol_raises(self):
         # only point 1's forgery rules out symbol 1, which the true model draws

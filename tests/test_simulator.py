@@ -17,8 +17,9 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
-from sociallearn import config, simulator
-from sociallearn.config import apply_sweep_value
+from sociallearn import attacks, config, simulator
+from sociallearn.analysis import critical_parameter
+from sociallearn.config import apply_sweep_value, build_plan
 from sociallearn.errors import ConfigParseError, ConfigValidationError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.simulator import SweepPoint, emit_results, emit_sweep_results
@@ -187,6 +188,149 @@ class TestYamlBackends:
         with pytest.raises(ConfigParseError) as err:
             under_backend(backend, lambda: load_config("topology: [unclosed"))
         assert "line" in str(err.value)
+
+
+EPSILON_SWEEP = """
+topology: {{kind: erdos_renyi, n_agents: 8, edge_prob: 0.4, seed: 5}}
+agents:
+  n_malicious: 2
+  model: {{kind: rows, theta1: [0.6, 0.3, 0.1], theta2: [0.3, 0.4, 0.3]}}
+attack: {{strategy: {attack}}}
+experiment: {{theta_true: theta1, horizon: 60, seeds: [0, 3], stride: 0}}
+sweep: {{parameter: epsilon, values: {values}}}
+"""
+
+
+def _count_topology_builds(monkeypatch) -> dict[str, int]:
+    """Count the network builds and Perron solves of scenario assembly."""
+    counts = {"build_network": 0, "perron_vector": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(config, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(config, name, counted)
+    return counts
+
+
+def _rebuilt_per_value(cfg):
+    """``run_sweep`` with the whole scenario rebuilt at every grid and root value."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "sweep_scenarios",
+                   lambda cfg: lambda value: build_scenario(apply_sweep_value(cfg, value)))
+        return run_sweep(cfg)
+
+
+class TestSweepTopology:
+    @pytest.mark.parametrize("attack, values, crosses", [
+        ("unknown_divergences", [1.0e-4, 1.0e-2, 0.1, 0.3], True),
+        # with the divergences it computes, the forgery deceives at every feasible epsilon
+        ("known_divergences, aggregate_centrality: true", [1.0e-6, 1.0e-4, 1.0e-3], False),
+        ("known_divergences, s1: 0.05, s2: 0.05", [1.0e-5, 1.0e-3, 1.0e-2, 3.0e-2], True),
+    ])
+    def test_epsilon_sweep_builds_one_topology(self, attack, values, crosses, monkeypatch):
+        cfg = load_config(EPSILON_SWEEP.format(attack=attack, values=values))
+        want = _rebuilt_per_value(cfg)
+        counts = _count_topology_builds(monkeypatch)
+        result = run_sweep(cfg)
+        assert counts == {"build_network": 1, "perron_vector": 1}
+        assert result.points == want.points
+        assert result.theory_root == want.theory_root
+        assert (result.theory_root is not None) == crosses
+
+    def test_bsc_p_sweep_builds_one_topology(self, monkeypatch):
+        cfg = _with(load_config(read_config("sweep_bsc_p.yaml")), horizon=60, seeds=(0, 1))
+        cfg = _with_sweep_values(cfg, [0.6, 0.7, 0.8, 0.9])
+        want = _rebuilt_per_value(cfg)
+        counts = _count_topology_builds(monkeypatch)
+        result = run_sweep(cfg)
+        assert counts == {"build_network": 1, "perron_vector": 1}
+        assert result.points == want.points
+        assert result.theory_root == want.theory_root is not None
+
+    def test_centrality_sweep_builds_one_topology_per_value(self, monkeypatch):
+        cfg = _with(load_config(read_config("sweep_centrality.yaml")), horizon=60, seeds=(0, 1))
+        cfg = _with_sweep_values(cfg, [0.02, 0.1, 0.18, 0.24])
+        want = _rebuilt_per_value(cfg)
+        counts = _count_topology_builds(monkeypatch)
+        evals = []
+
+        def counted_root(margin_of, bracket):
+            return critical_parameter(lambda x: evals.append(x) or margin_of(x), bracket)
+
+        monkeypatch.setattr(simulator, "critical_parameter", counted_root)
+        result = run_sweep(cfg)
+        # every grid point, every bisection step and the root's centrality
+        builds = len(cfg.sweep.values) + len(evals) + 1
+        assert len(evals) > 2
+        assert counts == {"build_network": builds, "perron_vector": builds}
+        assert result.points == want.points
+        assert result.theory_root == want.theory_root is not None
+
+
+def _count_forgeries(monkeypatch) -> list:
+    """The models ``build_plan`` hands to ``unknown_divergence_attack``, in call order."""
+    calls = []
+
+    def counted(model, eps):
+        calls.append(model)
+        return attacks.unknown_divergence_attack(model, eps)
+
+    monkeypatch.setattr(config, "unknown_divergence_attack", counted)
+    return calls
+
+
+class TestBuildPlan:
+    RANDOM = """
+topology: {kind: complete, n_agents: 4}
+agents:
+  n_malicious: 2
+  model: {kind: rows, theta1: [0.5, 0.3, 0.2], theta2: [0.2, 0.3, 0.5]}
+attack: {strategy: random, epsilon: 1.0e-2, seed: 7}
+"""
+
+    def test_shared_model_is_forged_once(self, monkeypatch):
+        cfg = load_config(read_config("deceived_random_bsc08.yaml"))
+        calls = _count_forgeries(monkeypatch)
+        scenario = build_scenario(cfg)
+        assert len(calls) == 1
+        assert len(scenario.plan.entries) == cfg.agents.n_malicious == 4
+        for k, entry in zip(scenario.net.malicious_indices, scenario.plan.entries):
+            model = scenario.agents[k].true_model
+            assert entry.forged == attacks.unknown_divergence_attack(model, cfg.attack.epsilon)
+            assert scenario.agents[k].forged_model is entry.forged
+
+    def test_equal_per_agent_models_are_forged_once(self, monkeypatch):
+        models = "  models:\n" + "".join(
+            f"    - {{kind: bsc, p: {0.9 if k % 2 else 0.8}}}\n" for k in range(15)
+        )
+        text = read_config("deceived_random_bsc08.yaml").replace(
+            "  model: {kind: bsc, p: 0.8}\n", models
+        )
+        cfg = load_config(text)
+        calls = _count_forgeries(monkeypatch)
+        scenario = build_scenario(cfg)
+        assert len(calls) == 2  # bsc 0.8 and bsc 0.9, over four adversaries
+        for k, entry in zip(scenario.net.malicious_indices, scenario.plan.entries):
+            model = scenario.agents[k].true_model
+            assert entry.forged == attacks.unknown_divergence_attack(model, cfg.attack.epsilon)
+
+    def test_random_forgeries_stay_per_adversary(self):
+        # one stream drawn in adversary order, so a shared model still gets two forgeries
+        cfg = load_config(self.RANDOM)
+        scenario = build_scenario(cfg)
+        plan = build_plan(cfg, scenario.net, scenario.agents, scenario.perron)
+        pinned = [
+            ((0.3082266399196018, 0.44212764319420766, 0.24964571688619064),
+             (0.20357912408567228, 0.05466538828757557, 0.7417554876267521)),
+            ((0.01278732341495662, 0.8127980930751342, 0.17441458350990927),
+             (0.26265563465722347, 0.46492698686466316, 0.2724173784781133)),
+        ]
+        for entry, (theta1, theta2) in zip(plan.entries, pinned, strict=True):
+            assert entry.forged.given_theta1.mass == theta1
+            assert entry.forged.given_theta2.mass == theta2
+            assert entry.params == {"seed": 7}
+        assert scenario.plan == plan
 
 
 class TestRunExperiment:
