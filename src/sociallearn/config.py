@@ -29,7 +29,7 @@ One canonical schema (all keys optional unless noted):
     experiment:
       theta_true: theta1
       horizon: 2000
-      seeds: [0]
+      seeds: [0]                 # distinct, each >= 0
       stride: 1
       initial_belief_theta1: 0.5 # scalar or per-agent list, strictly in (0,1)
     sweep:
@@ -71,6 +71,7 @@ resolver and representer, so they give the same data and the same bytes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from types import UnionType
 from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
@@ -378,6 +379,9 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append("experiment.stride must be >= 0 (0 disables trajectory records)")
     if not e.seeds:
         v.append("experiment.seeds must be non-empty")
+    repeated = [s for s, count in Counter(e.seeds).items() if count > 1]
+    if repeated:
+        v.append(f"experiment.seeds must be distinct, got {repeated} more than once")
     init = e.initial_belief_theta1
     init_values = init if isinstance(init, tuple) else (init,)
     if isinstance(init, tuple) and len(init) != t.n_agents:

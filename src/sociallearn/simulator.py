@@ -11,9 +11,10 @@ Tabular trajectory format (CSV): one header row, then one row per
 
 It is written a chunk of whole recorded steps at a time, each chunk at most
 ``_CSV_ROWS`` rows (one step when a step alone is more): the beliefs of just
-that chunk are computed, each float column is rendered by one ``repr`` per
-value, and the chunk goes out in one write. So memory stays bounded whatever
-the horizon.
+that chunk are computed, each float column is rendered by one Ryu pass
+(``orjson``) with ``repr`` only for the values orjson lays out differently
+(see ``_render_floats``), and the chunk goes out in one write. So memory stays
+bounded whatever the horizon.
 
 The four JSON documents are built here and rendered by ``render_json``: the
 ``predict`` output (``predict_document``), ``summary.json`` (that document plus
@@ -309,11 +310,31 @@ def write_json(doc: dict, out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _render_floats(x: np.ndarray) -> list[str]:
+    """``repr`` of every value of a non-empty, C-contiguous float64 vector.
+
+    One ``orjson`` call renders the whole vector by Ryu (Adams, PLDI 2018): the
+    shortest decimal that round-trips the exact double, the digits ``repr``
+    prints. Only the layout differs, and only for |x| in [1e-9, 1e-4) and
+    |x| >= 1e16 (orjson ``1e-9``, ``1e16``; ``repr`` ``1e-09``, ``1e+16``) and
+    non-finite values (orjson ``null``). Those tokens are rendered by ``repr``.
+    """
+    import orjson  # only the tabular writer needs it
+
+    tokens = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    a = np.abs(x)
+    same_layout = (a < 1e-9) | ((a >= 1e-4) & (a < 1e16))
+    for i in np.flatnonzero(~same_layout).tolist():
+        tokens[i] = repr(float(x[i]))
+    return tokens
+
+
 def _write_trajectories(fh, result: ExperimentResult) -> None:
     """Every recorded row of every seed, in chunks of at most ``_CSV_ROWS`` rows.
 
-    Floats are rendered by ``repr`` of Python floats (``.tolist()``), the
-    shortest decimal that round-trips the exact double.
+    Each float column of a chunk is rendered by one ``_render_floats`` call:
+    the bytes of ``repr`` of each value, the shortest decimal that round-trips
+    the exact double.
     """
     net = result.scenario.net
     n = net.n_agents
@@ -324,8 +345,8 @@ def _write_trajectories(fh, result: ExperimentResult) -> None:
         for r in range(0, len(traj.steps), per_chunk):
             lam = traj.log_ratio[r : r + per_chunk]
             steps = traj.steps[r : r + per_chunk].repeat(n).tolist()
-            beliefs = map(repr, learning._sigmoid(lam).ravel().tolist())
-            ratios = map(repr, lam.ravel().tolist())
+            beliefs = _render_floats(learning._sigmoid(lam).ravel())
+            ratios = _render_floats(lam.ravel())
             fh.write("".join([
                 f"{step},{head}{b},{x}{tail}"
                 for step, head, b, x in zip(steps, cycle(heads), beliefs, ratios)

@@ -30,6 +30,13 @@ def write(tmp_path, text):
     return str(p)
 
 
+REPEATED_SEEDS = """
+topology: {kind: complete, n_agents: 2}
+agents: {n_malicious: 0, model: {kind: bsc, p: 0.8}}
+experiment: {seeds: [1, 1]}
+"""
+
+
 class TestValidate:
     def test_valid_config(self, capsys):
         assert main(["validate", "--config", cfg_path("minimal_no_attack.yaml")]) == 0
@@ -57,6 +64,12 @@ class TestValidate:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "experiment.seeds must be >= 0" in captured.err
+        assert "ok" not in captured.out
+
+    def test_repeated_seeds_refused(self, tmp_path, capsys):
+        assert main(["validate", "--config", write(tmp_path, REPEATED_SEEDS)]) == 1
+        captured = capsys.readouterr()
+        assert "experiment.seeds must be distinct, got [1] more than once" in captured.err
         assert "ok" not in captured.out
 
 
@@ -94,6 +107,14 @@ class TestRun:
         argv = ["run", "--config", cfg_path("minimal_no_attack.yaml"), "--out", str(tmp_path)]
         assert main(argv + ["--seed", "-1"]) == 1
         assert "experiment.seeds must be >= 0" in capsys.readouterr().err
+
+    def test_repeated_seeds_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", write(tmp_path, REPEATED_SEEDS), "--out", str(out),
+                "--format", "tabular"]
+        assert main(argv) == 1
+        assert "experiment.seeds must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_across_invocations(self, tmp_path):
         argv = [

@@ -77,6 +77,18 @@ output: {format: parquet}
             load_config(text)
         assert len(err.value.violations) >= 5
 
+    def test_repeated_seeds_listed_with_other_violations(self):
+        text = MINIMAL.replace("n_agents: 2", "n_agents: 1") + (
+            "experiment: {horizon: 0, seeds: [4, 1, 4, 2, 1, 4]}\n"
+        )
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(text)
+        assert err.value.violations == [
+            "topology.n_agents must be >= 2",
+            "experiment.horizon must be >= 1",
+            "experiment.seeds must be distinct, got [4, 1] more than once",
+        ]
+
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
     def test_round_trip_identity(self, name):
         cfg = load_config(read_config(name))
@@ -474,6 +486,25 @@ class TestTrajectoryCsv:
         assert np.any((beliefs > 0.0) & (beliefs < np.finfo(float).tiny))  # subnormal
         self.assert_matches_reference(dataclasses.replace(result, trajectories=(traj,)), tmp_path)
 
+    def test_band_edge_log_ratios(self, tmp_path):
+        # both columns on, inside and just outside each edge of the band that
+        # _render_floats hands to repr: |x| in [1e-9, 1e-4) and |x| >= 1e16
+        import dataclasses
+
+        result = run_experiment(load_config(MINIMAL + "experiment: {horizon: 9}\n" + TABULAR))
+        logit = [np.log(edge / (1.0 - edge)) + d for edge in (1e-9, 1e-4) for d in (-1e-6, 1e-6)]
+        lam = np.array(
+            [1e16, -1e16, np.nextafter(1e16, 0.0), -np.nextafter(1e16, 0.0),
+             1e-5, -1e-5, -1e-7, 1e-9, np.nextafter(1e-9, 0.0), -1e-4,
+             np.nextafter(1e-4, 0.0), 1e-10, *logit, -23.03, -9.21]
+        ).reshape(9, 2)
+        traj = dataclasses.replace(result.trajectories[0], steps=np.arange(1, 10), log_ratio=lam)
+        beliefs = traj.belief_theta1()
+        for edge in (1e-9, 1e-4):
+            near = beliefs[np.abs(beliefs / edge - 1.0) < 1e-5]
+            assert near.min() < edge <= near.max()
+        self.assert_matches_reference(dataclasses.replace(result, trajectories=(traj,)), tmp_path)
+
     def test_memory_flat_in_horizon(self, tmp_path):
         import tracemalloc
 
@@ -488,6 +519,26 @@ class TestTrajectoryCsv:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 1.25 * min(peaks)
+
+
+class TestRenderFloats:
+    def test_tokens_are_repr_bytes(self):
+        # over a million seeded doubles, dense at every layout change of repr
+        rng = np.random.default_rng(2018)
+        bits = rng.integers(0, 2**64, size=750_000, dtype=np.uint64).view(np.float64)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 3.0, size=300_000)
+        signs = rng.choice([-1.0, 1.0], size=magnitudes.size)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        neighbours = np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+        )
+        finfo = np.finfo(float)
+        special = [0.0, -0.0, 5e-324, finfo.tiny, finfo.max, np.inf, -np.inf, np.nan]
+        x = np.concatenate(
+            [bits[np.isfinite(bits)], signs * magnitudes, neighbours, -neighbours, special]
+        )
+        assert x.size >= 1_000_000
+        assert simulator._render_floats(x) == list(map(repr, x.tolist()))
 
 
 class TestRunSweep:
