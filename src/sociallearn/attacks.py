@@ -40,8 +40,8 @@ optimality for alphabets of up to 12 symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "distortion_region",
     "known_divergence_attack",
     "multi_adversary_known",
+    "forge_once",
     "one_variable_feasibility",
     "random_attack",
 ]
@@ -668,6 +669,17 @@ def _entry(
     )
 
 
+def forge_once(keys: Sequence[tuple], forge: Callable) -> list:
+    """``[forge(*key) for key in keys]``, calling ``forge`` once per distinct key.
+
+    A forgery is a pure function of its inputs, so adversaries whose inputs
+    are equal get the same result object; the calls run in the order each
+    key first appears, so the first failing adversary raises as before.
+    """
+    once = {key: forge(*key) for key in dict.fromkeys(keys)}
+    return [once[key] for key in keys]
+
+
 def multi_adversary_known(
     models: Sequence[LikelihoodModel],
     centralities: Sequence[float],
@@ -685,6 +697,12 @@ def multi_adversary_known(
     summed adversary centrality in place of the individual one -- useful
     when all adversaries share one observation model and would otherwise
     need a much smaller epsilon.
+
+    The construction runs once per distinct (true model, effective
+    centrality) by :func:`forge_once`: under ``aggregate_centrality``
+    adversaries sharing a model share one construction. Each adversary's
+    entry equals a lone :func:`known_divergence_attack` call and holds its
+    own ``params`` dict.
     """
     if len(models) != len(centralities):
         raise ValueError("one centrality per adversary model required")
@@ -694,8 +712,16 @@ def multi_adversary_known(
             "no forged models can deceive both states: every adversary is uninformative"
         )
     u_total = float(sum(centralities))
+    keys = [
+        (m, u_total if aggregate_centrality else float(u_k))
+        for m, u_k, info in zip(models, centralities, informative)
+        if info
+    ]
+    forged = iter(
+        forge_once(keys, lambda m, u_eff: known_divergence_attack(m, u_eff, s1, s2, eps))
+    )
     entries: list[AttackPlanEntry] = []
-    for m, u_k, info in zip(models, centralities, informative):
+    for m, info in zip(models, informative):
         if not info:
             entries.append(
                 AttackPlanEntry(
@@ -706,8 +732,8 @@ def multi_adversary_known(
                 )
             )
             continue
-        u_eff = u_total if aggregate_centrality else float(u_k)
-        entries.append(known_divergence_attack(m, u_eff, s1, s2, eps))
+        entry = next(forged)  # shared with equal keys; the params dict is not
+        entries.append(replace(entry, params=dict(entry.params)))
     return AttackPlan(entries=tuple(entries))
 
 

@@ -58,10 +58,12 @@ model part (``assemble_scenario``: agents, attack plan, report) is built on
 it. ``build_scenario`` is the two in turn. A sweep's value -> scenario builder
 (``sweep_scenarios``) therefore builds the topology once for a ``bsc_p`` or
 ``epsilon`` sweep, grid and theory root alike, and once per value only for
-``adversary_centrality``. The attack plan forges once per distinct model
-under ``unknown_divergences`` (a shared ``model`` gives every adversary the
-same one); ``random`` draws one stream in adversary order and
-``known_divergences`` forges per adversary, as it reads each one's centrality.
+``adversary_centrality``. The attack plan forges once per distinct input
+(``attacks.forge_once``): per distinct model under ``unknown_divergences``,
+and per distinct (model, effective centrality) under ``known_divergences``,
+where the effective centrality is the summed adversary centrality with
+``aggregate_centrality`` and the adversary's own otherwise. ``random``
+draws one stream in adversary order.
 
 Configs are parsed and echoed by libyaml when the installed PyYAML has it,
 and by PyYAML's pure-Python classes otherwise. Both share one constructor,
@@ -83,6 +85,7 @@ from .analysis import DeceptionReport, deception_verdict, normal_divergence
 from .attacks import (
     AttackPlan,
     AttackPlanEntry,
+    forge_once,
     multi_adversary_known,
     random_attack,
     unknown_divergence_attack,
@@ -382,13 +385,15 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     repeated = [s for s, count in Counter(e.seeds).items() if count > 1]
     if repeated:
         v.append(f"experiment.seeds must be distinct, got {repeated} more than once")
-    init = e.initial_belief_theta1
-    init_values = init if isinstance(init, tuple) else (init,)
-    if isinstance(init, tuple) and len(init) != t.n_agents:
-        v.append("experiment.initial_belief_theta1 list must have one entry per agent")
-    for b in init_values:
+    init, path = e.initial_belief_theta1, "experiment.initial_belief_theta1"
+    beliefs = {path: init}
+    if isinstance(init, tuple):
+        if len(init) != t.n_agents:
+            v.append(f"{path} list must have one entry per agent")
+        beliefs = {f"{path}[{i}]": b for i, b in enumerate(init)}
+    for where, b in beliefs.items():
         if not 0.0 < b < 1.0:
-            v.append("initial beliefs must lie strictly inside (0, 1)")
+            v.append(f"{where} must lie strictly inside (0, 1), got {b!r}")
     sw = cfg.sweep
     if sw is not None:
         if sw.parameter not in _SWEEP_PARAMETERS:
@@ -482,7 +487,8 @@ def build_plan(
     cfg: ExperimentConfig, net: Network, agents: Sequence[AgentConfig], u: np.ndarray
 ) -> AttackPlan | None:
     """Assemble the forged models the configured strategy prescribes for the
-    honest ``agents``."""
+    honest ``agents``; both constructive strategies forge once per distinct
+    input (``forge_once``), as the module docstring sets out."""
     at = cfg.attack
     models = [a.true_model for a in agents]
     malicious = net.malicious_indices
@@ -508,10 +514,7 @@ def build_plan(
         forged = [random_attack(models[k], eps, rng) for k in malicious]
         params = {"seed": at.seed}
     else:
-        # one forgery per distinct model; a shared ``model`` gives every adversary the same
-        distinct = dict.fromkeys(models[k] for k in malicious)
-        once = {m: unknown_divergence_attack(m, eps) for m in distinct}
-        forged = [once[models[k]] for k in malicious]
+        forged = forge_once([(models[k], eps) for k in malicious], unknown_divergence_attack)
         params = {}
     entries = tuple(
         AttackPlanEntry(forged=f, strategy=at.strategy, eps=eps, params=dict(params))

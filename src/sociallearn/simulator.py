@@ -2,7 +2,9 @@
 
 Outputs are fully determined by (config, seeds): no timestamps, stable key
 order, and floats rendered with shortest-round-trip precision, so repeated
-runs produce byte-identical files.
+runs produce byte-identical files. The config includes the output directory:
+``summary.json``, ``sweep.json`` and the ``predict`` document echo
+``output.directory``, so two ``--out`` values give files that differ in it.
 
 Tabular trajectory format (CSV): one header row, then one row per
 (recorded step, agent, seed) with columns

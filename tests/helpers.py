@@ -2,9 +2,10 @@
 the references the log-domain kernel is checked against (the belief-domain
 state and adapt/combine/step, a per-step log-domain loop), the per-column
 uniform combination and the per-row CSV writer the array versions are checked
-against, the closed-form margin of the shared-model centrality family, used as
-an oracle, and a grid search over the floored simplex that the agnostic
-forgery's exact oracle is checked against."""
+against, the per-adversary known-divergence plan the forge-once plan is
+checked against, the closed-form margin of the shared-model centrality
+family, used as an oracle, and a grid search over the floored simplex that the
+agnostic forgery's exact oracle is checked against."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from sociallearn import (
     AgentConfig,
+    AttackPlan,
+    AttackPlanEntry,
     Hypothesis,
     LikelihoodModel,
     Network,
@@ -22,6 +25,7 @@ from sociallearn import (
     expected_log_ratio,
     is_informative,
     kl_divergence,
+    known_divergence_attack,
     make_network,
     make_pmf,
     sample,
@@ -232,6 +236,24 @@ def reference_trajectories_csv(result) -> str:
                     f"{traj.seed}\n"
                 )
     return "".join(rows)
+
+
+# --- per-adversary known-divergence plan ------------------------------------------
+
+def reference_known_plan(models, centralities, s1, s2, eps, aggregate_centrality):
+    """``multi_adversary_known`` with one construction per adversary, in order."""
+    u_total = float(sum(centralities))
+    entries = []
+    for m, u_k in zip(models, centralities):
+        if not is_informative(m):
+            entries.append(AttackPlanEntry(
+                forged=m, strategy="unmodified_uninformative", eps=eps,
+                params={"floor_satisfied": True},
+            ))
+            continue
+        u_eff = u_total if aggregate_centrality else float(u_k)
+        entries.append(known_divergence_attack(m, u_eff, s1, s2, eps))
+    return AttackPlan(entries=tuple(entries))
 
 
 # --- closed-form oracle -----------------------------------------------------------

@@ -21,6 +21,7 @@ from sociallearn import (
     unknown_divergence_attack,
     unknown_divergence_objective,
 )
+from sociallearn import attacks
 from sociallearn.errors import (
     AllUninformativeError,
     DegeneratePairError,
@@ -364,7 +365,68 @@ class TestKnownDivergenceAttack:
             construct(bsc_model(0.9), 0.25, 0.05, 0.05, bad)
 
 
+def _count_constructions(monkeypatch) -> list:
+    """The (model, centrality) pairs ``multi_adversary_known`` hands to
+    ``known_divergence_attack``, in call order."""
+    calls = []
+
+    def counted(model, u_k, s1, s2, eps):
+        calls.append((model, u_k))
+        return known_divergence_attack(model, u_k, s1, s2, eps)
+
+    monkeypatch.setattr(attacks, "known_divergence_attack", counted)
+    return calls
+
+
+def _assert_lone_constructions(plan, models, u_effs, s1, s2, eps):
+    """Each informative entry equals its own construction, and owns its params."""
+    for entry, m, u_eff in zip(plan.entries, models, u_effs, strict=True):
+        if entry.strategy == "unmodified_uninformative":
+            assert entry.forged is m
+            continue
+        lone = known_divergence_attack(m, u_eff, s1, s2, eps)
+        assert entry == lone
+        assert entry.forged.given_theta1.mass == lone.forged.given_theta1.mass
+        assert entry.forged.given_theta2.mass == lone.forged.given_theta2.mass
+    assert len({id(e.params) for e in plan.entries}) == len(plan.entries)
+
+
 class TestMultiAdversary:
+    def test_shared_model_aggregate_forges_once(self, monkeypatch):
+        us = list(np.linspace(0.005, 0.013, 30))  # aggregate 0.27
+        models = [NONSEP] * 30
+        calls = _count_constructions(monkeypatch)
+        plan = multi_adversary_known(models, us, 0.1, 0.12, 1e-5, aggregate_centrality=True)
+        assert calls == [(NONSEP, float(sum(us)))]
+        _assert_lone_constructions(plan, models, [float(sum(us))] * 30, 0.1, 0.12, 1e-5)
+        assert len({id(e.forged) for e in plan.entries}) == 1
+
+    def test_distinct_centralities_forge_per_adversary(self, monkeypatch):
+        us = [0.1, 0.15, 0.2, 0.12, 0.18]
+        models = [bsc_model(0.9)] * 5
+        calls = _count_constructions(monkeypatch)
+        plan = multi_adversary_known(models, us, 0.4, 0.4, 1e-3)
+        assert [u for _, u in calls] == us
+        _assert_lone_constructions(plan, models, us, 0.4, 0.4, 1e-3)
+
+    def test_one_construction_per_informative_model(self, monkeypatch):
+        a, b, flat = bsc_model(0.9), make_model([0.6, 0.3, 0.1], [0.2, 0.3, 0.5]), bsc_model(0.5)
+        b3 = make_model([0.6, 0.3, 0.1], [0.2, 0.3, 0.5])  # equal to b, another object
+        models = [a, b, flat, a, b3, flat, a]
+        us = [0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08]
+        u_total = float(sum(us))
+        calls = _count_constructions(monkeypatch)
+        plan = multi_adversary_known(models, us, 0.2, 0.2, 1e-3, aggregate_centrality=True)
+        assert calls == [(a, u_total), (b, u_total)]
+        _assert_lone_constructions(plan, models, [u_total] * 7, 0.2, 0.2, 1e-3)
+        assert plan.entries[4].forged is plan.entries[1].forged
+
+    def test_mutating_one_entry_leaves_the_others(self):
+        plan = multi_adversary_known([bsc_model(0.8)] * 3, [0.1] * 3, 0.2, 0.2, 1e-3)
+        before = [dict(e.params) for e in plan.entries]
+        plan.entries[0].params["x1"] = 0.0
+        assert [e.params for e in plan.entries[1:]] == before[1:]
+
     def test_all_informative(self):
         models = [bsc_model(0.9)] * 3
         us = [0.1, 0.15, 0.2]

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,24 @@ from sociallearn import (
     run_sweep,
 )
 from sociallearn import attacks, config, simulator
-from sociallearn.analysis import critical_parameter
+from sociallearn.analysis import critical_parameter, normal_divergence
 from sociallearn.config import apply_sweep_value, build_plan
 from sociallearn.errors import ConfigParseError, ConfigValidationError
 from sociallearn.learning import network_average_true_belief
-from sociallearn.simulator import SweepPoint, emit_results, emit_sweep_results
+from sociallearn.simulator import (
+    SweepPoint,
+    attack_document,
+    emit_results,
+    emit_sweep_results,
+    predict_document,
+    render_json,
+)
 
-from helpers import homogeneous_centrality_margin, reference_trajectories_csv
+from helpers import (
+    homogeneous_centrality_margin,
+    reference_known_plan,
+    reference_trajectories_csv,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -88,6 +100,29 @@ output: {format: parquet}
             "experiment.horizon must be >= 1",
             "experiment.seeds must be distinct, got [4, 1] more than once",
         ]
+
+    @pytest.mark.parametrize(
+        "value, violations",
+        [
+            ("[1.5, 0.0]", [
+                "experiment.initial_belief_theta1[0] must lie strictly inside (0, 1), got 1.5",
+                "experiment.initial_belief_theta1[1] must lie strictly inside (0, 1), got 0.0",
+            ]),
+            ("[0.5, 1.0, 0.2]", [
+                "experiment.initial_belief_theta1 list must have one entry per agent",
+                "experiment.initial_belief_theta1[1] must lie strictly inside (0, 1), got 1.0",
+            ]),
+            ("1", ["experiment.initial_belief_theta1 must lie strictly inside (0, 1), got 1.0"]),
+            ("-0.25", [
+                "experiment.initial_belief_theta1 must lie strictly inside (0, 1), got -0.25",
+            ]),
+        ],
+    )
+    def test_bad_initial_beliefs_named_by_path_and_value(self, value, violations):
+        text = MINIMAL + f"experiment: {{initial_belief_theta1: {value}}}\n"
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(text)
+        assert err.value.violations == violations
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
     def test_round_trip_identity(self, name):
@@ -326,6 +361,43 @@ attack: {strategy: random, epsilon: 1.0e-2, seed: 7}
         for k, entry in zip(scenario.net.malicious_indices, scenario.plan.entries):
             model = scenario.agents[k].true_model
             assert entry.forged == attacks.unknown_divergence_attack(model, cfg.attack.epsilon)
+
+    def test_known_divergence_documents_match_per_adversary_plan(self, monkeypatch):
+        # aggregate centrality: the 12 adversaries hold two distinct models
+        models = "".join(
+            f"    - {{kind: bsc, p: {0.9 if k < 12 and k % 2 else 0.8}}}\n" for k in range(60)
+        )
+        cfg = load_config(
+            "topology: {kind: erdos_renyi, n_agents: 60, edge_prob: 0.15, seed: 5}\n"
+            "agents:\n  n_malicious: 12\n  models:\n" + models
+            + "attack: {strategy: known_divergences, epsilon: 1.0e-3, aggregate_centrality: true}\n"
+        )
+        calls = []
+        construct = attacks.known_divergence_attack
+        monkeypatch.setattr(
+            attacks, "known_divergence_attack", lambda *args: calls.append(args) or construct(*args)
+        )
+        scenario = build_scenario(cfg)
+        assert len(calls) == 2
+        net, u = scenario.net, scenario.perron
+        s1, s2 = (normal_divergence(net, scenario.agents, j, u) for j in (1, 2))
+        mal = net.malicious_indices
+        plan = reference_known_plan(
+            [scenario.agents[k].true_model for k in mal], [u[k] for k in mal],
+            s1, s2, cfg.attack.epsilon, aggregate_centrality=True,
+        )
+        forged = dict(zip(mal, (e.forged for e in plan.entries)))
+        agents = tuple(
+            replace(a, forged_model=forged.get(k)) for k, a in enumerate(scenario.agents)
+        )
+        reference = replace(scenario, agents=agents, plan=plan)
+        assert all(e.params["floor_satisfied"] for e in plan.entries)
+        assert render_json(attack_document(cfg, scenario)) == render_json(
+            attack_document(cfg, reference)
+        )
+        assert render_json(predict_document(cfg, scenario, scenario.report())) == render_json(
+            predict_document(cfg, reference, reference.report())
+        )
 
     def test_random_forgeries_stay_per_adversary(self):
         # one stream drawn in adversary order, so a shared model still gets two forgeries
