@@ -329,32 +329,48 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if t.kind not in _TOPOLOGY_KINDS:
         v.append(f"topology.kind must be one of {_TOPOLOGY_KINDS}, got {t.kind!r}")
     if t.n_agents < 2:
-        v.append("topology.n_agents must be >= 2")
+        v.append(f"topology.n_agents must be >= 2, got {t.n_agents!r}")
     if t.kind == "erdos_renyi" and not 0.0 < t.edge_prob <= 1.0:
-        v.append("topology.edge_prob must lie in (0, 1]")
+        v.append(f"topology.edge_prob must lie in (0, 1], got {t.edge_prob!r}")
     if t.kind == "trust_weighted_complete" and not 0.0 < t.trust_weight * a.n_malicious < 1.0:
-        v.append("topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1")
+        v.append(
+            "topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1, "
+            f"got {t.trust_weight!r} with n_malicious {a.n_malicious}"
+        )
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
-        v.append("topology.hub must index an agent")
+        v.append(f"topology.hub must index one of the {t.n_agents} agents, got {t.hub!r}")
     if t.kind == "edge_list":
-        for i, j in t.edges:
+        for e, (i, j) in enumerate(t.edges):
             if not (0 <= i < t.n_agents and 0 <= j < t.n_agents):
-                v.append(f"edge ({i}, {j}) references a missing agent")
+                v.append(f"topology.edges[{e}] must join two of the {t.n_agents} agents, "
+                         f"got [{i}, {j}]")
     if not 0 <= a.n_malicious < t.n_agents:
-        v.append("agents.n_malicious must satisfy 0 <= n_malicious < n_agents")
+        v.append(
+            f"agents.n_malicious must satisfy 0 <= n_malicious < n_agents ({t.n_agents}), "
+            f"got {a.n_malicious!r}"
+        )
     if a.models and len(a.models) != t.n_agents:
-        v.append(f"agents.models must list one model per agent ({t.n_agents})")
+        v.append(
+            f"agents.models must list one model per agent ({t.n_agents}), got {len(a.models)}"
+        )
     if not a.models and a.model is None:
         v.append("agents needs a shared 'model' or a per-agent 'models' list")
-    for m in a.models + ((a.model,) if a.model else ()):
+    if a.models and a.model is not None:  # the agents would read only 'models'
+        v.append("agents takes either a shared 'model' or a per-agent 'models' list, not both")
+    per_agent = [(f"agents.models[{k}]", m) for k, m in enumerate(a.models)]
+    shared = [("agents.model", a.model)] if a.model is not None else []
+    for where, m in per_agent + shared:
         if m.kind not in _MODEL_KEYS:
-            v.append(f"agents model kind must be one of {tuple(_MODEL_KEYS)}, got {m.kind!r}")
+            v.append(f"{where}.kind must be one of {tuple(_MODEL_KEYS)}, got {m.kind!r}")
     models: list[LikelihoodModel] = []
     if not v:
-        try:
-            models = _model_list(cfg)
-        except SocialLearnError as exc:  # a bsc p outside (0, 1), rows that are no PMF
-            v.append(f"agents model: {exc}")
+        for where, m in per_agent or shared:  # the specs the agents' models come from
+            try:
+                models.append(m.build())
+            except SocialLearnError as exc:  # a bsc p outside (0, 1), rows that are no PMF
+                v.append(f"{where}: {exc}")
+        if v:
+            models = []
     at = cfg.attack
     if at.strategy not in _STRATEGIES:
         v.append(f"attack.strategy must be one of {_STRATEGIES}, got {at.strategy!r}")
@@ -366,20 +382,24 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         )
     for name, s in (("s1", at.s1), ("s2", at.s2)):
         if s is not None and (not math.isfinite(s) or s < 0.0):
-            v.append(f"attack.{name} must be finite and >= 0")
+            v.append(f"attack.{name} must be finite and >= 0, got {s!r}")
     e = cfg.experiment
-    for name, seeds in (("topology.seed", [t.seed]), ("attack.seed", [at.seed]),
-                        ("experiment.seeds", e.seeds)):
-        if any(s < 0 for s in seeds):
-            v.append(f"{name} must be >= 0")
+    for name, seed in (("topology.seed", t.seed), ("attack.seed", at.seed)):
+        if seed < 0:
+            v.append(f"{name} must be >= 0, got {seed!r}")
+    negative = [s for s in e.seeds if s < 0]
+    if negative:
+        v.append(f"experiment.seeds must be >= 0, got {negative}")
     try:
         Hypothesis.from_name(e.theta_true)
     except Exception:
         v.append(f"experiment.theta_true must be theta1 or theta2, got {e.theta_true!r}")
     if e.horizon < 1:
-        v.append("experiment.horizon must be >= 1")
+        v.append(f"experiment.horizon must be >= 1, got {e.horizon!r}")
     if e.stride < 0:
-        v.append("experiment.stride must be >= 0 (0 disables trajectory records)")
+        v.append(
+            f"experiment.stride must be >= 0 (0 disables trajectory records), got {e.stride!r}"
+        )
     if not e.seeds:
         v.append("experiment.seeds must be non-empty")
     repeated = [s for s, count in Counter(e.seeds).items() if count > 1]
@@ -389,7 +409,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     beliefs = {path: init}
     if isinstance(init, tuple):
         if len(init) != t.n_agents:
-            v.append(f"{path} list must have one entry per agent")
+            v.append(f"{path} list must have one entry per agent ({t.n_agents}), got {len(init)}")
         beliefs = {f"{path}[{i}]": b for i, b in enumerate(init)}
     for where, b in beliefs.items():
         if not 0.0 < b < 1.0:
@@ -399,23 +419,31 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if sw.parameter not in _SWEEP_PARAMETERS:
             v.append(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}, got {sw.parameter!r}")
         if not sw.values:
-            v.append("sweep grid is empty")
+            v.append("sweep.values must be non-empty")
         if sw.parameter == "bsc_p":
             if a.model is None or a.model.kind != "bsc":
-                v.append("sweep over bsc_p needs a shared bsc agent model")
-            if any(not 0.5 < p < 1.0 for p in sw.values):
-                v.append("bsc_p sweep values must lie in (0.5, 1)")
+                v.append("agents.model must be a shared bsc model for a bsc_p sweep")
+            v.extend(
+                f"sweep.values[{k}] must lie in (0.5, 1) for bsc_p, got {x!r}"
+                for k, x in enumerate(sw.values) if not 0.5 < x < 1.0
+            )
         if sw.parameter == "epsilon" and min_alphabet and at.strategy != "none":
-            if any(not 0.0 < x < 1.0 / min_alphabet for x in sw.values):
-                v.append(f"sweep.values must lie in (0, 1/{min_alphabet}) for epsilon")
+            v.extend(
+                f"sweep.values[{k}] must lie in (0, 1/{min_alphabet}) for epsilon, got {x!r}"
+                for k, x in enumerate(sw.values) if not 0.0 < x < 1.0 / min_alphabet
+            )
         if sw.parameter == "adversary_centrality":
             if t.kind != "trust_weighted_complete":
                 v.append(
-                    "sweep over adversary_centrality needs the "
-                    "trust_weighted_complete topology family"
+                    "topology.kind must be trust_weighted_complete for an "
+                    f"adversary_centrality sweep, got {t.kind!r}"
                 )
-            elif any(not 0.0 < x * a.n_malicious < 1.0 for x in sw.values):
-                v.append("sweep.values (trust weights) must lie in (0, 1/n_malicious)")
+            else:
+                v.extend(
+                    f"sweep.values[{k}] must lie in (0, 1/n_malicious) as a trust weight, "
+                    f"got {x!r} with n_malicious {a.n_malicious}"
+                    for k, x in enumerate(sw.values) if not 0.0 < x * a.n_malicious < 1.0
+                )
     if cfg.output.format not in _FORMATS:
         v.append(f"output.format must be one of {_FORMATS}, got {cfg.output.format!r}")
     return v

@@ -18,31 +18,42 @@ sweep grid) times S seeds: ``run`` and ``run_finals`` are its one-scenario
 calls, and the simulator hands it a whole sweep grid, or every seed of an
 experiment, in one call.
 
-The kernel holds the state as a ``(G, S, n, 1)`` stack and steps it with
-``at @ (lam + llr_i)``, ``at`` being the ``(G, 1, n, n)`` stack of transposed
-combination matrices. numpy makes one BLAS matrix-vector product per
-(scenario, seed) for that, the same call a lone run gets, so every column is
-bit-identical whatever stack it runs in. (Neither ``einsum`` nor one
-``(n, seeds)`` matrix product keeps those bits.)
+The kernel holds the state as a ``(G, n, S)`` stack, one column per seed,
+and steps it with ``at @ (lam + llr_i)``, ``at`` being the ``(G, n, n)``
+stack of transposed combination matrices: numpy makes one BLAS dgemm per
+scenario over all its seeds. A lone seed is stepped beside a zero column,
+since numpy hands a one-column product to gemv, whose bits differ from
+dgemm's. The bits promise two tiers:
+
+* the same call gives the same bits, whatever the stack around it: a
+  scenario's dgemm has the same operands in a sweep grid as in its own
+  ``run_finals``, in any chunk of the grid and with any block length;
+* a seed's column is bit-identical whatever other seeds share its product
+  (``run`` against a column of ``run_finals``, a chunk of seeds against the
+  whole list) only because dgemm computes each output column independently
+  of the other columns. OpenBLAS does (checked from n = 2 to 300 with 2 to
+  40 columns, on 1 and 2 threads); ``tests/test_learning.py`` checks it on
+  the BLAS at hand.
 
 Symbols are drawn and turned into log-likelihood ratios a block of steps at
 a time, with two block lengths. A *draw block* of each (seed, agent) stream's
-uniforms, an ``(S, n, steps)`` array, is drawn by one generator call per
-stream; a *ratio block*, a ``(G', S, n, steps)`` array of log-likelihood
-ratios, is mapped from a slice of it. Each length is at most
-``_BLOCK_STEPS`` steps and at most ``_BLOCK_ELEMENTS`` values (one step when
-a step alone is more), and a draw block is a whole number of ratio blocks,
-so memory stays O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Every
-scenario maps the uniforms through its own inverse CDF
-(``probability._inverse_cdf``, the one ``sample`` uses), which selects
-log-likelihood ratios out of per-agent tables bit for bit, without
-arithmetic. The tables hold one row per distinct (true, inference) model
-pair, and their scenario axis ``G'`` is 1 when every scenario's agents are
-equal (say, a grid that moves only the network), so one ratio block then
-serves the whole stack by broadcasting. No block length changes the bits: a
-stream's uniforms are the same however they are split. The check for a
-realized symbol of zero likelihood scans each block only when some table
-entry is infinite, since otherwise no realized ratio can be.
+uniforms is drawn by one generator call per stream into a ``(steps, n, S)``
+array; a *ratio block*, a ``(G', steps, n, S)`` array of log-likelihood
+ratios, is mapped from a slice of it, so each step's ratios are one
+contiguous slice. Each length is at most ``_BLOCK_STEPS`` steps and at most
+``_BLOCK_ELEMENTS`` values (one step when a step alone is more), and a draw
+block is a whole number of ratio blocks, so memory stays
+O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Every scenario maps the
+uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
+``sample`` uses), which selects log-likelihood ratios out of per-agent
+tables bit for bit, without arithmetic, along whole (agent, seed) rows. The
+tables hold one row per distinct (true, inference) model pair, and their
+scenario axis ``G'`` is 1 when every scenario's agents are equal (say, a
+grid that moves only the network), so one ratio block then serves the whole
+stack by broadcasting. No block length changes the bits: a stream's
+uniforms are the same however they are split. The check for a realized
+symbol of zero likelihood scans each block only when some table entry is
+infinite, since otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -126,16 +137,18 @@ class Trajectory:
 
 
 def _symbol_tables(
-    agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis
+    agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis, n_seeds: int
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Inverse-CDF inputs for a stack of scenarios, symbols on the leading axis.
 
-    Returns ``cum`` of shape ``(A - 1, G', 1, n, 1)`` (each agent's cumulative
-    true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, 1)``
+    Returns ``cum`` of shape ``(A - 1, G', 1, n, S)`` (each agent's cumulative
+    true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, S)``
     (symbol -> ln(inference(theta1)/inference(theta2))) with ``A`` the
     largest alphabet, and whether every table entry is finite. ``G'`` is 1
     when every scenario's agents are equal, else the scenario count; each
-    distinct (true, inference) model pair is tabulated once.
+    distinct (true, inference) model pair is tabulated once. Every agent's
+    entry is repeated for each of the ``S = n_seeds`` seeds, so that the
+    inverse CDF compares along whole contiguous (agent, seed) rows.
     """
     if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
         agent_lists = agent_lists[:1]
@@ -154,8 +167,10 @@ def _symbol_tables(
         llr[p, : len(table)] = table
         cum[p, : len(pmf) - 1] = np.cumsum(pmf)[:-1]
 
-    def by_agent(per_pair: np.ndarray) -> np.ndarray:  # (G', n, A) -> (A, G', 1, n, 1)
-        return np.ascontiguousarray(np.moveaxis(per_pair[rows], -1, 0)[:, :, None, :, None])
+    def by_agent(per_pair: np.ndarray) -> np.ndarray:  # (G', n, A) -> (A, G', 1, n, S)
+        per_symbol = np.moveaxis(per_pair[rows], -1, 0)[:, :, None, :, None]
+        per_seed = np.broadcast_to(per_symbol, per_symbol.shape[:-1] + (n_seeds,))
+        return np.ascontiguousarray(per_seed)
 
     return by_agent(cum), by_agent(llr), bool(np.all(np.isfinite(llr)))
 
@@ -196,38 +211,47 @@ def _simulate(
     if any(net.n_agents != n for net in nets) or any(len(a) != n for a in agent_lists):
         raise ValueError("agents list must match the network size")
     keys = range(n) if agent_keys is None else agent_keys
-    cum, tables, finite = _symbol_tables(agent_lists, theta_true)
     rngs = [[np.random.default_rng((int(seed), int(key))) for key in keys] for seed in seeds]
+    cum, tables, finite = _symbol_tables(agent_lists, theta_true, len(rngs))
     b = np.broadcast_to(np.asarray(init, dtype=float), (n,))
     if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too
         raise ValueError("initial beliefs must lie strictly inside (0, 1)")
     n_grid, n_seeds = len(nets), len(rngs)
-    lam = np.tile((np.log(b) - np.log1p(-b))[:, None], (n_grid, n_seeds, 1, 1))
+    # the seeds' columns, then a zero column when there is one seed, so that
+    # every product is a dgemm
+    lam = np.zeros((n_grid, n, max(n_seeds, 2)))
+    seed_cols = lam[..., :n_seeds]
+    seed_cols[...] = (np.log(b) - np.log1p(-b))[:, None]
+    summed = np.zeros_like(lam)
+    summed_cols = summed[..., :n_seeds]
 
     steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
     records = np.empty((n_grid, n_seeds, len(steps), n))
-    # each matrix keeps the strides of ``net.combination.T``, so each gemv is a lone run's
-    at = np.stack([net.combination for net in nets])[:, None].swapaxes(-1, -2)
+    # each matrix keeps the strides of ``net.combination.T``, so each dgemm is a lone run's
+    at = np.stack([net.combination for net in nets]).swapaxes(-1, -2)
     ratio, draw = _block_lengths(tables.shape[1], n_seeds * n, horizon)
-    u = np.empty((n_seeds, n, draw))
-    llr = np.empty((tables.shape[1], n_seeds, n, ratio))
+    u = np.empty((n, draw))
+    uniforms = np.empty((draw, n, n_seeds))
+    llr = np.empty((tables.shape[1], ratio, n, n_seeds))
     for start in range(0, horizon, draw):
         drawn = min(draw, horizon - start)
         for s, seed_rngs in enumerate(rngs):
             for k, rng in enumerate(seed_rngs):
-                rng.random(out=u[s, k, :drawn])
+                rng.random(out=u[k, :drawn])
+            uniforms[:drawn, :, s] = u[:, :drawn].T
         for off in range(0, drawn, ratio):
             size = min(ratio, drawn - off)
-            _inverse_cdf(cum, tables, u[..., off : off + size], llr[..., :size])
-            if not finite and not np.all(np.isfinite(llr[..., :size])):
+            _inverse_cdf(cum, tables, uniforms[off : off + size], llr[:, :size])
+            if not finite and not np.all(np.isfinite(llr[:, :size])):
                 raise ZeroLikelihoodError(
                     "an inference model assigns zero likelihood to a realized symbol"
                 )
             for j, i in enumerate(range(start + off + 1, start + off + size + 1)):
-                lam = at @ (lam + llr[..., j : j + 1])
+                np.add(seed_cols, llr[:, j], out=summed_cols)
+                np.matmul(at, summed, out=lam)
                 if stride > 0 and i % stride == 0:
-                    records[:, :, i // stride - 1] = lam[..., 0]
-    return steps, records, lam[..., 0]
+                    records[:, :, i // stride - 1] = seed_cols.swapaxes(-1, -2)
+    return steps, records, np.ascontiguousarray(seed_cols.swapaxes(-1, -2))
 
 
 def _trajectories(
@@ -287,9 +311,13 @@ def run_finals(
 ) -> np.ndarray:
     """Final log-ratio matrix (n_agents, n_seeds) for a batch of seeds.
 
-    Column ``s`` is bit-identical to ``run(..., seed=seeds[s]).final_log_ratio``:
-    both are the same kernel, and each seed of the stack gets its own gemv.
-    The matrix is C-contiguous, so reductions over it sum in a fixed order.
+    The same call gives the same bits, in a sweep grid as alone. Column ``s``
+    is bit-identical to ``run(..., seed=seeds[s]).final_log_ratio`` and to the
+    column of any other seed list holding ``seeds[s]``: every seed is a column
+    of one dgemm per step (a lone seed beside a zero column), and the BLAS
+    computes each output column independently of the others (see the module
+    docstring). The matrix is C-contiguous, so reductions over it sum in a
+    fixed order.
     """
     _, _, finals = _simulate(
         [net], [agents], theta_true, horizon, seeds, 0, initial_belief_theta1, None

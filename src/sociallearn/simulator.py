@@ -123,8 +123,11 @@ def _in_chunks(fn, items: Sequence, jobs: int) -> list:
     """``fn`` over at most ``jobs`` contiguous chunks of ``items``, in order.
 
     One chunk runs in this process; more run in a pool of worker processes,
-    one chunk each. Every (scenario, seed) pair gets the same gemv in any
-    chunk, so the results do not depend on ``jobs``.
+    one chunk each. A chunk of grid points gives each point the same dgemm
+    over the same seeds as the whole grid does. A chunk of seeds gives each
+    seed a column of a narrower dgemm (a lone seed beside a zero column), the
+    same bits given a BLAS that computes each output column on its own (see
+    ``learning``). So the results do not depend on ``jobs``.
     """
     k = min(jobs, len(items))
     if k <= 1:

@@ -100,7 +100,7 @@ def reference_run(net, agents, theta_true, horizon, seed, stride):
     lam = BeliefState.from_belief_theta1(np.full(net.n_agents, 0.5)).log_ratio.copy()
     records = []
     for i in range(1, horizon + 1):
-        lam = at @ (lam + llr[i - 1])
+        lam = (at @ np.column_stack([lam + llr[i - 1], np.zeros_like(lam)]))[:, 0]
         if i % stride == 0:
             records.append(lam)
     return np.array(records), lam

@@ -37,6 +37,14 @@ experiment: {seeds: [1, 1]}
 """
 
 
+THREE_SEEDS = """
+topology: {kind: erdos_renyi, n_agents: 15, edge_prob: 0.25, seed: 28}
+agents: {n_malicious: 4, model: {kind: bsc, p: 0.8}}
+attack: {strategy: unknown_divergences, epsilon: 5.0e-3}
+experiment: {horizon: 120, seeds: [4, 0, 9], stride: 7}
+"""
+
+
 class TestValidate:
     def test_valid_config(self, capsys):
         assert main(["validate", "--config", cfg_path("minimal_no_attack.yaml")]) == 0
@@ -48,6 +56,83 @@ class TestValidate:
         path = write(tmp_path, "topology: {kind: complete, n_agents: 1}\n")
         assert main(["validate", "--config", path]) == 1
         assert "n_agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, violations",
+        [
+            pytest.param(
+                "topology: {kind: edge_list, n_agents: 3, edges: [[0, 1], [1, 7], [2, 0]]}\n"
+                "agents: {model: {kind: bsc, p: 0.8}}\n",
+                ["topology.edges[1] must join two of the 3 agents, got [1, 7]"],
+                id="edge",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 3}\n"
+                "agents: {model: {kind: bsc, p: 0.8}}\n"
+                "sweep: {parameter: bsc_p, values: [0.6, 1.2]}\n",
+                ["sweep.values[1] must lie in (0.5, 1) for bsc_p, got 1.2"],
+                id="bsc_p",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 2}\n"
+                "agents: {models: [{kind: rows, theta1: [0.9, 0.1], theta2: [0.2, 0.8]},"
+                " {kind: bsc, p: 0.8}]}\n"
+                "sweep: {parameter: bsc_p, values: []}\n",
+                ["sweep.values must be non-empty",
+                 "agents.model must be a shared bsc model for a bsc_p sweep"],
+                id="bsc_p-needs",
+            ),
+            pytest.param(
+                "topology: {kind: ring, n_agents: 4}\n"
+                "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n"
+                "sweep: {parameter: adversary_centrality, values: [0.1]}\n",
+                ["topology.kind must be trust_weighted_complete for an adversary_centrality "
+                 "sweep, got 'ring'"],
+                id="centrality-needs",
+            ),
+            pytest.param(
+                "topology: {kind: trust_weighted_complete, n_agents: 4, trust_weight: 0.1}\n"
+                "agents: {n_malicious: 2, model: {kind: bsc, p: 0.8}}\n"
+                "sweep: {parameter: adversary_centrality, values: [0.7, 0.2]}\n",
+                ["sweep.values[0] must lie in (0, 1/n_malicious) as a trust weight, "
+                 "got 0.7 with n_malicious 2"],
+                id="trust-weight",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 2}\n"
+                "agents: {model: {kind: bsc, p: 1.5}}\n",
+                ["agents.model: BSC probability must lie in (0, 1), got 1.5"],
+                id="shared-model",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 3}\n"
+                "agents:\n"
+                "  models: [{kind: bsc, p: 0.8}, {kind: bsc, p: 1.3}, {kind: dice}]\n",
+                ["agents.models[2].kind must be one of ('bsc', 'rows'), got 'dice'"],
+                id="model-kind",
+            ),
+            pytest.param(
+                # a bsc_p sweep would move the shared model, which no agent reads
+                "topology: {kind: complete, n_agents: 2}\n"
+                "agents: {model: {kind: bsc, p: 0.6}, models: [{kind: bsc, p: 0.9},"
+                " {kind: bsc, p: 0.9}]}\n",
+                ["agents takes either a shared 'model' or a per-agent 'models' list, not both"],
+                id="model-and-models",
+            ),
+            pytest.param(
+                "topology: {kind: star, n_agents: 1, hub: 4}\n"
+                "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
+                ["topology.n_agents must be >= 2, got 1",
+                 "topology.hub must index one of the 1 agents, got 4",
+                 "agents.n_malicious must satisfy 0 <= n_malicious < n_agents (1), got 1"],
+                id="scalars",
+            ),
+        ],
+    )
+    def test_violation_names_its_path_and_value(self, tmp_path, capsys, text, violations):
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert [line.strip() for line in err.splitlines()[1:]] == violations
 
     def test_wrong_type_exits_1_without_traceback(self, tmp_path):
         path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")
@@ -151,6 +236,17 @@ class TestJobs:
         for jobs in ("1", "2"):
             assert main(argv + ["--jobs", jobs]) == 0
             blobs.append({name: (tmp_path / name).read_bytes() for name in names})
+        assert blobs[0] == blobs[1]
+
+    def test_one_seed_per_worker_writes_the_same_bytes(self, tmp_path):
+        # each worker steps its lone seed beside a zero column
+        cfg = write(tmp_path, THREE_SEEDS)
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "tabular"]
+        names = ("trajectories.csv", "summary.json")
+        blobs = []
+        for jobs in ("1", "3"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            blobs.append({name: (tmp_path / "out" / name).read_bytes() for name in names})
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -168,6 +168,19 @@ class TestRun:
                 traj = run(net, agents, Hypothesis.THETA1, horizon=150, seed=seed)
                 assert np.array_equal(finals[:, col], traj.final_log_ratio)
 
+    def test_lone_seed_finals_match_a_ten_seed_column(self):
+        # a lone seed is stepped beside a zero column, ten seeds as ten columns
+        rng = np.random.default_rng(19)
+        net = random_network(rng, 15, n_malicious=3)
+        models = [random_model(rng, 3) for _ in range(15)]
+        forged = {k: unknown_divergence_attack(models[k], 1e-2) for k in range(3)}
+        agents = agents_for(net, models, forged)
+        seeds = list(range(10))
+        finals = run_finals(net, agents, Hypothesis.THETA2, horizon=200, seeds=seeds)
+        for col, seed in enumerate(seeds):
+            lone = run_finals(net, agents, Hypothesis.THETA2, horizon=200, seeds=[seed])
+            assert np.array_equal(lone[:, 0], finals[:, col])
+
     def test_blocks_match_per_step_loop(self):
         # a horizon over several symbol blocks, and a stride that does not divide a block
         rng = np.random.default_rng(18)
@@ -237,6 +250,26 @@ class TestRun:
         finals = run_finals(net, agents, Hypothesis.THETA1, 5000, seeds=range(20))
         empirical = float(np.mean(-finals / 5000.0))
         assert abs(empirical - predicted) <= 0.05 * abs(predicted)
+
+
+@pytest.mark.parametrize("n", [2, 5, 15, 200])
+def test_blas_computes_each_column_on_its_own(n):
+    # the kernel's cross-seed bits rest on this: each seed is a column of one
+    # dgemm, and a lone seed is one column beside a zero column
+    rng = np.random.default_rng(n)
+    at = random_network(rng, n).combination.T
+    for width in range(2, 13):
+        x = rng.standard_normal((n, width))
+        full = at @ x
+        for col in range(width):
+            beside_zero = np.zeros((n, 2))
+            beside_zero[:, 0] = x[:, col]
+            assert np.array_equal(full[:, col], (at @ beside_zero)[:, 0]), (
+                f"column {col} of {width} at n = {n} differs from the same column beside a "
+                "zero column: the kernel needs a BLAS dgemm that computes each output column "
+                "independently of the others, or its seeds' bits depend on which seeds share "
+                "a run"
+            )
 
 
 def mixed_grid(seed: int, n: int = 5, points: int = 4):
@@ -345,17 +378,17 @@ class TestStack:
         models = [random_model(rng, 3) for _ in range(5)]
         forged = unknown_divergence_attack(models[0], 1e-2)
         agent_lists = [agents_for(net, models, {0: forged}) for net in nets]
-        cum, llr, finite = _symbol_tables(agent_lists, Hypothesis.THETA1)
-        assert cum.shape == (2, 1, 1, 5, 1) and llr.shape == (3, 1, 1, 5, 1) and finite
+        cum, llr, finite = _symbol_tables(agent_lists, Hypothesis.THETA1, 2)
+        assert cum.shape == (2, 1, 1, 5, 2) and llr.shape == (3, 1, 1, 5, 2) and finite
         _, _, finals = _simulate(nets, agent_lists, Hypothesis.THETA1, 200, [0, 5], 0, 0.5, None)
         for g, net in enumerate(nets):
             lone = run_finals(net, agent_lists[g], Hypothesis.THETA1, horizon=200, seeds=[0, 5])
             assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
         # equal forgeries built apart count as equal; a different one does not
         rebuilt = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 1e-2)})]
-        assert _symbol_tables(agent_lists[:1] + rebuilt, Hypothesis.THETA1)[0].shape[1] == 1
+        assert _symbol_tables(agent_lists[:1] + rebuilt, Hypothesis.THETA1, 2)[0].shape[1] == 1
         other = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 2e-2)})]
-        assert _symbol_tables(agent_lists[:1] + other, Hypothesis.THETA1)[0].shape[1] == 2
+        assert _symbol_tables(agent_lists[:1] + other, Hypothesis.THETA1, 2)[0].shape[1] == 2
 
     def test_memory_bounded_and_flat_in_horizon(self):
         import tracemalloc

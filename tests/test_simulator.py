@@ -96,8 +96,8 @@ output: {format: parquet}
         with pytest.raises(ConfigValidationError) as err:
             load_config(text)
         assert err.value.violations == [
-            "topology.n_agents must be >= 2",
-            "experiment.horizon must be >= 1",
+            "topology.n_agents must be >= 2, got 1",
+            "experiment.horizon must be >= 1, got 0",
             "experiment.seeds must be distinct, got [4, 1] more than once",
         ]
 
@@ -109,7 +109,7 @@ output: {format: parquet}
                 "experiment.initial_belief_theta1[1] must lie strictly inside (0, 1), got 0.0",
             ]),
             ("[0.5, 1.0, 0.2]", [
-                "experiment.initial_belief_theta1 list must have one entry per agent",
+                "experiment.initial_belief_theta1 list must have one entry per agent (2), got 3",
                 "experiment.initial_belief_theta1[1] must lie strictly inside (0, 1), got 1.0",
             ]),
             ("1", ["experiment.initial_belief_theta1 must lie strictly inside (0, 1), got 1.0"]),
@@ -154,7 +154,7 @@ output: {format: parquet}
                     "attack": {"strategy": "unknown_divergences", "epsilon": 0.01},
                     "sweep": {"parameter": "epsilon", "values": [0.01, 0.7]},
                 },
-                ["sweep.values"],
+                ["sweep.values[1]"],
                 id="epsilon-sweep-range",
             ),
             pytest.param({"topology": {"n_agent": 15}}, ["topology.n_agent"], id="unknown-key"),
