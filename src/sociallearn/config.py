@@ -125,6 +125,8 @@ _SWEEP_PARAMETERS = ("bsc_p", "epsilon", "adversary_centrality")
 _FORMATS = ("structured", "tabular")
 #: the keys each model kind reads, and the only ones it echoes
 _MODEL_KEYS = {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}
+#: most points a ``sweep.grid`` expands to; each point runs every seed
+_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -307,18 +309,29 @@ def _refuse(path: str, wanted: str, value: Any, violations: list[str]) -> None:
 
 
 def _expand_grid(sweep: dict, violations: list[str]) -> dict:
-    """``sweep`` with its ``grid: {start, stop, step}`` shorthand turned into ``values``."""
+    """``sweep`` with its ``grid: {start, stop, step}`` shorthand turned into ``values``.
+
+    The point count is worked out before any value is built, and a grid of
+    more than ``_GRID_POINTS`` points is refused.
+    """
     grid = sweep["grid"]
     sweep = {key: item for key, item in sweep.items() if key != "grid"}
     if "values" in sweep:
         violations.append("sweep takes either 'values' or 'grid', not both")
     try:
         start, stop, step = (float(grid[key]) for key in ("start", "stop", "step"))
-        count = int(round((stop - start) / step)) + 1
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
-        violations.append("sweep.grid needs numeric start, stop and a non-zero step")
+    except (KeyError, TypeError, ValueError):
+        start = stop = step = math.nan
+    if not all(map(math.isfinite, (start, stop, step))) or step == 0.0:
+        violations.append("sweep.grid needs finite start, stop and a non-zero step")
         return sweep
-    sweep["values"] = [round(start + i * step, 12) for i in range(count)]
+    span = (stop - start) / step  # inf when it overflows
+    if span + 1.0 > _GRID_POINTS:
+        violations.append(
+            f"sweep.grid gives {span + 1.0:.6g} points, more than the {_GRID_POINTS} allowed"
+        )
+        return sweep
+    sweep["values"] = [round(start + i * step, 12) for i in range(round(max(span, -1.0)) + 1)]
     return sweep
 
 

@@ -57,7 +57,9 @@ infinite, since otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
-their keys permutes trajectories identically.
+their keys permutes trajectories identically. The kernel hands that entropy
+to ``default_rng`` as the ``uint32`` words ``SeedSequence`` reads from the
+tuple (``_stream_entropy``), which draws the same and skips the coercion.
 """
 
 from __future__ import annotations
@@ -175,6 +177,23 @@ def _symbol_tables(
     return by_agent(cum), by_agent(llr), bool(np.all(np.isfinite(llr)))
 
 
+def _stream_entropy(seed: int, key: int) -> np.ndarray:
+    """The ``uint32`` words ``SeedSequence`` reads from ``(seed, key)``.
+
+    Each non-negative int is its little-endian 32-bit words (0 is ``[0]``),
+    ``seed``'s first. ``default_rng`` draws the same from them as from the
+    tuple, without coercing the tuple.
+    """
+    words = []
+    for x in (int(seed), int(key)):
+        if x < 0:
+            raise ValueError(f"a stream seed must be a non-negative integer, got {x}")
+        words.append(x & 0xFFFFFFFF)
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _block_lengths(n_tables: int, per_step: int, horizon: int) -> tuple[int, int]:
     """``(ratio, draw)``: the steps of a ratio block and of a draw block.
 
@@ -211,7 +230,7 @@ def _simulate(
     if any(net.n_agents != n for net in nets) or any(len(a) != n for a in agent_lists):
         raise ValueError("agents list must match the network size")
     keys = range(n) if agent_keys is None else agent_keys
-    rngs = [[np.random.default_rng((int(seed), int(key))) for key in keys] for seed in seeds]
+    rngs = [[np.random.default_rng(_stream_entropy(seed, key)) for key in keys] for seed in seeds]
     cum, tables, finite = _symbol_tables(agent_lists, theta_true, len(rngs))
     b = np.broadcast_to(np.asarray(init, dtype=float), (n,))
     if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too

@@ -15,8 +15,12 @@ It is written a chunk of whole recorded steps at a time, each chunk at most
 ``_CSV_ROWS`` rows (one step when a step alone is more): the beliefs of just
 that chunk are computed, each float column is rendered by one Ryu pass
 (``orjson``) with ``repr`` only for the values orjson lays out differently
-(see ``_render_floats``), and the chunk goes out in one write. So memory stays
-bounded whatever the horizon.
+(see ``_render_floats``), and the chunk goes out in one write. The chunk's
+text is assembled column by column (``_csv_chunk``): one list of six pieces
+per row, each kind of piece set by one slice assignment, then one
+``"".join``, so no Python code runs per row. Nothing is kept from one chunk or
+seed to the next, so memory stays bounded whatever the horizon and the seed
+count.
 
 The four JSON documents are built here and rendered by ``render_json``: the
 ``predict`` output (``predict_document``), ``summary.json`` (that document plus
@@ -30,7 +34,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, cycle
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -335,27 +339,36 @@ def _render_floats(x: np.ndarray) -> list[str]:
 
 
 def _write_trajectories(fh, result: ExperimentResult) -> None:
-    """Every recorded row of every seed, in chunks of at most ``_CSV_ROWS`` rows.
-
-    Each float column of a chunk is rendered by one ``_render_floats`` call:
-    the bytes of ``repr`` of each value, the shortest decimal that round-trips
-    the exact double.
-    """
+    """Every recorded row of every seed, in chunks of at most ``_CSV_ROWS`` rows."""
     net = result.scenario.net
     n = net.n_agents
-    heads = [f"{k},{net.roles[k].value}," for k in range(n)]
+    heads = [f",{k},{net.roles[k].value}," for k in range(n)]
     per_chunk = max(1, _CSV_ROWS // n)
     for traj in result.trajectories:
         tail = f",{traj.seed}\n"
         for r in range(0, len(traj.steps), per_chunk):
-            lam = traj.log_ratio[r : r + per_chunk]
-            steps = traj.steps[r : r + per_chunk].repeat(n).tolist()
-            beliefs = _render_floats(learning._sigmoid(lam).ravel())
-            ratios = _render_floats(lam.ravel())
-            fh.write("".join([
-                f"{step},{head}{b},{x}{tail}"
-                for step, head, b, x in zip(steps, cycle(heads), beliefs, ratios)
-            ]))
+            chunk = slice(r, r + per_chunk)
+            fh.write(_csv_chunk(traj.steps[chunk], traj.log_ratio[chunk], heads, tail))
+
+
+def _csv_chunk(steps: np.ndarray, lam: np.ndarray, heads: list[str], tail: str) -> str:
+    """The rows of ``len(steps)`` recorded steps, ``lam`` their ``(steps, n)`` log ratios.
+
+    A row is six pieces: the step, its ``,agent,role,`` head, the belief, ``,``,
+    the log ratio and the tail (``,seed`` and the newline). Each kind of piece
+    is set into one list by one slice assignment and the list is joined once,
+    so no Python code runs per row. Each float column is one ``_render_floats``
+    call, so every float is written as the bytes of its ``repr``. The pieces
+    are freed on return, before the write encodes its copy of the text.
+    """
+    rows = lam.size
+    pieces = [","] * (6 * rows)
+    pieces[0::6] = chain.from_iterable(repeat(s, len(heads)) for s in map(str, steps.tolist()))
+    pieces[1::6] = heads * len(steps)
+    pieces[2::6] = _render_floats(learning._sigmoid(lam).ravel())
+    pieces[4::6] = _render_floats(lam.ravel())
+    pieces[5::6] = [tail] * rows
+    return "".join(pieces)
 
 
 def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from sociallearn.cli import main
-from sociallearn.config import load_config
+from sociallearn.config import _GRID_POINTS, load_config
+from sociallearn.errors import ConfigValidationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml"))
@@ -133,6 +135,29 @@ class TestValidate:
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         err = capsys.readouterr().err
         assert [line.strip() for line in err.splitlines()[1:]] == violations
+
+    @pytest.mark.parametrize("stop, count", [("1.0e+3", "199997"), ("1.0e+308", "inf")])
+    def test_oversized_grid_refused_before_expanding(self, tmp_path, capsys, stop, count):
+        # 1e+308 overflows the point count to inf
+        with open(cfg_path("sweep_centrality.yaml"), encoding="utf-8") as fh:
+            text = fh.read().replace("stop: 0.24", f"stop: {stop}")
+        t0 = time.perf_counter()
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"  sweep.grid gives {count} points, more than the {_GRID_POINTS} allowed"
+        ]
+
+    def test_grid_of_the_most_points_expands(self):
+        text = (
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            "sweep: {parameter: bsc_p, grid: {start: 0.55, stop: 0.95, step: %r}}\n"
+        )
+        step = 0.4 / (_GRID_POINTS - 1)
+        assert len(load_config(text % step).sweep.values) == _GRID_POINTS
+        with pytest.raises(ConfigValidationError, match="more than the"):
+            load_config(text % (0.4 / _GRID_POINTS))
 
     def test_wrong_type_exits_1_without_traceback(self, tmp_path):
         path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")

@@ -272,6 +272,21 @@ def test_blas_computes_each_column_on_its_own(n):
             )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("key", [0, 1, 199])
+def test_stream_entropy_draws_as_the_seed_tuple(seed, key):
+    # the documented stream of agent key k is default_rng((seed, k))
+    expected = np.random.default_rng((seed, key)).random(16)
+    drawn = np.random.default_rng(learning._stream_entropy(seed, key)).random(16)
+    assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("seed, key", [(-1, 0), (0, -1)])
+def test_negative_stream_seed_refused(seed, key):
+    with pytest.raises(ValueError, match="non-negative"):
+        learning._stream_entropy(seed, key)
+
+
 def mixed_grid(seed: int, n: int = 5, points: int = 4):
     """Sweep-like stack: one network and per-agent models per grid point.
 

@@ -592,6 +592,24 @@ class TestTrajectoryCsv:
                 tracemalloc.stop()
         assert max(peaks) <= 1.25 * min(peaks)
 
+    def test_memory_flat_in_seed_count(self, tmp_path):
+        # nothing is kept from one seed's rows to the next
+        import tracemalloc
+
+        cfg = load_config(read_config("deceived_random_bsc08.yaml") + TABULAR)
+        # a first emit imports orjson, which would count in the first peak
+        emit_results(run_experiment(_with(cfg, horizon=10, seeds=(0,))), str(tmp_path / "warm"))
+        peaks = []
+        for n_seeds in (2, 8):
+            result = run_experiment(_with(cfg, horizon=1000, seeds=range(n_seeds), stride=1))
+            tracemalloc.start()
+            try:
+                emit_results(result, str(tmp_path / str(n_seeds)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.25 * min(peaks)
+
 
 class TestRenderFloats:
     def test_tokens_are_repr_bytes(self):
