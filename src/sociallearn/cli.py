@@ -14,6 +14,9 @@ override the config in place, ``--out`` picks the output directory,
 splits the stack a command simulates, the grid points of a sweep or the seeds
 of a run, into at most N chunks, one worker process and one kernel call
 each; the result files do not depend on N.
+
+The simulator (and with it numpy) is imported by the handlers that use it, so
+``--help``, a usage error or a refused config exits without loading either.
 """
 
 from __future__ import annotations
@@ -31,16 +34,6 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigValidationError, OutOfRangeError, SocialLearnError
-from .simulator import (
-    attack_document,
-    emit_results,
-    emit_sweep_results,
-    predict_document,
-    render_json,
-    run_experiment,
-    run_sweep,
-    write_json,
-)
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -72,6 +65,8 @@ def cmd_validate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    from .simulator import emit_results, run_experiment
+
     result = run_experiment(cfg, jobs=args.jobs)
     paths = emit_results(result, cfg.output.directory)
     for p in paths:
@@ -87,6 +82,8 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    from .simulator import emit_sweep_results, run_sweep
+
     result = run_sweep(cfg, jobs=args.jobs)
     paths = emit_sweep_results(result, cfg.output.directory)
     for p in paths:
@@ -97,12 +94,16 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    from .simulator import predict_document, render_json
+
     scenario = build_scenario(cfg)
     print(render_json(predict_document(cfg, scenario, scenario.report())), end="")
     return 0
 
 
 def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    from .simulator import attack_document, render_json, write_json
+
     scenario = build_scenario(cfg)
     if scenario.plan is None:
         print("no attack configured (strategy none or no malicious agents)", file=sys.stderr)

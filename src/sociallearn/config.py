@@ -47,7 +47,10 @@ needs an integer (``10.7`` is refused, not truncated); a bool field needs
 written as text (YAML 1.1 reads ``1e-3`` as a string); a list field needs a
 list, and an edge exactly two agents; null selects the default; an unknown
 key is refused, and a model takes only the keys of its ``kind``. Loading
-collects *every* violation, each naming its path, before failing, and the
+collects *every* violation, each naming its path, before failing; the entries
+of one list field (``sweep.values``, ``topology.edges``, a per-agent belief
+list, any list refused entry by entry for its type) list at most
+``_VIOLATIONS_PER_FIELD`` violations and then ``<field>: ... and K more``. The
 echo materializes all defaults, so a result file records the exact knobs
 that produced it.
 
@@ -68,6 +71,13 @@ draws one stream in adversary order.
 Configs are parsed and echoed by libyaml when the installed PyYAML has it,
 and by PyYAML's pure-Python classes otherwise. Both share one constructor,
 resolver and representer, so they give the same data and the same bytes.
+
+Parsing, validation and the echo need only this module, ``probability``,
+``errors`` and PyYAML. The scenario builders (``build_network``,
+``build_plan``, ``build_topology``, ``assemble_scenario`` and
+``Scenario.report``) import numpy and the network, learning, attack and
+analysis modules when they are called, so a config tool or a refused config
+never loads them.
 """
 
 from __future__ import annotations
@@ -76,37 +86,29 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from types import UnionType
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Sequence,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-import numpy as np
 import yaml
 
-from .analysis import DeceptionReport, deception_verdict, normal_divergence
-from .attacks import (
-    AttackPlan,
-    AttackPlanEntry,
-    forge_once,
-    multi_adversary_known,
-    random_attack,
-    unknown_divergence_attack,
-)
 from .errors import ConfigParseError, ConfigValidationError, SocialLearnError
-from .learning import AgentConfig
-from .network import (
-    Network,
-    adversary_centrality,
-    complete_adjacency,
-    edge_list_adjacency,
-    erdos_renyi_adjacency,
-    make_network,
-    perron_vector,
-    ring_adjacency,
-    star_adjacency,
-    trust_weighted_complete,
-    uniform_combination,
-    validate_network,
-)
 from .probability import Hypothesis, LikelihoodModel, bsc_model, make_model
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .analysis import DeceptionReport
+    from .attacks import AttackPlan
+    from .learning import AgentConfig
+    from .network import Network
 
 #: libyaml when PyYAML was built with it; the pure classes are the fallback
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -127,6 +129,8 @@ _FORMATS = ("structured", "tabular")
 _MODEL_KEYS = {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}
 #: most points a ``sweep.grid`` expands to; each point runs every seed
 _GRID_POINTS = 10_000
+#: most violations listed for the entries of one list field; a count stands for the rest
+_VIOLATIONS_PER_FIELD = 10
 
 
 @dataclass(frozen=True)
@@ -298,14 +302,27 @@ def _coerce(tp: Any, value: Any, path: str, violations: list[str]) -> Any:
         args = (args[0],) * len(value)
     elif len(value) != len(args):
         return _refuse(path, f"a list of {len(args)}", value, violations)
-    return tuple(
-        _coerce(t, x, f"{path}[{i}]", violations) for i, (t, x) in enumerate(zip(args, value))
+    entries: list[str] = []
+    items = tuple(
+        _coerce(t, x, f"{path}[{i}]", entries) for i, (t, x) in enumerate(zip(args, value))
     )
+    violations.extend(_capped(path, entries))
+    return items
 
 
 def _refuse(path: str, wanted: str, value: Any, violations: list[str]) -> None:
     violations.append(f"{path} must be {wanted}, got {value!r}")
     return None
+
+
+def _capped(path: str, violations: Iterable[str]) -> list[str]:
+    """The first ``_VIOLATIONS_PER_FIELD`` of the list field ``path``'s
+    violations, then one line counting the rest."""
+    violations = list(violations)
+    more = len(violations) - _VIOLATIONS_PER_FIELD
+    if more <= 0:
+        return violations
+    return violations[:_VIOLATIONS_PER_FIELD] + [f"{path}: ... and {more} more"]
 
 
 def _expand_grid(sweep: dict, violations: list[str]) -> dict:
@@ -353,10 +370,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
         v.append(f"topology.hub must index one of the {t.n_agents} agents, got {t.hub!r}")
     if t.kind == "edge_list":
-        for e, (i, j) in enumerate(t.edges):
-            if not (0 <= i < t.n_agents and 0 <= j < t.n_agents):
-                v.append(f"topology.edges[{e}] must join two of the {t.n_agents} agents, "
-                         f"got [{i}, {j}]")
+        v.extend(_capped("topology.edges", (
+            f"topology.edges[{e}] must join two of the {t.n_agents} agents, got [{i}, {j}]"
+            for e, (i, j) in enumerate(t.edges)
+            if not (0 <= i < t.n_agents and 0 <= j < t.n_agents)
+        )))
     if not 0 <= a.n_malicious < t.n_agents:
         v.append(
             f"agents.n_malicious must satisfy 0 <= n_malicious < n_agents ({t.n_agents}), "
@@ -424,9 +442,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if len(init) != t.n_agents:
             v.append(f"{path} list must have one entry per agent ({t.n_agents}), got {len(init)}")
         beliefs = {f"{path}[{i}]": b for i, b in enumerate(init)}
-    for where, b in beliefs.items():
-        if not 0.0 < b < 1.0:
-            v.append(f"{where} must lie strictly inside (0, 1), got {b!r}")
+    v.extend(_capped(path, (
+        f"{where} must lie strictly inside (0, 1), got {b!r}"
+        for where, b in beliefs.items() if not 0.0 < b < 1.0
+    )))
     sw = cfg.sweep
     if sw is not None:
         if sw.parameter not in _SWEEP_PARAMETERS:
@@ -436,15 +455,15 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if sw.parameter == "bsc_p":
             if a.model is None or a.model.kind != "bsc":
                 v.append("agents.model must be a shared bsc model for a bsc_p sweep")
-            v.extend(
+            v.extend(_capped("sweep.values", (
                 f"sweep.values[{k}] must lie in (0.5, 1) for bsc_p, got {x!r}"
                 for k, x in enumerate(sw.values) if not 0.5 < x < 1.0
-            )
+            )))
         if sw.parameter == "epsilon" and min_alphabet and at.strategy != "none":
-            v.extend(
+            v.extend(_capped("sweep.values", (
                 f"sweep.values[{k}] must lie in (0, 1/{min_alphabet}) for epsilon, got {x!r}"
                 for k, x in enumerate(sw.values) if not 0.0 < x < 1.0 / min_alphabet
-            )
+            )))
         if sw.parameter == "adversary_centrality":
             if t.kind != "trust_weighted_complete":
                 v.append(
@@ -452,11 +471,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                     f"adversary_centrality sweep, got {t.kind!r}"
                 )
             else:
-                v.extend(
+                v.extend(_capped("sweep.values", (
                     f"sweep.values[{k}] must lie in (0, 1/n_malicious) as a trust weight, "
                     f"got {x!r} with n_malicious {a.n_malicious}"
                     for k, x in enumerate(sw.values) if not 0.0 < x * a.n_malicious < 1.0
-                )
+                )))
     if cfg.output.format not in _FORMATS:
         v.append(f"output.format must be one of {_FORMATS}, got {cfg.output.format!r}")
     return v
@@ -492,12 +511,21 @@ class Scenario:
 
     def report(self) -> DeceptionReport:
         """The closed-form deception report of this scenario."""
+        from .analysis import deception_verdict
+
         return deception_verdict(self.net, self.agents, self.perron)
 
 
 def build_network(cfg: ExperimentConfig) -> Network:
     """The configured network; one outside the theory (say, not strongly
     connected) raises a ``ConfigValidationError`` listing every violation."""
+    from .network import (
+        make_network,
+        trust_weighted_complete,
+        uniform_combination,
+        validate_network,
+    )
+
     t = cfg.topology
     if t.kind == "trust_weighted_complete":
         comb = trust_weighted_complete(t.n_agents, cfg.agents.n_malicious, t.trust_weight)
@@ -511,6 +539,14 @@ def build_network(cfg: ExperimentConfig) -> Network:
 
 
 def _adjacency(t: TopologySpec) -> np.ndarray:
+    from .network import (
+        complete_adjacency,
+        edge_list_adjacency,
+        erdos_renyi_adjacency,
+        ring_adjacency,
+        star_adjacency,
+    )
+
     if t.kind == "erdos_renyi":
         return erdos_renyi_adjacency(t.n_agents, t.edge_prob, t.seed)
     if t.kind == "star":
@@ -530,6 +566,18 @@ def build_plan(
     """Assemble the forged models the configured strategy prescribes for the
     honest ``agents``; both constructive strategies forge once per distinct
     input (``forge_once``), as the module docstring sets out."""
+    import numpy as np
+
+    from .analysis import normal_divergence
+    from .attacks import (
+        AttackPlan,
+        AttackPlanEntry,
+        forge_once,
+        multi_adversary_known,
+        random_attack,
+        unknown_divergence_attack,
+    )
+
     at = cfg.attack
     models = [a.true_model for a in agents]
     malicious = net.malicious_indices
@@ -567,6 +615,8 @@ def build_plan(
 def build_topology(cfg: ExperimentConfig) -> Topology:
     """The network part of a scenario, its Perron vector solved once (see
     ``build_network`` for the networks refused)."""
+    from .network import adversary_centrality, perron_vector
+
     net = build_network(cfg)
     u = perron_vector(net)
     return Topology(net=net, perron=u, adversary_centrality=adversary_centrality(u, net.roles))
@@ -575,6 +625,8 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
 def assemble_scenario(cfg: ExperimentConfig, topology: Topology) -> Scenario:
     """The model part of a scenario on a built ``topology``: agents, and the
     attack plan with its forged models bound to the adversaries."""
+    from .learning import AgentConfig
+
     net, u = topology.net, topology.perron
     agents = tuple(
         AgentConfig(role=role, true_model=model)

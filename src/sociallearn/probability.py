@@ -11,6 +11,10 @@ Conventions:
   * true likelihood models may contain zeros, but KL raises
     :class:`InfiniteDivergenceError` instead of returning a sentinel when
     the divergence is infinite.
+
+Everything here but the array makers (``Pmf.as_array``, ``sample`` and
+``_inverse_cdf``) is pure Python over the mass tuples, and numpy is imported
+only inside those three, so parsing and validating a config never loads it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -30,6 +32,9 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: |sum(mass) - 1| accepted on input (accommodates text round-tripping).
 INPUT_NORMALIZATION_TOL = 1e-9
@@ -86,6 +91,8 @@ class Pmf:
         return len(self.mass)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.mass, dtype=float)
 
     def __getitem__(self, symbol: int) -> float:
@@ -144,9 +151,8 @@ def is_informative(model: LikelihoodModel) -> bool:
     An uninformative model cannot discriminate the states: observations
     carry no evidence either way.
     """
-    a = model.given_theta1.as_array()
-    b = model.given_theta2.as_array()
-    return bool(np.max(np.abs(a - b)) > INTERNAL_TOL)
+    a, b = model.given_theta1.mass, model.given_theta2.mass
+    return max(abs(x - y) for x, y in zip(a, b)) > INTERNAL_TOL
 
 
 def kl_divergence(p: Pmf, q: Pmf) -> float:
@@ -199,6 +205,8 @@ def sample(p: Pmf, rng: np.random.Generator, size: int | None = None):
     Deterministic for a fixed generator state and call sequence. Returns a
     single ``int`` when ``size`` is None, else an int array of that length.
     """
+    import numpy as np
+
     u = np.asarray(rng.random(size))
     cum = np.cumsum(p.as_array())[:-1]
     symbols = np.arange(p.alphabet_size, dtype=np.int64)
@@ -225,6 +233,8 @@ def _inverse_cdf(
     bits. (An integer multiply-and-XOR runs about twice as fast as a masked
     copy.)
     """
+    import numpy as np
+
     bits = values.view(np.int64)
     flips = bits[:-1] ^ bits[1:]
     acc = out.view(np.int64)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from sociallearn.cli import main
-from sociallearn.config import _GRID_POINTS, load_config
+from sociallearn.config import _GRID_POINTS, _VIOLATIONS_PER_FIELD, load_config
 from sociallearn.errors import ConfigValidationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -158,6 +158,58 @@ class TestValidate:
         assert len(load_config(text % step).sweep.values) == _GRID_POINTS
         with pytest.raises(ConfigValidationError, match="more than the"):
             load_config(text % (0.4 / _GRID_POINTS))
+
+    @pytest.mark.parametrize("text, n, field, line", [
+        pytest.param(
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            "sweep: {parameter: bsc_p, values: [0.7%s]}\n" % (", 2.0" * 100_000),
+            100_000, "sweep.values", "sweep.values[{k}] must lie in (0.5, 1) for bsc_p, got 2.0",
+            id="range",
+        ),
+        pytest.param(
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            "sweep: {parameter: bsc_p, values: [0.7%s]}\n" % (", x" * 100_000),
+            100_000, "sweep.values", "sweep.values[{k}] must be float, got 'x'",
+            id="type",
+        ),
+        pytest.param(
+            "topology: {kind: edge_list, n_agents: 2, edges: [[0, 1]%s]}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n" % (", [0, 5]" * 300),
+            300, "topology.edges", "topology.edges[{k}] must join two of the 2 agents, got [0, 5]",
+            id="edges",
+        ),
+        pytest.param(
+            "topology: {kind: complete, n_agents: 40}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            "experiment: {initial_belief_theta1: [0.5%s]}\n" % (", 1.5" * 39),
+            39, "experiment.initial_belief_theta1",
+            "experiment.initial_belief_theta1[{k}] must lie strictly inside (0, 1), got 1.5",
+            id="beliefs",
+        ),
+    ])
+    def test_violations_capped_per_field(self, tmp_path, capsys, text, n, field, line):
+        # entry 0 is valid; entries 1 .. n each violate
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 4096
+        lines = [x.strip() for x in err.splitlines()[1:]]
+        assert lines == [line.format(k=k) for k in range(1, _VIOLATIONS_PER_FIELD + 1)] + [
+            f"{field}: ... and {n - _VIOLATIONS_PER_FIELD} more"
+        ]
+
+    def test_violations_of_a_field_at_the_cap_all_listed(self, tmp_path, capsys):
+        values = ", ".join(["2.0"] * _VIOLATIONS_PER_FIELD)
+        text = (
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            f"sweep: {{parameter: bsc_p, values: [{values}]}}\n"
+        )
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        lines = capsys.readouterr().err.splitlines()[1:]
+        assert len(lines) == _VIOLATIONS_PER_FIELD
+        assert "more" not in lines[-1]
 
     def test_wrong_type_exits_1_without_traceback(self, tmp_path):
         path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")

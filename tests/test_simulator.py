@@ -18,7 +18,7 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
-from sociallearn import attacks, config, simulator
+from sociallearn import attacks, config, network, simulator
 from sociallearn.analysis import critical_parameter, normal_divergence
 from sociallearn.config import apply_sweep_value, build_plan
 from sociallearn.errors import ConfigParseError, ConfigValidationError
@@ -249,14 +249,17 @@ sweep: {{parameter: epsilon, values: {values}}}
 
 
 def _count_topology_builds(monkeypatch) -> dict[str, int]:
-    """Count the network builds and Perron solves of scenario assembly."""
+    """Count the network builds and Perron solves of scenario assembly.
+
+    ``config`` imports ``perron_vector`` when it builds a topology, so the
+    network module's binding is the one its calls go through."""
     counts = {"build_network": 0, "perron_vector": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(config, name), _name=name):
+    for module, name in ((config, "build_network"), (network, "perron_vector")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(config, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -318,12 +321,14 @@ class TestSweepTopology:
 def _count_forgeries(monkeypatch) -> list:
     """The models ``build_plan`` hands to ``unknown_divergence_attack``, in call order."""
     calls = []
+    forge = attacks.unknown_divergence_attack
 
     def counted(model, eps):
         calls.append(model)
-        return attacks.unknown_divergence_attack(model, eps)
+        return forge(model, eps)
 
-    monkeypatch.setattr(config, "unknown_divergence_attack", counted)
+    # build_plan imports the forgery from attacks at each call
+    monkeypatch.setattr(attacks, "unknown_divergence_attack", counted)
     return calls
 
 
@@ -581,6 +586,8 @@ class TestTrajectoryCsv:
         import tracemalloc
 
         cfg = load_config(read_config("deceived_random_bsc08.yaml") + TABULAR)
+        # a first emit imports orjson, which would count in the first peak
+        emit_results(run_experiment(_with(cfg, horizon=10, seeds=(0,))), str(tmp_path / "warm"))
         peaks = []
         for horizon in (1000, 4000):
             result = run_experiment(_with(cfg, horizon=horizon, seeds=(0, 1), stride=1))
