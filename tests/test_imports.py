@@ -53,7 +53,7 @@ EXPORTED = {
 
 
 def fresh(code: str, *args: str):
-    """Run ``code`` in a new interpreter; it prints one JSON value, returned here."""
+    """Run ``code`` in a new interpreter; the JSON value it prints last is returned."""
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
@@ -91,11 +91,9 @@ def test_refused_config_exits_without_numpy(tmp_path, edit):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text.replace(*edit))
     code = (
-        "import io, json, sys, contextlib\n"
+        "import json, sys\n"
         "from sociallearn import cli\n"
-        "with contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = cli.main(['validate', '--config', sys.argv[1]])\n"
-        "assert code == 1, code\n" + loaded()
+        "assert cli.main(['validate', '--config', sys.argv[1]]) == 1\n" + loaded()
     )
     assert fresh(code, str(bad)) == []
 
@@ -107,13 +105,12 @@ def test_refused_config_exits_without_numpy(tmp_path, edit):
 ])
 def test_help_and_usage_errors_exit_without_numpy(argv):
     code = (
-        "import io, json, sys, contextlib\n"
+        "import json, sys\n"
         "from sociallearn import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    try:\n"
-        "        cli.main(json.loads(sys.argv[1]))\n"
-        "    except SystemExit:\n"
-        "        pass\n" + loaded()
+        "try:\n"
+        "    cli.main(json.loads(sys.argv[1]))\n"
+        "except SystemExit:\n"
+        "    pass\n" + loaded()
     )
     assert fresh(code, json.dumps(argv)) == []
 

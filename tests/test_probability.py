@@ -256,6 +256,20 @@ class TestIsInformative:
         m = make_model([third] * 3, [third] * 3)
         assert not is_informative(m)
 
+    def test_matches_the_array_form_at_the_tolerance(self):
+        # the pure-Python scan gives the array form's answer, differences of a
+        # few ulps either side of 1e-12 included
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            a = rng.dirichlet(np.ones(rng.integers(2, 6)))
+            shift = rng.choice([0.0, 1e-12]) + rng.integers(-4, 5) * 2.0**-60
+            b = a.copy()
+            b[0] -= shift
+            b[-1] += shift
+            m = make_model(a, b)
+            diff = m.given_theta1.as_array() - m.given_theta2.as_array()
+            assert is_informative(m) is bool(np.max(np.abs(diff)) > 1e-12)
+
 
 class TestHypothesis:
     def test_other(self):
@@ -266,3 +280,4 @@ class TestHypothesis:
         assert Hypothesis.from_name("theta1") is Hypothesis.THETA1
         with pytest.raises(OutOfRangeError):
             Hypothesis.from_name("theta3")
+
