@@ -29,7 +29,7 @@ from sociallearn import (
     unknown_divergence_attack,
 )
 from sociallearn.analysis import _state_pmfs
-from sociallearn.errors import NoSignChangeError
+from sociallearn.errors import InfiniteDivergenceError, NoSignChangeError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.network import adversary_centrality
 
@@ -154,6 +154,14 @@ class TestDeceptionVerdict:
         assert report.verdict1 is Verdict.LEARNS_TRUTH
         assert report.verdict2 is Verdict.LEARNS_TRUTH
         assert report.margin1 == pytest.approx(-report.s1)
+
+    def test_infinite_divergence_refused(self):
+        # theta2 puts no mass on a symbol theta1 emits: D(L(theta1) || L(theta2)) is infinite
+        m = make_model([0.5, 0.5], [1.0, 0.0])
+        net = make_network(np.full((4, 4), 0.25), 1)
+        agents = agents_for(net, [m] * 4, unknown_forged([m], 1e-3))
+        with pytest.raises(InfiniteDivergenceError, match="infinite"):
+            deception_verdict(net, agents)
 
     def test_nonseparable_unknown_attack_misleads_one_state(self):
         net = er_network(15, 0.25, 28, 4)

@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from sociallearn.cli import main
+from sociallearn.cli import _config, build_parser, main
 from sociallearn.config import _GRID_POINTS, _VIOLATIONS_PER_FIELD, load_config
-from sociallearn.errors import ConfigValidationError
+from sociallearn.errors import ConfigValidationError, InfiniteDivergenceError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml"))
@@ -447,6 +447,34 @@ experiment: {horizon: 50}
         assert proc.returncode == 1
         assert "NotStronglyConnected" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+class TestInfiniteDivergence:
+    # the honest agents' D(L(theta1) || L(theta2)) is infinite: theta2 puts no
+    # mass on a symbol theta1 emits, so the closed-form verdict does not exist
+    INFINITE = """
+topology: {kind: complete, n_agents: 4}
+agents:
+  n_malicious: 1
+  model: {kind: rows, theta1: [0.5, 0.5], theta2: [1.0, 0.0]}
+attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
+experiment: {horizon: 20}
+"""
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_verdict_refused(self, tmp_path, capsys, command):
+        argv = [command, "--config", write(tmp_path, self.INFINITE), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "infinite" in err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InfiniteDivergenceError, match="infinite"):
+            args.fn(_config(args), args)
+
+    @pytest.mark.parametrize("command", ["validate", "attack"])
+    def test_no_verdict_needed(self, tmp_path, capsys, command):
+        assert main([command, "--config", write(tmp_path, self.INFINITE)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSweep:
