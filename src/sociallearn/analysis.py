@@ -24,14 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NoSignChangeError
-from .learning import AgentConfig
+from .learning import AgentConfig, log_ratio_table
 from .network import Network, Role, perron_vector
-from .probability import (
-    Hypothesis,
-    LikelihoodModel,
-    expected_log_ratio,
-    kl_divergence,
-)
+from .probability import Hypothesis, LikelihoodModel
 
 __all__ = [
     "Verdict",
@@ -85,12 +80,13 @@ class DeceptionReport:
         return self.verdict1 if theta is Hypothesis.THETA1 else self.verdict2
 
 
-def _state_pmfs(model: LikelihoodModel, j: int):
-    if j == 1:
-        return model.given_theta1, model.given_theta2
-    if j == 2:
-        return model.given_theta2, model.given_theta1
-    raise ValueError(f"state index must be 1 or 2, got {j}")
+def _weighted_drifts(
+    agents: Sequence[AgentConfig], u: np.ndarray, thetas: Sequence[Hypothesis] = tuple(Hypothesis)
+) -> list[np.ndarray]:
+    """Per state in ``thetas``, ``u_k c_k`` for every agent ``k``: its centrality
+    times the drift of its pair in the agents' log-ratio table."""
+    table = log_ratio_table([agents])
+    return [np.asarray(u) * table.drift(theta)[table.index[0]] for theta in thetas]
 
 
 def normal_divergence(
@@ -100,23 +96,18 @@ def normal_divergence(
     u: np.ndarray | None = None,
 ) -> float:
     """Centrality-weighted KL divergence of the normal sub-network for state j."""
-    u = u if u is not None else perron_vector(net)
-    total = 0.0
-    for k, agent in enumerate(agents):
-        if agent.role is not Role.NORMAL:
-            continue
-        p, q = _state_pmfs(agent.true_model, j)
-        total += float(u[k]) * kl_divergence(p, q)
-    return total
+    u = np.asarray(u if u is not None else perron_vector(net))
+    normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
+    (w,) = _weighted_drifts([agents[k] for k in normal], u[normal], [Hypothesis(j - 1)])
+    return 0.0 - math.fsum(w.tolist())
 
 
 def adversary_contribution(
     u_k: float, true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
 ) -> float:
     """u_k * E_{true, theta_j} [ ln( forged(.|theta_j') / forged(.|theta_j) ) ]."""
-    weights, _ = _state_pmfs(true_model, j)
-    f_j, f_other = _state_pmfs(forged_model, j)
-    return u_k * expected_log_ratio(weights, f_other, f_j)
+    table = log_ratio_table([[AgentConfig(Role.MALICIOUS, true_model, forged_model)]])
+    return u_k * float(table.drift(Hypothesis(j - 1))[0])
 
 
 def deception_verdict(
@@ -126,18 +117,18 @@ def deception_verdict(
 ) -> DeceptionReport:
     """Full threshold report for both candidate true states.
 
-    Each adversary contributes through ``inference_model``, the forged model
-    its update uses (its true model when it has none).
+    Every agent contributes ``u_k c_kj``, its centrality times the drift of
+    its (true, inference) pair in the log-ratio table; an adversary's
+    inference model is ``inference_model``, the forged model its update uses
+    (its true model when it has none).
     """
     u = u if u is not None else perron_vector(net)
     adv = tuple(k for k, a in enumerate(agents) if a.role is Role.MALICIOUS)
-    s = {j: normal_divergence(net, agents, j, u) for j in (1, 2)}
-    r: dict[int, list[float]] = {1: [], 2: []}
-    for k in adv:
-        u_k = float(u[k])
-        true, forged = agents[k].true_model, agents[k].inference_model
-        for j in (1, 2):
-            r[j].append(adversary_contribution(u_k, true, forged, j))
+    normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
+    weighted = _weighted_drifts(agents, u)
+    s = [0.0 - math.fsum(w[normal].tolist()) for w in weighted]
+    r = [tuple(w[list(adv)].tolist()) for w in weighted]
+    m = [math.fsum(w.tolist()) for w in weighted]
 
     def decide(margin: float) -> Verdict:
         if margin > BOUNDARY_TOL:
@@ -146,20 +137,18 @@ def deception_verdict(
             return Verdict.LEARNS_TRUTH
         return Verdict.BOUNDARY
 
-    m1 = math.fsum(r[1]) - s[1]
-    m2 = math.fsum(r[2]) - s[2]
     return DeceptionReport(
-        s1=s[1],
-        s2=s[2],
+        s1=s[0],
+        s2=s[1],
         adversary_indices=adv,
-        r1=tuple(r[1]),
-        r2=tuple(r[2]),
-        margin1=m1,
-        margin2=m2,
-        verdict1=decide(m1),
-        verdict2=decide(m2),
-        cost1=-m1,
-        cost2=-m2,
+        r1=r[0],
+        r2=r[1],
+        margin1=m[0],
+        margin2=m[1],
+        verdict1=decide(m[0]),
+        verdict2=decide(m[1]),
+        cost1=-m[0],
+        cost2=-m[1],
     )
 
 

@@ -69,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZeroLikelihoodError
+from .errors import InfiniteDivergenceError, ZeroLikelihoodError
 from .network import Network, Role
 from .probability import Hypothesis, LikelihoodModel, _inverse_cdf
 
@@ -138,6 +138,65 @@ class Trajectory:
         return network_average_true_belief(self.final_log_ratio, self.theta_true)
 
 
+@dataclass(frozen=True, eq=False)
+class LogRatioTable:
+    """Each distinct (true, inference) model pair of a stack of agent lists, once.
+
+    ``index[g, k]`` is the pair of agent ``k`` of list ``g``, one row for the
+    whole stack when every list is equal. Per pair ``p``, with ``sizes[p]``
+    symbols, ``llr[p, x]`` is ln inference(x|theta1) - ln inference(x|theta2)
+    (the kernel's increment of ``lam`` on symbol ``x``) and ``pmf[i, p, x]`` the
+    true mass of ``x`` in the state of value ``i``; both are 0 past the pair's
+    alphabet.
+    """
+
+    index: np.ndarray
+    sizes: np.ndarray
+    llr: np.ndarray
+    pmf: np.ndarray
+
+    def drift(self, theta: Hypothesis) -> np.ndarray:
+        """Per pair, E_{true theta}[ln inference(x|theta') - ln inference(x|theta)].
+
+        That is the expected step of the log-ratio toward the wrong state: -D(L(theta) ||
+        L(theta')) for an honest pair, and an adversary's contribution per unit
+        centrality. Raises :class:`InfiniteDivergenceError` when the true model
+        emits a symbol whose ratio is infinite.
+        """
+        weights = self.pmf[theta.value]
+        emitted = weights > 0.0
+        if not np.all(np.isfinite(self.llr[emitted])):
+            raise InfiniteDivergenceError(
+                "expected log ratio infinite: an inference model gives zero likelihood "
+                "to a symbol its true model emits"
+            )
+        toward_theta1 = np.multiply(weights, self.llr, out=np.zeros_like(weights), where=emitted)
+        toward_theta1 = toward_theta1.sum(axis=-1)
+        return 0.0 - toward_theta1 if theta is Hypothesis.THETA1 else toward_theta1
+
+
+def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTable:
+    """The log-ratio table of a stack of agent lists (see :class:`LogRatioTable`)."""
+    if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
+        agent_lists = agent_lists[:1]
+    pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
+    index = np.array([
+        [pairs.setdefault((a.true_model, a.inference_model), len(pairs)) for a in agents]
+        for agents in agent_lists
+    ])
+    sizes = np.array([true.alphabet_size for true, _ in pairs])
+    llr = np.zeros((len(pairs), sizes.max()))
+    pmf = np.zeros((2,) + llr.shape)
+    for p, (true, m) in enumerate(pairs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            llr[p, : sizes[p]] = np.log(m.given_theta1.as_array()) - np.log(
+                m.given_theta2.as_array()
+            )
+        for theta in Hypothesis:
+            pmf[theta.value, p, : sizes[p]] = true.given(theta).as_array()
+    return LogRatioTable(index=index, sizes=sizes, llr=llr, pmf=pmf)
+
+
 def _symbol_tables(
     agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis, n_seeds: int
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -145,36 +204,22 @@ def _symbol_tables(
 
     Returns ``cum`` of shape ``(A - 1, G', 1, n, S)`` (each agent's cumulative
     true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, S)``
-    (symbol -> ln(inference(theta1)/inference(theta2))) with ``A`` the
-    largest alphabet, and whether every table entry is finite. ``G'`` is 1
-    when every scenario's agents are equal, else the scenario count; each
-    distinct (true, inference) model pair is tabulated once. Every agent's
-    entry is repeated for each of the ``S = n_seeds`` seeds, so that the
-    inverse CDF compares along whole contiguous (agent, seed) rows.
+    (the agent's row of the ``log_ratio_table``) with ``A`` the largest
+    alphabet, and whether every table entry is finite. ``G'`` is the table's
+    row count. Every agent's entry is repeated for each of the ``S = n_seeds``
+    seeds, so that the inverse CDF compares along whole contiguous (agent,
+    seed) rows.
     """
-    if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
-        agent_lists = agent_lists[:1]
-    pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
-    rows = np.array([
-        [pairs.setdefault((a.true_model, a.inference_model), len(pairs)) for a in agents]
-        for agents in agent_lists
-    ])
-    width = max(true.alphabet_size for true, _ in pairs)
-    cum = np.full((len(pairs), width - 1), np.inf)
-    llr = np.zeros((len(pairs), width))
-    for p, (true, m) in enumerate(pairs):
-        with np.errstate(divide="ignore"):
-            table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
-        pmf = true.given(theta_true).as_array()
-        llr[p, : len(table)] = table
-        cum[p, : len(pmf) - 1] = np.cumsum(pmf)[:-1]
+    table = log_ratio_table(agent_lists)
+    cum = np.cumsum(table.pmf[theta_true.value], axis=-1)[:, :-1]
+    cum[np.arange(cum.shape[1]) >= table.sizes[:, None] - 1] = np.inf
 
     def by_agent(per_pair: np.ndarray) -> np.ndarray:  # (G', n, A) -> (A, G', 1, n, S)
-        per_symbol = np.moveaxis(per_pair[rows], -1, 0)[:, :, None, :, None]
+        per_symbol = np.moveaxis(per_pair[table.index], -1, 0)[:, :, None, :, None]
         per_seed = np.broadcast_to(per_symbol, per_symbol.shape[:-1] + (n_seeds,))
         return np.ascontiguousarray(per_seed)
 
-    return by_agent(cum), by_agent(llr), bool(np.all(np.isfinite(llr)))
+    return by_agent(cum), by_agent(table.llr), bool(np.all(np.isfinite(table.llr)))
 
 
 def _stream_entropy(seed: int, key: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from sociallearn import (
     sample,
     uniform_combination,
 )
-from sociallearn.analysis import _state_pmfs
 from sociallearn.errors import IsolatedAgentError, ZeroLikelihoodError
 from sociallearn.learning import _sigmoid
 
@@ -258,6 +257,12 @@ def reference_known_plan(models, centralities, s1, s2, eps, aggregate_centrality
 
 # --- closed-form oracle -----------------------------------------------------------
 
+def state_pmfs(model: LikelihoodModel, j: int):
+    """``(L(.|theta_j), L(.|theta_j'))``: a model's PMF in state j, then in the other."""
+    theta = Hypothesis(j - 1)
+    return model.given(theta), model.given(theta.other)
+
+
 def homogeneous_centrality_margin(
     true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
 ) -> Callable[[float], float]:
@@ -268,8 +273,8 @@ def homogeneous_centrality_margin(
     U, namely ``U * r_unit - (1 - U) * kl_j``, which makes the critical
     centrality a clean bisection target.
     """
-    p, q = _state_pmfs(true_model, j)
-    f_j, f_other = _state_pmfs(forged_model, j)
+    p, q = state_pmfs(true_model, j)
+    f_j, f_other = state_pmfs(forged_model, j)
     kl_j = kl_divergence(p, q)
     r_unit = expected_log_ratio(p, f_other, f_j)
 

@@ -28,7 +28,6 @@ from sociallearn import (
     uniform_combination,
     unknown_divergence_attack,
 )
-from sociallearn.analysis import _state_pmfs
 from sociallearn.errors import InfiniteDivergenceError, NoSignChangeError
 from sociallearn.learning import network_average_true_belief
 from sociallearn.network import adversary_centrality
@@ -39,6 +38,7 @@ from helpers import (
     random_model,
     random_network,
     random_uninformative_model,
+    state_pmfs,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -81,8 +81,8 @@ class TestNormalDivergence:
 
 def kl_form(u_k, true_model, forged_model, j):
     """The contribution as u_k [ D(L_j || forged_j) - D(L_j || forged_j') ]."""
-    weights, _ = _state_pmfs(true_model, j)
-    f_j, f_other = _state_pmfs(forged_model, j)
+    weights, _ = state_pmfs(true_model, j)
+    f_j, f_other = state_pmfs(forged_model, j)
     return u_k * (kl_divergence(weights, f_j) - kl_divergence(weights, f_other))
 
 
