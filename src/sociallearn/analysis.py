@@ -1,17 +1,26 @@
-"""Closed-form deception predictions.
+"""Closed-form deception predictions, read from the kernel's log-ratio table.
 
-The asymptotic fate of the network is decided by a scalar comparison per
-candidate true state theta_j:
+Each agent k has one row of ``learning.LogRatioTable``, shared with the
+kernel: ``llr_k(x) = ln inf_k(x|theta1) - ln inf_k(x|theta2)``, the step a
+symbol x adds to its log-belief ratio (an adversary's ``inf_k`` is its forged
+model), and its true PMF ``L_k``. Its drift toward the wrong state theta_j'
+when theta_j is true is
 
-    s_j  = sum over normal agents of u_k D(L_k(.|theta_j) || L_k(.|theta_j'))
-    r_kj = u_k E_{true theta_j}[ ln( forged_k(.|theta_j') / forged_k(.|theta_j) ) ]
+    c_kj = -/+ sum_x L_k(x|theta_j) llr_k(x)     (- for theta1, + for theta2),
 
-All beliefs converge almost surely to the wrong state when
-``sum_k r_kj > s_j`` and to the truth when ``<``; the margin
-``sum r_kj - s_j`` is also the exact almost-sure limit of the per-step
-log-belief-ratio growth rate, which is what the simulator cross-checks.
-The adversary-side cost function is the same margin with flipped sign, so
-``cost_j = -margin_j`` holds identically.
+which is ``-D(L_k(.|theta_j) || L_k(.|theta_j'))`` for a normal agent and
+``r_kj / u_k`` for an adversary. With ``u`` the Perron vector,
+
+    s_j      = -(sum over normal agents of u_k c_kj)
+    r_kj     = u_k c_kj for each adversary
+    margin_j = u^T c_j = sum_k r_kj - s_j.
+
+All beliefs converge almost surely to the wrong state when ``margin_j > 0``
+and to the truth when ``< 0``. As ``lam_t = A^T (lam_{t-1} + llr_t)`` and
+``A u = u``, ``u^T lam_t`` is a random walk whose mean step is the margin
+(toward the wrong state), the almost-sure limit of the per-step
+log-belief-ratio growth rate that the simulator cross-checks. The
+adversary-side cost is ``cost_j = -margin_j``.
 """
 
 from __future__ import annotations

@@ -325,6 +325,12 @@ def _capped(path: str, violations: Iterable[str]) -> list[str]:
     return violations[:_VIOLATIONS_PER_FIELD] + [f"{path}: ... and {more} more"]
 
 
+def _listed(values: list) -> str:
+    """``values`` as a list, its first ``_VIOLATIONS_PER_FIELD`` then a count of the rest."""
+    more = len(values) - _VIOLATIONS_PER_FIELD
+    return f"{values}" if more <= 0 else f"{values[:_VIOLATIONS_PER_FIELD]} (and {more} more)"
+
+
 def _expand_grid(sweep: dict, violations: list[str]) -> dict:
     """``sweep`` with its ``grid: {start, stop, step}`` shorthand turned into ``values``.
 
@@ -420,7 +426,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             v.append(f"{name} must be >= 0, got {seed!r}")
     negative = [s for s in e.seeds if s < 0]
     if negative:
-        v.append(f"experiment.seeds must be >= 0, got {negative}")
+        v.append(f"experiment.seeds must be >= 0, got {_listed(negative)}")
     try:
         Hypothesis.from_name(e.theta_true)
     except Exception:
@@ -435,7 +441,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append("experiment.seeds must be non-empty")
     repeated = [s for s, count in Counter(e.seeds).items() if count > 1]
     if repeated:
-        v.append(f"experiment.seeds must be distinct, got {repeated} more than once")
+        v.append(f"experiment.seeds must be distinct, got {_listed(repeated)} more than once")
     init, path = e.initial_belief_theta1, "experiment.initial_belief_theta1"
     beliefs = {path: init}
     if isinstance(init, tuple):

@@ -35,7 +35,7 @@ class OutOfRangeError(SocialLearnError):
 
 
 class InfiniteDivergenceError(SocialLearnError):
-    """KL divergence is infinite: p puts mass where q has none."""
+    """A divergence or expected log ratio is infinite: a weighted symbol has zero likelihood."""
 
 
 # --- network ------------------------------------------------------------------

@@ -21,9 +21,9 @@ experiment, in one call.
 The kernel holds the state as a ``(G, n, S)`` stack, one column per seed,
 and steps it with ``at @ (lam + llr_i)``, ``at`` being the ``(G, n, n)``
 stack of transposed combination matrices: numpy makes one BLAS dgemm per
-scenario over all its seeds. A lone seed is stepped beside a zero column,
-since numpy hands a one-column product to gemv, whose bits differ from
-dgemm's. The bits promise two tiers:
+scenario per group of at most ``_SEED_COLUMNS`` (64) seeds. A group of one
+seed is stepped beside a zero column, since numpy hands a one-column product
+to gemv, whose bits differ from dgemm's. The bits promise two tiers:
 
 * the same call gives the same bits, whatever the stack around it: a
   scenario's dgemm has the same operands in a sweep grid as in its own
@@ -31,8 +31,11 @@ dgemm's. The bits promise two tiers:
 * a seed's column is bit-identical whatever other seeds share its product
   (``run`` against a column of ``run_finals``, a chunk of seeds against the
   whole list) only because dgemm computes each output column independently
-  of the other columns. OpenBLAS does (checked from n = 2 to 300 with 2 to
-  40 columns, on 1 and 2 threads); ``tests/test_learning.py`` checks it on
+  of the other columns. OpenBLAS 0.3.31 does so up to 64 columns for every n
+  from 2 to 300, on 1 and 2 threads, but not for wider products: on one
+  thread it fails from 193 columns for n >= 100 and from 245 at n = 64 (none
+  up to 256 for n <= 50), on two threads from 101 columns at n = 100. Hence
+  the 64-column groups; ``tests/test_learning.py`` checks widths 2 to 64 on
   the BLAS at hand.
 
 Symbols are drawn and turned into log-likelihood ratios a block of steps at
@@ -45,15 +48,16 @@ contiguous slice. Each length is at most ``_BLOCK_STEPS`` steps and at most
 block is a whole number of ratio blocks, so memory stays
 O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Every scenario maps the
 uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
-``sample`` uses), which selects log-likelihood ratios out of per-agent
-tables bit for bit, without arithmetic, along whole (agent, seed) rows. The
-tables hold one row per distinct (true, inference) model pair, and their
-scenario axis ``G'`` is 1 when every scenario's agents are equal (say, a
-grid that moves only the network), so one ratio block then serves the whole
-stack by broadcasting. No block length changes the bits: a stream's
-uniforms are the same however they are split. The check for a realized
-symbol of zero likelihood scans each block only when some table entry is
-infinite, since otherwise no realized ratio can be.
+``sample`` uses), which selects log-likelihood ratios out of the
+``LogRatioTable`` bit for bit, without arithmetic, along whole (agent, seed)
+rows. That table holds one row per distinct (true, inference) model pair,
+with one index row for the whole stack when every scenario's agents are equal
+(say, a grid that moves only the network), so one ratio block then serves
+the whole stack by broadcasting; ``analysis`` reads its closed forms from the
+same table. No block length changes the bits: a stream's uniforms are the
+same however they are split. The check for a realized symbol of zero
+likelihood scans each block only when some table entry is infinite, since
+otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -84,6 +88,9 @@ __all__ = [
 _BLOCK_STEPS = 512
 #: Most log-likelihood ratios per block, over the whole (scenario, seed, agent) stack.
 _BLOCK_ELEMENTS = 1 << 16
+#: Most seed columns one dgemm steps. OpenBLAS 0.3.31 stops computing output
+#: columns independently of each other at 193 columns for n >= 100 (245 at n = 64).
+_SEED_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,11 @@ class Trajectory:
 class LogRatioTable:
     """Each distinct (true, inference) model pair of a stack of agent lists, once.
 
-    ``index[g, k]`` is the pair of agent ``k`` of list ``g``, one row for the
-    whole stack when every list is equal. Per pair ``p``, with ``sizes[p]``
-    symbols, ``llr[p, x]`` is ln inference(x|theta1) - ln inference(x|theta2)
-    (the kernel's increment of ``lam`` on symbol ``x``) and ``pmf[i, p, x]`` the
-    true mass of ``x`` in the state of value ``i``; both are 0 past the pair's
-    alphabet.
+    ``index[g, k]`` is the pair of agent ``k`` of list ``g``, one row when every
+    list is equal. Per pair ``p``, ``llr[p, x]`` = ln inference(x|theta1) -
+    ln inference(x|theta2) is the step of ``lam`` on symbol ``x``, and
+    ``pmf[i, p, x]`` the true mass of ``x`` in the state of value ``i``; both
+    are 0 past the pair's ``sizes[p]`` symbols.
     """
 
     index: np.ndarray
@@ -156,27 +162,22 @@ class LogRatioTable:
     pmf: np.ndarray
 
     def drift(self, theta: Hypothesis) -> np.ndarray:
-        """Per pair, E_{true theta}[ln inference(x|theta') - ln inference(x|theta)].
-
-        That is the expected step of the log-ratio toward the wrong state: -D(L(theta) ||
-        L(theta')) for an honest pair, and an adversary's contribution per unit
-        centrality. Raises :class:`InfiniteDivergenceError` when the true model
-        emits a symbol whose ratio is infinite.
-        """
+        """Per pair, E_{true theta}[ln inference(x|theta') - ln inference(x|theta)]:
+        -D(L(theta) || L(theta')) for an honest pair, an adversary's contribution
+        per unit centrality. An emitted symbol of infinite ratio raises
+        :class:`InfiniteDivergenceError`."""
         weights = self.pmf[theta.value]
         emitted = weights > 0.0
         if not np.all(np.isfinite(self.llr[emitted])):
             raise InfiniteDivergenceError(
-                "expected log ratio infinite: an inference model gives zero likelihood "
-                "to a symbol its true model emits"
+                "expected log ratio infinite: zero likelihood at an emitted symbol"
             )
-        toward_theta1 = np.multiply(weights, self.llr, out=np.zeros_like(weights), where=emitted)
-        toward_theta1 = toward_theta1.sum(axis=-1)
+        toward_theta1 = (weights * np.where(emitted, self.llr, 0.0)).sum(axis=-1)
         return 0.0 - toward_theta1 if theta is Hypothesis.THETA1 else toward_theta1
 
 
 def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTable:
-    """The log-ratio table of a stack of agent lists (see :class:`LogRatioTable`)."""
+    """The :class:`LogRatioTable` of a stack of agent lists."""
     if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
         agent_lists = agent_lists[:1]
     pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
@@ -189,9 +190,8 @@ def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTab
     pmf = np.zeros((2,) + llr.shape)
     for p, (true, m) in enumerate(pairs):
         with np.errstate(divide="ignore", invalid="ignore"):
-            llr[p, : sizes[p]] = np.log(m.given_theta1.as_array()) - np.log(
-                m.given_theta2.as_array()
-            )
+            table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
+        llr[p, : sizes[p]] = table
         for theta in Hypothesis:
             pmf[theta.value, p, : sizes[p]] = true.given(theta).as_array()
     return LogRatioTable(index=index, sizes=sizes, llr=llr, pmf=pmf)
@@ -204,11 +204,10 @@ def _symbol_tables(
 
     Returns ``cum`` of shape ``(A - 1, G', 1, n, S)`` (each agent's cumulative
     true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, S)``
-    (the agent's row of the ``log_ratio_table``) with ``A`` the largest
-    alphabet, and whether every table entry is finite. ``G'`` is the table's
-    row count. Every agent's entry is repeated for each of the ``S = n_seeds``
-    seeds, so that the inverse CDF compares along whole contiguous (agent,
-    seed) rows.
+    (its row of the ``log_ratio_table``) with ``A`` the largest alphabet and
+    ``G'`` the table's row count, and whether every table entry is finite.
+    Every agent's entry is repeated for each of the ``S = n_seeds`` seeds, so
+    that the inverse CDF compares along whole contiguous (agent, seed) rows.
     """
     table = log_ratio_table(agent_lists)
     cum = np.cumsum(table.pmf[theta_true.value], axis=-1)[:, :-1]
@@ -281,13 +280,17 @@ def _simulate(
     if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too
         raise ValueError("initial beliefs must lie strictly inside (0, 1)")
     n_grid, n_seeds = len(nets), len(rngs)
-    # the seeds' columns, then a zero column when there is one seed, so that
-    # every product is a dgemm
-    lam = np.zeros((n_grid, n, max(n_seeds, 2)))
+    # the seeds' columns, stepped _SEED_COLUMNS at a time, then a zero column when
+    # the last group would have one, so that every product is a dgemm
+    lam = np.zeros((n_grid, n, n_seeds + (n_seeds % _SEED_COLUMNS == 1)))
     seed_cols = lam[..., :n_seeds]
     seed_cols[...] = (np.log(b) - np.log1p(-b))[:, None]
     summed = np.zeros_like(lam)
     summed_cols = summed[..., :n_seeds]
+    groups = [
+        (summed[..., c : c + _SEED_COLUMNS], lam[..., c : c + _SEED_COLUMNS])
+        for c in range(0, lam.shape[-1], _SEED_COLUMNS)
+    ]
 
     steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
     records = np.empty((n_grid, n_seeds, len(steps), n))
@@ -312,7 +315,8 @@ def _simulate(
                 )
             for j, i in enumerate(range(start + off + 1, start + off + size + 1)):
                 np.add(seed_cols, llr[:, j], out=summed_cols)
-                np.matmul(at, summed, out=lam)
+                for x, out in groups:
+                    np.matmul(at, x, out=out)
                 if stride > 0 and i % stride == 0:
                     records[:, :, i // stride - 1] = seed_cols.swapaxes(-1, -2)
     return steps, records, np.ascontiguousarray(seed_cols.swapaxes(-1, -2))

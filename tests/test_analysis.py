@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from sociallearn import (
     unknown_divergence_attack,
 )
 from sociallearn.errors import InfiniteDivergenceError, NoSignChangeError
-from sociallearn.learning import network_average_true_belief
+from sociallearn.learning import _symbol_tables, network_average_true_belief
 from sociallearn.network import adversary_centrality
 
 from helpers import (
@@ -274,6 +275,42 @@ class TestAsymptoticRate:
         report = deception_verdict(net, agents)
         rate = report.margin(Hypothesis.THETA1)
         assert report.verdict1 is Verdict.MISLED and rate > 0
+
+
+class TestOneTable:
+    def test_no_separate_divergence_formula(self, tmp_path, monkeypatch):
+        # every s_j, r_kj and margin comes from the kernel's log-ratio table
+        import sociallearn.simulator  # noqa: F401  (loads every module the commands use)
+        from sociallearn.cli import main
+
+        def refuse(*args):
+            raise AssertionError("a closed form read a formula other than the table")
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("sociallearn")]:
+            for formula in ("kl_divergence", "expected_log_ratio"):
+                if formula in vars(module):
+                    monkeypatch.setattr(module, formula, refuse)
+        for name in CONFIGS:
+            path = os.path.join(CONFIG_DIR, name)
+            commands = ["predict", "run"] + (["sweep"] if name.startswith("sweep_") else [])
+            for command in commands:
+                argv = [command, "--config", path, "--horizon", "20", "--out", str(tmp_path)]
+                assert main(argv) == 0, (name, command)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_margin_is_the_expected_step_of_the_walk(self, name):
+        # Z_t = u^T lam_t steps by u^T llr_t, whose mean over the kernel's own
+        # tables is the margin toward the wrong state
+        with open(os.path.join(CONFIG_DIR, name), "r", encoding="utf-8") as fh:
+            scenario = build_scenario(load_config(fh.read()))
+        theta = scenario.theta_true
+        cum, llr, _ = _symbol_tables([scenario.agents], theta, 1)
+        cum, llr = np.where(np.isinf(cum), 1.0, cum)[:, 0, 0, :, 0], llr[:, 0, 0, :, 0]
+        ones = np.ones((1, cum.shape[1]))
+        pmf = np.diff(np.concatenate([0.0 * ones, cum, ones]), axis=0)
+        step = float(scenario.perron @ (pmf * llr).sum(axis=0))
+        toward_wrong = -step if theta is Hypothesis.THETA1 else step
+        assert toward_wrong == pytest.approx(scenario.report().margin(theta), rel=1e-12, abs=1e-15)
 
 
 class TestCriticalParameter:

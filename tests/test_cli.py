@@ -211,6 +211,35 @@ class TestValidate:
         assert len(lines) == _VIOLATIONS_PER_FIELD
         assert "more" not in lines[-1]
 
+    @pytest.mark.parametrize("seeds, line", [
+        pytest.param(
+            [-1 - k for k in range(100_000)],
+            f"experiment.seeds must be >= 0, got {list(range(-1, -11, -1))} (and 99990 more)",
+            id="negative",
+        ),
+        pytest.param(
+            list(range(50_000)) * 2,
+            f"experiment.seeds must be distinct, got {list(range(10))} (and 49990 more) "
+            "more than once",
+            id="repeated",
+        ),
+        pytest.param(
+            list(range(10)) * 2,
+            f"experiment.seeds must be distinct, got {list(range(10))} more than once",
+            id="repeated-at-the-cap",
+        ),
+    ])
+    def test_seed_values_capped(self, tmp_path, capsys, seeds, line):
+        text = (
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            f"experiment: {{seeds: {seeds}}}\n"
+        )
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 4096
+        assert [x.strip() for x in err.splitlines()[1:]] == [line]
+
     def test_wrong_type_exits_1_without_traceback(self, tmp_path):
         path = write(tmp_path, "topology: {kind: complete, n_agents: three}\n")
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from sociallearn import (
     Hypothesis,
     Role,
     bsc_model,
+    erdos_renyi_adjacency,
     make_model,
     make_network,
     run,
@@ -252,24 +253,47 @@ class TestRun:
         assert abs(empirical - predicted) <= 0.05 * abs(predicted)
 
 
-@pytest.mark.parametrize("n", [2, 5, 15, 200])
+@pytest.mark.parametrize("n", [2, 5, 15, 50, 64, 100, 200, 300])
 def test_blas_computes_each_column_on_its_own(n):
     # the kernel's cross-seed bits rest on this: each seed is a column of one
-    # dgemm, and a lone seed is one column beside a zero column
+    # dgemm of at most _SEED_COLUMNS columns, and a lone seed is one column
+    # beside a zero column
     rng = np.random.default_rng(n)
     at = random_network(rng, n).combination.T
-    for width in range(2, 13):
-        x = rng.standard_normal((n, width))
-        full = at @ x
-        for col in range(width):
-            beside_zero = np.zeros((n, 2))
-            beside_zero[:, 0] = x[:, col]
-            assert np.array_equal(full[:, col], (at @ beside_zero)[:, 0]), (
-                f"column {col} of {width} at n = {n} differs from the same column beside a "
-                "zero column: the kernel needs a BLAS dgemm that computes each output column "
-                "independently of the others, or its seeds' bits depend on which seeds share "
-                "a run"
-            )
+    x = rng.standard_normal((n, learning._SEED_COLUMNS))
+    lone = np.empty_like(x)
+    for col in range(x.shape[1]):
+        beside_zero = np.zeros((n, 2))
+        beside_zero[:, 0] = x[:, col]
+        lone[:, col] = (at @ beside_zero)[:, 0]
+    for width in range(2, x.shape[1] + 1):
+        full = at @ np.ascontiguousarray(x[:, :width])
+        differ = np.flatnonzero(np.any(full != lone[:, :width], axis=0))
+        assert differ.size == 0, (
+            f"columns {differ.tolist()} of {width} at n = {n} differ from the same columns "
+            "beside a zero column: the kernel needs a BLAS dgemm that computes each output "
+            "column independently of the others, or its seeds' bits depend on which seeds "
+            "share a run"
+        )
+
+
+def test_many_seeds_match_the_same_seeds_in_halves():
+    # 410 seeds are stepped _SEED_COLUMNS at a time: past about 192 columns at
+    # n >= 100 the BLAS no longer computes each column on its own
+    net = make_network(uniform_combination(erdos_renyi_adjacency(100, 0.05, 7), True), 10)
+    m = bsc_model(0.8)
+    agents = agents_for(net, [m] * 100, {k: unknown_divergence_attack(m, 5e-3) for k in range(10)})
+    seeds = list(range(410))
+
+    def finals(part):
+        return run_finals(net, agents, Hypothesis.THETA1, 5, part)
+
+    whole = finals(seeds)
+    halves = np.hstack([finals(seeds[:205]), finals(seeds[205:])])
+    differ = np.flatnonzero(np.any(whole != halves, axis=0))
+    assert differ.size == 0, f"seed columns {differ.tolist()} differ"
+    # 65 = 64 + 1: the last seed steps beside a zero column
+    assert np.array_equal(finals(seeds[:65]), whole[:, :65])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
