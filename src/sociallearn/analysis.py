@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError
+from .errors import InfiniteDivergenceError, NoSignChangeError
 from .learning import AgentConfig, log_ratio_table
 from .network import Network, Role, perron_vector
 from .probability import Hypothesis, LikelihoodModel
@@ -90,12 +90,19 @@ class DeceptionReport:
 
 
 def _weighted_drifts(
-    agents: Sequence[AgentConfig], u: np.ndarray, thetas: Sequence[Hypothesis] = tuple(Hypothesis)
-) -> list[np.ndarray]:
-    """Per state in ``thetas``, ``u_k c_k`` for every agent ``k``: its centrality
-    times the drift of its pair in the agents' log-ratio table."""
+    agents: Sequence[AgentConfig], u: Sequence[float], theta: Hypothesis | None = None
+) -> np.ndarray:
+    """``[j - 1, k]``: ``u_k c_kj`` of each agent ``k`` in state j, from the agents'
+    log-ratio table (see the module docstring); only ``theta``'s row when it is
+    given. An infinite entry raises :class:`InfiniteDivergenceError`."""
     table = log_ratio_table([agents])
-    return [np.asarray(u) * table.drift(theta)[table.index[0]] for theta in thetas]
+    drifts = table.drifts()[:, table.index[0]]
+    weighted = np.asarray(u) * (drifts if theta is None else drifts[theta.value])
+    if not np.isfinite(weighted).all():
+        raise InfiniteDivergenceError(
+            "expected log ratio infinite: zero likelihood at a symbol the true model emits"
+        )
+    return weighted
 
 
 def normal_divergence(
@@ -107,7 +114,7 @@ def normal_divergence(
     """Centrality-weighted KL divergence of the normal sub-network for state j."""
     u = np.asarray(u if u is not None else perron_vector(net))
     normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
-    (w,) = _weighted_drifts([agents[k] for k in normal], u[normal], [Hypothesis(j - 1)])
+    w = _weighted_drifts([agents[k] for k in normal], u[normal], Hypothesis(j - 1))
     return 0.0 - math.fsum(w.tolist())
 
 
@@ -115,8 +122,8 @@ def adversary_contribution(
     u_k: float, true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
 ) -> float:
     """u_k * E_{true, theta_j} [ ln( forged(.|theta_j') / forged(.|theta_j) ) ]."""
-    table = log_ratio_table([[AgentConfig(Role.MALICIOUS, true_model, forged_model)]])
-    return u_k * float(table.drift(Hypothesis(j - 1))[0])
+    adversary = AgentConfig(Role.MALICIOUS, true_model, forged_model)
+    return float(_weighted_drifts([adversary], [u_k], Hypothesis(j - 1))[0])
 
 
 def deception_verdict(
@@ -134,10 +141,10 @@ def deception_verdict(
     u = u if u is not None else perron_vector(net)
     adv = tuple(k for k, a in enumerate(agents) if a.role is Role.MALICIOUS)
     normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
-    weighted = _weighted_drifts(agents, u)
-    s = [0.0 - math.fsum(w[normal].tolist()) for w in weighted]
-    r = [tuple(w[list(adv)].tolist()) for w in weighted]
-    m = [math.fsum(w.tolist()) for w in weighted]
+    weighted = _weighted_drifts(agents, u).tolist()
+    s = [0.0 - math.fsum(w[k] for k in normal) for w in weighted]
+    r = [tuple(w[k] for k in adv) for w in weighted]
+    m = [math.fsum(w) for w in weighted]
 
     def decide(margin: float) -> Verdict:
         if margin > BOUNDARY_TOL:

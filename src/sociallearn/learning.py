@@ -73,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteDivergenceError, ZeroLikelihoodError
+from .errors import ZeroLikelihoodError
 from .network import Network, Role
 from .probability import Hypothesis, LikelihoodModel, _inverse_cdf
 
@@ -161,19 +161,18 @@ class LogRatioTable:
     llr: np.ndarray
     pmf: np.ndarray
 
-    def drift(self, theta: Hypothesis) -> np.ndarray:
-        """Per pair, E_{true theta}[ln inference(x|theta') - ln inference(x|theta)]:
-        -D(L(theta) || L(theta')) for an honest pair, an adversary's contribution
-        per unit centrality. An emitted symbol of infinite ratio raises
-        :class:`InfiniteDivergenceError`."""
-        weights = self.pmf[theta.value]
-        emitted = weights > 0.0
-        if not np.all(np.isfinite(self.llr[emitted])):
-            raise InfiniteDivergenceError(
-                "expected log ratio infinite: zero likelihood at an emitted symbol"
-            )
-        toward_theta1 = (weights * np.where(emitted, self.llr, 0.0)).sum(axis=-1)
-        return 0.0 - toward_theta1 if theta is Hypothesis.THETA1 else toward_theta1
+    def drifts(self) -> np.ndarray:
+        """``[i, p]``: E[ln inference(x|theta') - ln inference(x|theta)] for true
+        state ``theta`` of value ``i``, the mean step of ``lam`` toward the wrong
+        state: -D(L(theta) || L(theta')) for an honest pair, an adversary's
+        contribution per unit centrality. Infinite or nan where the true model
+        emits a symbol whose ratio is infinite."""
+        drifts = np.add.reduce(
+            np.multiply(self.pmf, self.llr, out=np.zeros_like(self.pmf), where=self.pmf > 0.0),
+            axis=-1,
+        )
+        drifts[0] = 0.0 - drifts[0]  # theta1's wrong state lies toward -lam
+        return drifts
 
 
 def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTable:
@@ -181,20 +180,29 @@ def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTab
     if all(tuple(agents) == tuple(agent_lists[0]) for agents in agent_lists[1:]):
         agent_lists = agent_lists[:1]
     pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
-    index = np.array([
-        [pairs.setdefault((a.true_model, a.inference_model), len(pairs)) for a in agents]
-        for agents in agent_lists
-    ])
-    sizes = np.array([true.alphabet_size for true, _ in pairs])
-    llr = np.zeros((len(pairs), sizes.max()))
-    pmf = np.zeros((2,) + llr.shape)
-    for p, (true, m) in enumerate(pairs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.log(m.given_theta1.as_array()) - np.log(m.given_theta2.as_array())
-        llr[p, : sizes[p]] = table
-        for theta in Hypothesis:
-            pmf[theta.value, p, : sizes[p]] = true.given(theta).as_array()
-    return LogRatioTable(index=index, sizes=sizes, llr=llr, pmf=pmf)
+    by_id: dict[tuple[int, int], int] = {}  # the same model objects, found without hashing them
+
+    def pair(a: AgentConfig) -> int:
+        key = (id(a.true_model), id(a.inference_model))
+        if key not in by_id:
+            by_id[key] = pairs.setdefault((a.true_model, a.inference_model), len(pairs))
+        return by_id[key]
+
+    index = np.array([[pair(a) for a in agents] for agents in agent_lists], dtype=int)
+    sizes = [len(true.given_theta1.mass) for true, _ in pairs]
+    width = max(sizes, default=2)
+
+    def padded(models: Sequence[LikelihoodModel], fill: float) -> np.ndarray:  # (2, P, A)
+        by_state = zip(*[(m.given_theta1.mass, m.given_theta2.mass) for m in models])
+        return np.array([
+            [mass + (fill,) * (width - len(mass)) for mass in masses] for masses in by_state
+        ]).reshape(2, len(models), width)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio of 1 past each alphabet
+        logs = np.log(padded([m for _, m in pairs], 1.0))
+        llr = logs[0] - logs[1]
+    pmf = padded([true for true, _ in pairs], 0.0)
+    return LogRatioTable(index=index, sizes=np.array(sizes, dtype=int), llr=llr, pmf=pmf)
 
 
 def _symbol_tables(
