@@ -181,14 +181,14 @@ def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTab
         agent_lists = agent_lists[:1]
     pairs: dict[tuple[LikelihoodModel, LikelihoodModel], int] = {}
     by_id: dict[tuple[int, int], int] = {}  # the same model objects, found without hashing them
-
-    def pair(a: AgentConfig) -> int:
-        key = (id(a.true_model), id(a.inference_model))
-        if key not in by_id:
-            by_id[key] = pairs.setdefault((a.true_model, a.inference_model), len(pairs))
-        return by_id[key]
-
-    index = np.array([[pair(a) for a in agents] for agents in agent_lists], dtype=int)
+    index = np.empty((len(agent_lists), len(agent_lists[0])), dtype=int)
+    for g, agents in enumerate(agent_lists):
+        for k, a in enumerate(agents):
+            true, inference = a.true_model, a.inference_model
+            key = (id(true), id(inference))
+            if key not in by_id:
+                by_id[key] = pairs.setdefault((true, inference), len(pairs))
+            index[g, k] = by_id[key]
     sizes = [len(true.given_theta1.mass) for true, _ in pairs]
     width = max(sizes, default=2)
 
