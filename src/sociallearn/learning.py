@@ -88,8 +88,8 @@ __all__ = [
 _BLOCK_STEPS = 512
 #: Most log-likelihood ratios per block, over the whole (scenario, seed, agent) stack.
 _BLOCK_ELEMENTS = 1 << 16
-#: Most seed columns one dgemm steps. OpenBLAS 0.3.31 stops computing output
-#: columns independently of each other at 193 columns for n >= 100 (245 at n = 64).
+#: Most seed columns one dgemm steps. OpenBLAS 0.3.31 stops computing output columns
+#: independently from 193 columns for n >= 100, and from 101 at n = 100 on two threads.
 _SEED_COLUMNS = 64
 
 
