@@ -698,43 +698,35 @@ def multi_adversary_known(
     when all adversaries share one observation model and would otherwise
     need a much smaller epsilon.
 
-    The construction runs once per distinct (true model, effective
-    centrality) by :func:`forge_once`: under ``aggregate_centrality``
-    adversaries sharing a model share one construction. Each adversary's
-    entry equals a lone :func:`known_divergence_attack` call and holds its
-    own ``params`` dict.
+    Every adversary goes through one :func:`forge_once` call, which forges
+    once per distinct (true model, effective centrality): under
+    ``aggregate_centrality`` adversaries sharing a model share one
+    construction. Each adversary's entry equals a lone
+    :func:`known_divergence_attack` call and holds its own ``params`` dict.
     """
     if len(models) != len(centralities):
         raise ValueError("one centrality per adversary model required")
-    informative = [is_informative(m) for m in models]
-    if not any(informative):
+    if not any(map(is_informative, models)):
         raise AllUninformativeError(
             "no forged models can deceive both states: every adversary is uninformative"
         )
+
+    def forge(m: LikelihoodModel, u_eff: float) -> AttackPlanEntry:
+        if not is_informative(m):
+            return AttackPlanEntry(
+                forged=m, strategy="unmodified_uninformative", eps=eps,
+                params={"floor_satisfied": True},
+            )
+        return known_divergence_attack(m, u_eff, s1, s2, eps)
+
     u_total = float(sum(centralities))
     keys = [
         (m, u_total if aggregate_centrality else float(u_k))
-        for m, u_k, info in zip(models, centralities, informative)
-        if info
+        for m, u_k in zip(models, centralities)
     ]
-    forged = iter(
-        forge_once(keys, lambda m, u_eff: known_divergence_attack(m, u_eff, s1, s2, eps))
-    )
-    entries: list[AttackPlanEntry] = []
-    for m, info in zip(models, informative):
-        if not info:
-            entries.append(
-                AttackPlanEntry(
-                    forged=m,
-                    strategy="unmodified_uninformative",
-                    eps=eps,
-                    params={"floor_satisfied": True},
-                )
-            )
-            continue
-        entry = next(forged)  # shared with equal keys; the params dict is not
-        entries.append(replace(entry, params=dict(entry.params)))
-    return AttackPlan(entries=tuple(entries))
+    # an entry is shared by equal keys; its params dict is not
+    entries = forge_once(keys, forge)
+    return AttackPlan(entries=tuple(replace(e, params=dict(e.params)) for e in entries))
 
 
 def one_variable_feasibility(

@@ -33,9 +33,10 @@ One canonical schema (all keys optional unless noted):
       stride: 1
       initial_belief_theta1: 0.5 # scalar or per-agent list, strictly in (0,1)
     sweep:
-      parameter: bsc_p           # bsc_p | epsilon | adversary_centrality
-                                 # (trust_weight; only it moves the network)
-      grid: {start: 0.55, stop: 0.95, step: 0.01}   # or  values: [...]
+      parameter: bsc_p           # bsc_p | epsilon | adversary_centrality, each
+                                 # setting one field (``_SWEEP_FIELDS``)
+      grid: {start: 0.55, stop: 0.95, step: 0.01}   # never past stop; or
+                                 # values: [...], strictly monotone
     output:
       directory: out
       format: structured         # structured | tabular
@@ -54,14 +55,16 @@ list, any list refused entry by entry for its type) list at most
 echo materializes all defaults, so a result file records the exact knobs
 that produced it.
 
-A scenario is assembled in two parts. The topology part
-(``build_topology``: the network, its validation, the Perron vector and the
-adversary centrality) reads only ``topology`` and ``agents.n_malicious``; the
-model part (``assemble_scenario``: agents, attack plan, report) is built on
-it. ``build_scenario`` is the two in turn. A sweep's value -> scenario builder
-(``sweep_scenarios``) therefore builds the topology once for a ``bsc_p`` or
-``epsilon`` sweep, grid and theory root alike, and once per value only for
-``adversary_centrality``. The attack plan forges once per distinct input
+A scenario is assembled in two parts. The topology part (``build_topology``:
+the network, validated, and its Perron vector) reads only ``topology`` and
+``agents.n_malicious``; the model part (``assemble_scenario``: agents, attack
+plan, report) is built on it, and the scenario sums the adversary centrality
+from the Perron vector when asked. ``build_scenario`` is the two in turn.
+``_SWEEP_FIELDS`` maps each sweep parameter to the one field it sets, and a
+sweep's value -> scenario builder (``sweep_scenarios``) builds the topology
+per value only when that field lies under ``topology``
+(``adversary_centrality``), and once otherwise, grid and theory root alike.
+The attack plan forges once per distinct input
 (``attacks.forge_once``): per distinct model under ``unknown_divergences``,
 and per distinct (model, effective centrality) under ``known_divergences``,
 where the effective centrality is the summed adversary centrality with
@@ -74,8 +77,8 @@ resolver and representer, so they give the same data and the same bytes.
 
 Parsing, validation and the echo need only this module, ``probability``,
 ``errors`` and PyYAML. The scenario builders (``build_network``,
-``build_plan``, ``build_topology``, ``assemble_scenario`` and
-``Scenario.report``) import numpy and the network, learning, attack and
+``build_plan``, ``build_topology``, ``assemble_scenario`` and the
+``Scenario`` methods) import numpy and the network, learning, attack and
 analysis modules when they are called, so a config tool or a refused config
 never loads them.
 """
@@ -123,7 +126,12 @@ _TOPOLOGY_KINDS = (
     "trust_weighted_complete",
 )
 _STRATEGIES = ("none", "unknown_divergences", "known_divergences", "random")
-_SWEEP_PARAMETERS = ("bsc_p", "epsilon", "adversary_centrality")
+#: the field each sweep parameter sets, as a path of attribute names
+_SWEEP_FIELDS = {
+    "bsc_p": ("agents", "model", "p"),
+    "epsilon": ("attack", "epsilon"),
+    "adversary_centrality": ("topology", "trust_weight"),
+}
 _FORMATS = ("structured", "tabular")
 #: the keys each model kind reads, and the only ones it echoes
 _MODEL_KEYS = {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}
@@ -335,7 +343,7 @@ def _expand_grid(sweep: dict, violations: list[str]) -> dict:
     """``sweep`` with its ``grid: {start, stop, step}`` shorthand turned into ``values``.
 
     The point count is worked out before any value is built, and a grid of
-    more than ``_GRID_POINTS`` points is refused.
+    more than ``_GRID_POINTS`` points is refused. No point lies past ``stop``.
     """
     grid = sweep["grid"]
     sweep = {key: item for key, item in sweep.items() if key != "grid"}
@@ -354,7 +362,9 @@ def _expand_grid(sweep: dict, violations: list[str]) -> dict:
             f"sweep.grid gives {span + 1.0:.6g} points, more than the {_GRID_POINTS} allowed"
         )
         return sweep
-    sweep["values"] = [round(start + i * step, 12) for i in range(round(max(span, -1.0)) + 1)]
+    # the tolerance keeps a point that rounding puts a hair short of stop
+    count = math.floor(max(span, -1.0) + 1e-9) + 1
+    sweep["values"] = [round(start + i * step, 12) for i in range(count)]
     return sweep
 
 
@@ -454,22 +464,23 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     )))
     sw = cfg.sweep
     if sw is not None:
-        if sw.parameter not in _SWEEP_PARAMETERS:
-            v.append(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}, got {sw.parameter!r}")
+        if sw.parameter not in _SWEEP_FIELDS:
+            v.append(f"sweep.parameter must be one of {tuple(_SWEEP_FIELDS)}, got {sw.parameter!r}")
         if not sw.values:
             v.append("sweep.values must be non-empty")
+        out_of_range: list[str] = []
         if sw.parameter == "bsc_p":
             if a.model is None or a.model.kind != "bsc":
                 v.append("agents.model must be a shared bsc model for a bsc_p sweep")
-            v.extend(_capped("sweep.values", (
+            out_of_range = [
                 f"sweep.values[{k}] must lie in (0.5, 1) for bsc_p, got {x!r}"
                 for k, x in enumerate(sw.values) if not 0.5 < x < 1.0
-            )))
+            ]
         if sw.parameter == "epsilon" and min_alphabet and at.strategy != "none":
-            v.extend(_capped("sweep.values", (
+            out_of_range = [
                 f"sweep.values[{k}] must lie in (0, 1/{min_alphabet}) for epsilon, got {x!r}"
                 for k, x in enumerate(sw.values) if not 0.0 < x < 1.0 / min_alphabet
-            )))
+            ]
         if sw.parameter == "adversary_centrality":
             if t.kind != "trust_weighted_complete":
                 v.append(
@@ -477,14 +488,30 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                     f"adversary_centrality sweep, got {t.kind!r}"
                 )
             else:
-                v.extend(_capped("sweep.values", (
+                out_of_range = [
                     f"sweep.values[{k}] must lie in (0, 1/n_malicious) as a trust weight, "
                     f"got {x!r} with n_malicious {a.n_malicious}"
                     for k, x in enumerate(sw.values) if not 0.0 < x * a.n_malicious < 1.0
-                )))
+                ]
+        v.extend(_capped("sweep.values", out_of_range))
+        if not out_of_range:  # the crossing interpolates between adjacent listed values
+            v.extend(_monotone_break(sw.values))
     if cfg.output.format not in _FORMATS:
         v.append(f"output.format must be one of {_FORMATS}, got {cfg.output.format!r}")
     return v
+
+
+def _monotone_break(values: Sequence[float]) -> list[str]:
+    """A violation at the first value that breaks the strict order the first
+    two set; none for a strictly increasing or strictly decreasing list."""
+    up = len(values) > 1 and values[1] > values[0]
+    for k in range(1, len(values)):
+        if not (values[k] > values[k - 1] if up else values[k] < values[k - 1]):
+            return [
+                f"sweep.values[{k}] must keep the list strictly increasing or strictly "
+                f"decreasing, got {values[k]!r} after {values[k - 1]!r}"
+            ]
+    return []
 
 
 def _model_list(cfg: ExperimentConfig) -> list[LikelihoodModel]:
@@ -496,15 +523,6 @@ def _model_list(cfg: ExperimentConfig) -> list[LikelihoodModel]:
 # --- scenario assembly -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Topology:
-    """The network part of a scenario: network, Perron vector, adversary centrality."""
-
-    net: Network
-    perron: np.ndarray
-    adversary_centrality: float
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Runnable assembly: network, Perron vector, agents (forged models bound), plan."""
 
@@ -513,7 +531,13 @@ class Scenario:
     agents: tuple[AgentConfig, ...]
     plan: AttackPlan | None
     theta_true: Hypothesis
-    adversary_centrality: float
+
+    @property
+    def adversary_centrality(self) -> float:
+        """The summed Perron centrality of the adversaries."""
+        from .network import adversary_centrality
+
+        return adversary_centrality(self.perron, self.net.roles)
 
     def report(self) -> DeceptionReport:
         """The closed-form deception report of this scenario."""
@@ -618,22 +642,21 @@ def build_plan(
     return AttackPlan(entries=entries)
 
 
-def build_topology(cfg: ExperimentConfig) -> Topology:
-    """The network part of a scenario, its Perron vector solved once (see
-    ``build_network`` for the networks refused)."""
-    from .network import adversary_centrality, perron_vector
+def build_topology(cfg: ExperimentConfig) -> tuple[Network, np.ndarray]:
+    """The network part of a scenario: the network and its Perron vector,
+    solved once (see ``build_network`` for the networks refused)."""
+    from .network import perron_vector
 
     net = build_network(cfg)
-    u = perron_vector(net)
-    return Topology(net=net, perron=u, adversary_centrality=adversary_centrality(u, net.roles))
+    return net, perron_vector(net)
 
 
-def assemble_scenario(cfg: ExperimentConfig, topology: Topology) -> Scenario:
-    """The model part of a scenario on a built ``topology``: agents, and the
-    attack plan with its forged models bound to the adversaries."""
+def assemble_scenario(cfg: ExperimentConfig, net: Network, u: np.ndarray) -> Scenario:
+    """The model part of a scenario on a built network ``net`` with Perron
+    vector ``u``: agents, and the attack plan with its forged models bound to
+    the adversaries."""
     from .learning import AgentConfig
 
-    net, u = topology.net, topology.perron
     agents = tuple(
         AgentConfig(role=role, true_model=model)
         for role, model in zip(net.roles, _model_list(cfg))
@@ -651,39 +674,36 @@ def assemble_scenario(cfg: ExperimentConfig, topology: Topology) -> Scenario:
         agents=agents,
         plan=plan,
         theta_true=Hypothesis.from_name(cfg.experiment.theta_true),
-        adversary_centrality=topology.adversary_centrality,
     )
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
     """Network, centrality and attack, built once each: the model part
     assembled on the topology part."""
-    return assemble_scenario(cfg, build_topology(cfg))
+    return assemble_scenario(cfg, *build_topology(cfg))
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    """New config with the sweep parameter set to ``value``."""
-    assert cfg.sweep is not None
-    p = cfg.sweep.parameter
-    if p == "bsc_p":
-        return replace(
-            cfg, agents=replace(cfg.agents, model=replace(cfg.agents.model, p=value))
-        )
-    if p == "epsilon":
-        return replace(cfg, attack=replace(cfg.attack, epsilon=value))
-    if p == "adversary_centrality":
-        return replace(cfg, topology=replace(cfg.topology, trust_weight=value))
-    raise ConfigValidationError([f"unknown sweep parameter {p!r}"])
+    """New config with the field the sweep parameter sets (``_SWEEP_FIELDS``)
+    at ``value``."""
+    return _replaced(cfg, _SWEEP_FIELDS[cfg.sweep.parameter], value)
+
+
+def _replaced(section: Any, path: Sequence[str], value: Any) -> Any:
+    """``section`` with the field at the attribute ``path`` set to ``value``."""
+    head, *rest = path
+    inner = _replaced(getattr(section, head), rest, value) if rest else value
+    return replace(section, **{head: inner})
 
 
 def sweep_scenarios(cfg: ExperimentConfig) -> Callable[[float], Scenario]:
     """Sweep value -> scenario at that value.
 
-    Only an ``adversary_centrality`` sweep moves the network, so only it
-    builds a topology per value; ``bsc_p`` and ``epsilon`` sweeps build theirs
-    once, here, and assemble each value's models on it.
+    Only a field under ``topology`` moves the network, so only a sweep of
+    one builds the network per value; any other sweep builds it once, here,
+    and assembles each value's models on it.
     """
-    if cfg.sweep.parameter == "adversary_centrality":
+    if _SWEEP_FIELDS[cfg.sweep.parameter][0] == "topology":
         return lambda value: build_scenario(apply_sweep_value(cfg, value))
     topology = build_topology(cfg)
-    return lambda value: assemble_scenario(apply_sweep_value(cfg, value), topology)
+    return lambda value: assemble_scenario(apply_sweep_value(cfg, value), *topology)

@@ -46,15 +46,7 @@ from . import learning
 # RSS by about 0.4 MB on a 2-vCPU x86-64 Linux host.
 from . import attacks  # noqa: F401
 from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
-from .config import (
-    ExperimentConfig,
-    ExperimentSpec,
-    Scenario,
-    apply_sweep_value,
-    build_scenario,
-    build_topology,
-    sweep_scenarios,
-)
+from .config import ExperimentConfig, ExperimentSpec, Scenario, build_scenario, sweep_scenarios
 from .errors import NoSignChangeError, OutputIOError
 from .probability import Hypothesis
 
@@ -248,7 +240,7 @@ def _theory_root(
     models and every sweep parameter take the one path, and only an
     ``adversary_centrality`` step rebuilds the network and its Perron vector.
     That root is found on the trust-weight axis the grid is written in, then
-    reported as the aggregate centrality of the topology built at it.
+    reported as the aggregate centrality of the scenario built at it.
     """
     sweep = cfg.sweep
     theta = Hypothesis.from_name(cfg.experiment.theta_true)
@@ -261,7 +253,7 @@ def _theory_root(
     except NoSignChangeError:
         return None
     if sweep.parameter == "adversary_centrality":
-        return build_topology(apply_sweep_value(cfg, root)).adversary_centrality
+        return scenario_at(root).adversary_centrality
     return root
 
 

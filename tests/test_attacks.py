@@ -345,6 +345,38 @@ class TestKnownDivergenceAttack:
         assert np.all(entry.forged.given_theta1.as_array() > 0.0)
         assert np.all(entry.forged.given_theta2.as_array() > 0.0)
 
+    def test_entry_below_the_floor(self):
+        # past the box (x1 > x_plus) a forged mass falls below the floor: an
+        # entry meant to satisfy it is refused, and the relaxed one is flagged
+        region = distortion_region(bsc_model(0.9), 0.25, 0.5, 0.5, 0.01)
+        x1, x2 = attacks._floor_feasible_point(region)
+        assert attacks._entry(region, x1, x2, floor_satisfied=True) is not None
+        assert attacks._entry(region, region.x_plus + 1.0, x2, floor_satisfied=True) is None
+        relaxed = attacks._entry(region, region.x_plus + 1.0, x2, floor_satisfied=False)
+        assert relaxed.params["floor_satisfied"] is False
+        masses = np.concatenate([relaxed.forged.given_theta1.as_array(),
+                                 relaxed.forged.given_theta2.as_array()])
+        assert masses.min() < region.eps
+
+    def test_infeasible_midpoint_falls_back_to_first_feasible_point(self, monkeypatch):
+        region = distortion_region(bsc_model(0.9), 0.25, 0.5, 0.5, 0.01)
+        midpoint = attacks._floor_feasible_point(region)
+        exact, grids = attacks._floor_x2_interval, []
+
+        def interval(region, x1):
+            lo, hi = exact(region, x1)
+            if len(x1) == 1:  # the midpoint of the largest run: make it a gap
+                return lo, lo - 1.0
+            grids.append((x1, lo, hi))
+            return lo, hi
+
+        monkeypatch.setattr(attacks, "_floor_x2_interval", interval)
+        x1, x2 = attacks._floor_feasible_point(region)
+        (grid, lo, hi), = grids
+        m = int(np.argmax(lo < hi - 1e-12))
+        assert x1 == grid[m] != midpoint[0]
+        assert x2 == pytest.approx(0.5 * (lo[m] + hi[m]), abs=1e-12)
+
     def test_uninformative_raises(self):
         with pytest.raises(UninformativeModelError):
             known_divergence_attack(bsc_model(0.5), 0.25, 0.5, 0.5, 1e-3)

@@ -15,6 +15,7 @@ from sociallearn import (
     make_network,
     run,
     run_finals,
+    sample,
     star_adjacency,
     uniform_combination,
     unknown_divergence_attack,
@@ -296,19 +297,31 @@ def test_many_seeds_match_the_same_seeds_in_halves():
     assert np.array_equal(finals(seeds[:65]), whole[:, :65])
 
 
+def lone_agent(model):
+    """A one-agent network: each step adds the agent's own log-likelihood ratio."""
+    return make_network(np.array([[1.0]]), 0), [AgentConfig(role=Role.NORMAL, true_model=model)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("key", [0, 1, 199])
 def test_stream_entropy_draws_as_the_seed_tuple(seed, key):
-    # the documented stream of agent key k is default_rng((seed, k))
-    expected = np.random.default_rng((seed, key)).random(16)
-    drawn = np.random.default_rng(learning._stream_entropy(seed, key)).random(16)
-    assert np.array_equal(drawn, expected)
+    # the stream of agent key k is default_rng((seed, k)), multi-word ints included
+    model = bsc_model(0.7)
+    net, agents = lone_agent(model)
+    traj = run(net, agents, Hypothesis.THETA1, 16, seed=seed, agent_keys=[key])
+    symbols = sample(model.given_theta1, np.random.default_rng((seed, key)), 16)
+    llr = np.log(model.given_theta1.as_array()) - np.log(model.given_theta2.as_array())
+    assert np.array_equal(traj.log_ratio[:, 0], np.cumsum(llr[symbols]))
 
 
 @pytest.mark.parametrize("seed, key", [(-1, 0), (0, -1)])
 def test_negative_stream_seed_refused(seed, key):
+    net, agents = lone_agent(bsc_model(0.7))
     with pytest.raises(ValueError, match="non-negative"):
-        learning._stream_entropy(seed, key)
+        run(net, agents, Hypothesis.THETA1, 5, seed=seed, agent_keys=[key])
+    if key == 0:  # run_finals keys each agent by its index
+        with pytest.raises(ValueError, match="non-negative"):
+            run_finals(net, agents, Hypothesis.THETA1, 5, seeds=[seed])
 
 
 def mixed_grid(seed: int, n: int = 5, points: int = 4):

@@ -124,6 +124,45 @@ output: {format: parquet}
             load_config(text)
         assert err.value.violations == violations
 
+    @pytest.mark.parametrize("values, k, got", [
+        ("[0.95, 0.6, 0.9, 0.7, 0.6]", 2, "0.9 after 0.6"),
+        ("[0.6, 0.7, 0.7]", 2, "0.7 after 0.7"),
+        ("[0.6, 0.6]", 1, "0.6 after 0.6"),
+    ])
+    def test_sweep_values_must_be_strictly_monotone(self, values, k, got):
+        # the empirical crossing interpolates between adjacent listed values
+        text = MINIMAL + f"sweep: {{parameter: bsc_p, values: {values}}}\n"
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(text)
+        assert err.value.violations == [
+            f"sweep.values[{k}] must keep the list strictly increasing or strictly "
+            f"decreasing, got {got}"
+        ]
+
+    @pytest.mark.parametrize("sweep", [
+        "values: [0.9, 0.7, 0.6]",
+        "grid: {start: 0.95, stop: 0.55, step: -0.01}",
+    ])
+    def test_decreasing_sweep_values_accepted(self, sweep):
+        load_config(MINIMAL + f"sweep: {{parameter: bsc_p, {sweep}}}\n")
+
+    def test_order_checked_once_every_value_is_in_range(self):
+        text = MINIMAL + "sweep: {parameter: bsc_p, values: [0.9, 2.0, 0.95]}\n"
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(text)
+        assert err.value.violations == [
+            "sweep.values[1] must lie in (0.5, 1) for bsc_p, got 2.0"
+        ]
+
+    @pytest.mark.parametrize("stop, last, count", [
+        (0.956, 0.95, 41),  # rounding the point count up would add 0.96
+        (0.996, 0.99, 45),  # ... and 1.0, outside (0.5, 1)
+    ])
+    def test_grid_never_passes_stop(self, stop, last, count):
+        grid = f"{{start: 0.55, stop: {stop}, step: 0.01}}"
+        values = load_config(MINIMAL + f"sweep: {{parameter: bsc_p, grid: {grid}}}\n").sweep.values
+        assert (values[-1], len(values)) == (last, count)
+
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
     def test_round_trip_identity(self, name):
         cfg = load_config(read_config(name))
