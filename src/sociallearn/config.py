@@ -383,6 +383,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             "topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1, "
             f"got {t.trust_weight!r} with n_malicious {a.n_malicious}"
         )
+    if t.kind == "trust_weighted_complete" and not t.self_loops:
+        v.append("topology.self_loops must be true for trust_weighted_complete, got False")
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
         v.append(f"topology.hub must index one of the {t.n_agents} agents, got {t.hub!r}")
     if t.kind == "edge_list":

@@ -18,12 +18,12 @@ sweep grid) times S seeds: ``run`` and ``run_finals`` are its one-scenario
 calls, and the simulator hands it a whole sweep grid, or every seed of an
 experiment, in one call.
 
-The kernel holds the state as a ``(G, n, S)`` stack, one column per seed,
-and steps it with ``at @ (lam + llr_i)``, ``at`` being the ``(G, n, n)``
-stack of transposed combination matrices: numpy makes one BLAS dgemm per
-scenario per group of at most ``_SEED_COLUMNS`` (64) seeds. A group of one
-seed is stepped beside a zero column, since numpy hands a one-column product
-to gemv, whose bits differ from dgemm's. The bits promise two tiers:
+The kernel steps the seeds in groups of at most ``_SEED_COLUMNS`` (64), its
+outer loop, each as a lone run: a ``(G, n, w)`` state stack, one column per
+seed, stepped by ``at @ (lam + llr_i)``, ``at`` being the ``(G, n, n)`` stack
+of transposed combination matrices, so one BLAS dgemm per scenario per step.
+A lone seed is stepped beside a zero column, since numpy hands a one-column
+product to gemv, whose bits differ from dgemm's. The bits promise two tiers:
 
 * the same call gives the same bits, whatever the stack around it: a
   scenario's dgemm has the same operands in a sweep grid as in its own
@@ -39,14 +39,15 @@ to gemv, whose bits differ from dgemm's. The bits promise two tiers:
   the BLAS at hand.
 
 Symbols are drawn and turned into log-likelihood ratios a block of steps at
-a time, with two block lengths. A *draw block* of each (seed, agent) stream's
-uniforms is drawn by one generator call per stream into a ``(steps, n, S)``
-array; a *ratio block*, a ``(G', steps, n, S)`` array of log-likelihood
-ratios, is mapped from a slice of it, so each step's ratios are one
-contiguous slice. Each length is at most ``_BLOCK_STEPS`` steps and at most
-``_BLOCK_ELEMENTS`` values (one step when a step alone is more), and a draw
-block is a whole number of ratio blocks, so memory stays
-O(_BLOCK_ELEMENTS + G * S * n) whatever the horizon. Every scenario maps the
+a time, with two block lengths per seed group. A *draw block* of each (seed,
+agent) stream's uniforms is drawn by one generator call per stream into a
+``(steps, n, w)`` array; a *ratio block*, a ``(G', steps, n, w)`` array of
+log-likelihood ratios, is mapped from a slice of it, so each step's ratios
+are one contiguous slice. Each length is at most ``_BLOCK_STEPS`` steps and
+at most ``_BLOCK_ELEMENTS`` values (one step when a step alone is more), and
+a draw block is a whole number of ratio blocks. So working memory is
+O(_BLOCK_ELEMENTS + G * n * _SEED_COLUMNS) besides the returned records and
+finals, whatever the horizon and the seed count. Every scenario maps the
 uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
 ``sample`` uses), which selects log-likelihood ratios out of the
 ``LogRatioTable`` bit for bit, without arithmetic, along whole (agent, seed)
@@ -84,7 +85,7 @@ __all__ = [
 
 #: Most steps of symbols drawn per block.
 _BLOCK_STEPS = 512
-#: Most log-likelihood ratios per block, over the whole (scenario, seed, agent) stack.
+#: Most log-likelihood ratios per block, over a seed group's (scenario, seed, agent) stack.
 _BLOCK_ELEMENTS = 1 << 16
 #: Most seed columns one dgemm steps. OpenBLAS 0.3.31 stops computing output columns
 #: independently from 193 columns for n >= 100, and from 101 at n = 100 on two threads.
@@ -259,56 +260,58 @@ def _simulate(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if len(seeds) == 0:
+        raise ValueError("seeds must be non-empty")
     n = nets[0].n_agents
     if any(net.n_agents != n for net in nets) or any(len(a) != n for a in agent_lists):
         raise ValueError("agents list must match the network size")
+    if agent_keys is not None and len(agent_keys) != n:
+        raise ValueError(f"agent_keys must give one key per agent ({n}), got {len(agent_keys)}")
     keys = range(n) if agent_keys is None else agent_keys
-    rngs = [[np.random.default_rng((seed, key)) for key in keys] for seed in seeds]
-    cum, tables, finite = _symbol_tables(agent_lists, theta_true, len(rngs))
     b = np.broadcast_to(np.asarray(init, dtype=float), (n,))
     if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too
         raise ValueError("initial beliefs must lie strictly inside (0, 1)")
-    n_grid, n_seeds = len(nets), len(rngs)
-    # the seeds' columns, stepped _SEED_COLUMNS at a time, then a zero column when
-    # the last group would have one, so that every product is a dgemm
-    lam = np.zeros((n_grid, n, n_seeds + (n_seeds % _SEED_COLUMNS == 1)))
-    seed_cols = lam[..., :n_seeds]
-    seed_cols[...] = (np.log(b) - np.log1p(-b))[:, None]
-    summed = np.zeros_like(lam)
-    summed_cols = summed[..., :n_seeds]
-    groups = [
-        (summed[..., c : c + _SEED_COLUMNS], lam[..., c : c + _SEED_COLUMNS])
-        for c in range(0, lam.shape[-1], _SEED_COLUMNS)
-    ]
-
+    n_grid, n_seeds = len(nets), len(seeds)
     steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
     records = np.empty((n_grid, n_seeds, len(steps), n))
+    finals = np.empty((n_grid, n_seeds, n))
     # each matrix keeps the strides of ``net.combination.T``, so each dgemm is a lone run's
     at = np.stack([net.combination for net in nets]).swapaxes(-1, -2)
-    ratio, draw = _block_lengths(tables.shape[1], n_seeds * n, horizon)
-    u = np.empty((n, draw))
-    uniforms = np.empty((draw, n, n_seeds))
-    llr = np.empty((tables.shape[1], ratio, n, n_seeds))
-    for start in range(0, horizon, draw):
-        drawn = min(draw, horizon - start)
-        for s, seed_rngs in enumerate(rngs):
-            for k, rng in enumerate(seed_rngs):
-                rng.random(out=u[k, :drawn])
-            uniforms[:drawn, :, s] = u[:, :drawn].T
-        for off in range(0, drawn, ratio):
-            size = min(ratio, drawn - off)
-            _inverse_cdf(cum, tables, uniforms[off : off + size], llr[:, :size])
-            if not finite and not np.all(np.isfinite(llr[:, :size])):
-                raise ZeroLikelihoodError(
-                    "an inference model assigns zero likelihood to a realized symbol"
-                )
-            for j, i in enumerate(range(start + off + 1, start + off + size + 1)):
-                np.add(seed_cols, llr[:, j], out=summed_cols)
-                for x, out in groups:
-                    np.matmul(at, x, out=out)
-                if stride > 0 and i % stride == 0:
-                    records[:, :, i // stride - 1] = seed_cols.swapaxes(-1, -2)
-    return steps, records, np.ascontiguousarray(seed_cols.swapaxes(-1, -2))
+    for c in range(0, n_seeds, _SEED_COLUMNS):
+        group = seeds[c : c + _SEED_COLUMNS]
+        rngs = [[np.random.default_rng((seed, key)) for key in keys] for seed in group]
+        w = len(rngs)
+        cum, tables, finite = _symbol_tables(agent_lists, theta_true, w)
+        # the group's columns, then a zero column beside a lone seed, so every product is a dgemm
+        lam = np.zeros((n_grid, n, w + (w == 1)))
+        cols = lam[..., :w]
+        cols[...] = (np.log(b) - np.log1p(-b))[:, None]
+        summed = np.zeros_like(lam)
+        summed_cols = summed[..., :w]
+        ratio, draw = _block_lengths(tables.shape[1], w * n, horizon)
+        u = np.empty((n, draw))
+        uniforms = np.empty((draw, n, w))
+        llr = np.empty((tables.shape[1], ratio, n, w))
+        for start in range(0, horizon, draw):
+            drawn = min(draw, horizon - start)
+            for s, seed_rngs in enumerate(rngs):
+                for k, rng in enumerate(seed_rngs):
+                    rng.random(out=u[k, :drawn])
+                uniforms[:drawn, :, s] = u[:, :drawn].T
+            for off in range(0, drawn, ratio):
+                size = min(ratio, drawn - off)
+                _inverse_cdf(cum, tables, uniforms[off : off + size], llr[:, :size])
+                if not finite and not np.all(np.isfinite(llr[:, :size])):
+                    raise ZeroLikelihoodError(
+                        "an inference model assigns zero likelihood to a realized symbol"
+                    )
+                for j, i in enumerate(range(start + off + 1, start + off + size + 1)):
+                    np.add(cols, llr[:, j], out=summed_cols)
+                    np.matmul(at, summed, out=lam)
+                    if stride > 0 and i % stride == 0:
+                        records[:, c : c + w, i // stride - 1] = cols.swapaxes(-1, -2)
+        finals[:, c : c + w] = cols.swapaxes(-1, -2)
+    return steps, records, finals
 
 
 def _trajectories(

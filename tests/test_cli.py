@@ -101,6 +101,20 @@ class TestValidate:
                 id="trust-weight",
             ),
             pytest.param(
+                # the kind keeps every self-loop whatever the key says
+                "topology: {kind: trust_weighted_complete, n_agents: 5, trust_weight: 0.1,"
+                " self_loops: false}\n"
+                "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
+                ["topology.self_loops must be true for trust_weighted_complete, got False"],
+                id="trust-weighted-self-loops",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 5, self_loops: false}\n"
+                "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
+                ["network NoSelfLoop: no agent trusts itself (a_kk > 0)"],
+                id="uniform-self-loops",
+            ),
+            pytest.param(
                 "topology: {kind: complete, n_agents: 2}\n"
                 "agents: {model: {kind: bsc, p: 1.5}}\n",
                 ["agents.model: BSC probability must lie in (0, 1), got 1.5"],

@@ -278,12 +278,19 @@ def test_blas_computes_each_column_on_its_own(n):
         )
 
 
+def er_scenario(n, edge_prob, n_malicious):
+    """ER network (seed 7), shared BSC 0.8, unknown-divergence forgeries at 5e-3."""
+    adj = erdos_renyi_adjacency(n, edge_prob, 7)
+    net = make_network(uniform_combination(adj, True), n_malicious)
+    m = bsc_model(0.8)
+    forged = {k: unknown_divergence_attack(m, 5e-3) for k in range(n_malicious)}
+    return net, agents_for(net, [m] * n, forged)
+
+
 def test_many_seeds_match_the_same_seeds_in_halves():
     # 410 seeds are stepped _SEED_COLUMNS at a time: past about 192 columns at
     # n >= 100 the BLAS no longer computes each column on its own
-    net = make_network(uniform_combination(erdos_renyi_adjacency(100, 0.05, 7), True), 10)
-    m = bsc_model(0.8)
-    agents = agents_for(net, [m] * 100, {k: unknown_divergence_attack(m, 5e-3) for k in range(10)})
+    net, agents = er_scenario(100, 0.05, 10)
     seeds = list(range(410))
 
     def finals(part):
@@ -295,6 +302,55 @@ def test_many_seeds_match_the_same_seeds_in_halves():
     assert differ.size == 0, f"seed columns {differ.tolist()} differ"
     # 65 = 64 + 1: the last seed steps beside a zero column
     assert np.array_equal(finals(seeds[:65]), whole[:, :65])
+
+
+def test_blocks_sized_by_the_seed_group(monkeypatch):
+    # each group of at most _SEED_COLUMNS seeds draws its own blocks, so the
+    # generator calls per stream do not grow with the seed count
+    net, agents = er_scenario(100, 0.08, 10)
+    per_step = []
+
+    def recorder(n_tables, step, horizon):
+        per_step.append(step)
+        return _block_lengths(n_tables, step, horizon)
+
+    monkeypatch.setattr(learning, "_block_lengths", recorder)
+    run_finals(net, agents, Hypothesis.THETA1, 3, seeds=range(410))
+    assert per_step and max(per_step) <= learning._SEED_COLUMNS * 100
+
+
+def test_memory_flat_in_seed_count():
+    import tracemalloc
+
+    net, agents = er_scenario(20, 0.3, 2)
+    run_finals(net, agents, Hypothesis.THETA1, 20, seeds=range(2))  # warm-up
+    peaks = []
+    for n_seeds in (192, 640):
+        tracemalloc.start()
+        try:
+            finals = run_finals(net, agents, Hypothesis.THETA1, 20, seeds=range(n_seeds))
+            peaks.append(tracemalloc.get_traced_memory()[1] - finals.nbytes)
+        finally:
+            tracemalloc.stop()
+    # one group's generators, blocks and state, whatever the seed count
+    assert max(peaks) <= 1.1 * min(peaks), peaks
+
+
+@pytest.mark.parametrize("n_keys", [2, 16])
+def test_agent_keys_one_per_agent(n_keys):
+    rng = np.random.default_rng(20)
+    net = random_network(rng, 15, n_malicious=2)
+    agents = agents_for(net, [bsc_model(0.8)] * 15)
+    with pytest.raises(ValueError, match=r"one key per agent \(15\), got %d" % n_keys):
+        run(net, agents, Hypothesis.THETA1, 10, seed=0, agent_keys=list(range(n_keys)))
+
+
+def test_empty_seed_list_refused():
+    net, agents = er_scenario(5, 0.5, 1)
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        run_finals(net, agents, Hypothesis.THETA1, 10, seeds=[])
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        _simulate([net], [agents], Hypothesis.THETA1, 10, [], 0, 0.5, None)
 
 
 def lone_agent(model):
