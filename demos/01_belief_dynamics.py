@@ -36,7 +36,7 @@ def belief_strip(values):
 
 def show(title, p, seed, n_malicious, topology_seed, eps=5e-3):
     adj = erdos_renyi_adjacency(15, 0.25, topology_seed)
-    net = make_network(uniform_combination(adj, True), n_malicious)
+    net = make_network(uniform_combination(adj), n_malicious)
     model = bsc_model(p)
     forged = unknown_divergence_attack(model, eps)
     agents = tuple(

@@ -29,7 +29,7 @@ from sociallearn.learning import AgentConfig
 
 def main():
     adj = erdos_renyi_adjacency(15, 0.25, 28)
-    net = make_network(uniform_combination(adj, True), 4)
+    net = make_network(uniform_combination(adj), 4)
     model = bsc_model(0.8)
     eps = 5e-3
     forged = unknown_divergence_attack(model, eps)

@@ -15,6 +15,11 @@ splits the stack a command simulates, the grid points of a sweep or the seeds
 of a run, into at most N chunks, one worker process and one kernel call
 each; the result files do not depend on N.
 
+``validate`` checks the parse, the types and ranges, and the network, but
+not the attack plan or the report: it prints ``ok`` for some configs that
+``predict`` and ``attack`` refuse, e.g. ``nonseparable_askd`` with
+``attack.epsilon: 0.2`` (``EpsilonTooLargeError``).
+
 The simulator (and with it numpy) is imported by the handlers that use it, so
 ``--help``, a usage error or a refused config exits without loading either.
 """

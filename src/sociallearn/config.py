@@ -7,13 +7,12 @@ One canonical schema (all keys optional unless noted):
     topology:
       kind: erdos_renyi          # erdos_renyi | star | complete | ring |
                                  # edge_list | trust_weighted_complete
-      n_agents: 15               # required
+      n_agents: 15               # required; each agent has a self-loop
       edge_prob: 0.25            # erdos_renyi
       seed: 28                   # erdos_renyi rejection sampling
       hub: 0                     # star
       edges: [[0, 1], [1, 2]]    # edge_list
       trust_weight: 0.05         # trust_weighted_complete
-      self_loops: true           # default true (all agents)
     agents:
       n_malicious: 4             # adversaries are agents 0 .. n_malicious-1
       model: {kind: bsc, p: 0.8} # shared model, or
@@ -27,7 +26,7 @@ One canonical schema (all keys optional unless noted):
       aggregate_centrality: false
       seed: 0                    # random strategy
     experiment:
-      theta_true: theta1
+      theta_true: theta1         # theta1 | theta2, spelled exactly so
       horizon: 2000
       seeds: [0]                 # distinct, each >= 0
       stride: 1
@@ -150,7 +149,6 @@ class TopologySpec:
     hub: int = 0
     edges: tuple[tuple[int, int], ...] = ()
     trust_weight: float = 0.05
-    self_loops: bool = True
 
 
 @dataclass(frozen=True)
@@ -383,8 +381,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             "topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1, "
             f"got {t.trust_weight!r} with n_malicious {a.n_malicious}"
         )
-    if t.kind == "trust_weighted_complete" and not t.self_loops:
-        v.append("topology.self_loops must be true for trust_weighted_complete, got False")
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
         v.append(f"topology.hub must index one of the {t.n_agents} agents, got {t.hub!r}")
     if t.kind == "edge_list":
@@ -439,9 +435,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     negative = [s for s in e.seeds if s < 0]
     if negative:
         v.append(f"experiment.seeds must be >= 0, got {_listed(negative)}")
-    try:
-        Hypothesis.from_name(e.theta_true)
-    except Exception:
+    if e.theta_true not in ("theta1", "theta2"):  # the names ``Hypothesis.from_name`` maps
         v.append(f"experiment.theta_true must be theta1 or theta2, got {e.theta_true!r}")
     if e.horizon < 1:
         v.append(f"experiment.horizon must be >= 1, got {e.horizon!r}")
@@ -562,7 +556,7 @@ def build_network(cfg: ExperimentConfig) -> Network:
     if t.kind == "trust_weighted_complete":
         comb = trust_weighted_complete(t.n_agents, cfg.agents.n_malicious, t.trust_weight)
     else:
-        comb = uniform_combination(_adjacency(t), t.self_loops)
+        comb = uniform_combination(_adjacency(t))
     net = make_network(comb, cfg.agents.n_malicious)
     violations = validate_network(net)
     if violations:

@@ -40,10 +40,6 @@ class InfiniteDivergenceError(SocialLearnError):
 
 # --- network ------------------------------------------------------------------
 
-class IsolatedAgentError(SocialLearnError):
-    """An agent has no neighbors (zero combination column)."""
-
-
 class NoConvergenceError(SocialLearnError):
     """A rejection sampler found no acceptable draw within its try cap."""
 

@@ -51,14 +51,14 @@ finals, whatever the horizon and the seed count. Every scenario maps the
 uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
 ``sample`` uses), which selects log-likelihood ratios out of the
 ``LogRatioTable`` bit for bit, without arithmetic, along whole (agent, seed)
-rows. That table holds one row per distinct (true, inference) model pair,
-with one index row for the whole stack when every scenario's agents are equal
-(say, a grid that moves only the network), so one ratio block then serves
-the whole stack by broadcasting; ``analysis`` reads its closed forms from the
-same table. No block length changes the bits: a stream's uniforms are the
-same however they are split. The check for a realized symbol of zero
-likelihood scans each block only when some table entry is infinite, since
-otherwise no realized ratio can be.
+rows. That table, built once per kernel call, holds one row per distinct
+(true, inference) model pair, with one index row for the whole stack when
+every scenario's agents are equal (say, a grid that moves only the network),
+so one ratio block then serves the whole stack by broadcasting; ``analysis``
+reads its closed forms from the same table. No block length changes the bits:
+a stream's uniforms are the same however they are split. The check for a
+realized symbol of zero likelihood scans each block only when some table
+entry is infinite, since otherwise no realized ratio can be.
 
 Sampling is reproducible: agent ``k`` of a run draws from
 ``default_rng((seed, agent_key[k]))``, so permuting agents together with
@@ -205,18 +205,17 @@ def log_ratio_table(agent_lists: Sequence[Sequence[AgentConfig]]) -> LogRatioTab
 
 
 def _symbol_tables(
-    agent_lists: Sequence[Sequence[AgentConfig]], theta_true: Hypothesis, n_seeds: int
+    table: LogRatioTable, theta_true: Hypothesis, n_seeds: int
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Inverse-CDF inputs for a stack of scenarios, symbols on the leading axis.
+    """Inverse-CDF inputs for the scenario stack of ``table``, symbols leading.
 
     Returns ``cum`` of shape ``(A - 1, G', 1, n, S)`` (each agent's cumulative
     true mass, ``inf`` past its alphabet), ``llr`` of shape ``(A, G', 1, n, S)``
-    (its row of the ``log_ratio_table``) with ``A`` the largest alphabet and
-    ``G'`` the table's row count, and whether every table entry is finite.
-    Every agent's entry is repeated for each of the ``S = n_seeds`` seeds, so
-    that the inverse CDF compares along whole contiguous (agent, seed) rows.
+    (its row of the table) with ``A`` the largest alphabet and ``G'`` the
+    table's row count, and whether every table entry is finite. Every agent's
+    entry is repeated for each of the ``S = n_seeds`` seeds, so that the
+    inverse CDF compares along whole contiguous (agent, seed) rows.
     """
-    table = log_ratio_table(agent_lists)
     cum = np.cumsum(table.pmf[theta_true.value], axis=-1)[:, :-1]
     cum[np.arange(cum.shape[1]) >= table.sizes[:, None] - 1] = np.inf
 
@@ -277,11 +276,12 @@ def _simulate(
     finals = np.empty((n_grid, n_seeds, n))
     # each matrix keeps the strides of ``net.combination.T``, so each dgemm is a lone run's
     at = np.stack([net.combination for net in nets]).swapaxes(-1, -2)
+    table = log_ratio_table(agent_lists)
     for c in range(0, n_seeds, _SEED_COLUMNS):
         group = seeds[c : c + _SEED_COLUMNS]
         rngs = [[np.random.default_rng((seed, key)) for key in keys] for seed in group]
         w = len(rngs)
-        cum, tables, finite = _symbol_tables(agent_lists, theta_true, w)
+        cum, tables, finite = _symbol_tables(table, theta_true, w)
         # the group's columns, then a zero column beside a lone seed, so every product is a dgemm
         lam = np.zeros((n_grid, n, w + (w == 1)))
         cols = lam[..., :w]

@@ -7,7 +7,7 @@ converges to ``1 u^T`` where ``u`` is the positive, sum-one Perron vector;
 ``u[k]`` measures agent ``k``'s long-run influence (centrality).
 
 Topology builders return boolean adjacency matrices without self-loops;
-``uniform_combination`` turns adjacency + a self-loop mask into the
+``uniform_combination`` adds every agent's self-loop and turns that into the
 uniform-trust combination matrix used throughout the experiments.
 """
 
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IsolatedAgentError, NoConvergenceError, NoPerronVectorError
+from .errors import NoConvergenceError, NoPerronVectorError
 
 COLUMN_SUM_TOL = 1e-9
 #: rejection draws ``erdos_renyi_adjacency`` makes before giving up
@@ -114,7 +114,7 @@ def path_adjacency(n: int) -> np.ndarray:
 def edge_list_adjacency(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     adj = np.zeros((n, n), dtype=bool)
     i, j = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2).T
-    off = i != j  # self-loops come from the self-loop mask, not edges
+    off = i != j  # every agent's self-loop comes from uniform_combination, not edges
     adj[i[off], j[off]] = adj[j[off], i[off]] = True
     return adj
 
@@ -122,9 +122,9 @@ def edge_list_adjacency(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
 def erdos_renyi_adjacency(n: int, edge_prob: float, seed: int) -> np.ndarray:
     """Seeded Erdos-Renyi topology, rejected until connected.
 
-    With self-loops on every agent (the builders' default) connectivity of
+    ``uniform_combination`` gives every agent a self-loop, so connectivity of
     the undirected graph is exactly strong connectivity of the combination
-    matrix, so rejection here guarantees a valid network.
+    matrix, and rejection here guarantees a valid network.
     """
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, 1)  # row-major, so draw k decides the k-th pair (i < j)
@@ -141,26 +141,18 @@ def erdos_renyi_adjacency(n: int, edge_prob: float, seed: int) -> np.ndarray:
 
 # --- combination matrices -------------------------------------------------------
 
-def uniform_combination(
-    adjacency: np.ndarray, self_loops: np.ndarray | bool = True
-) -> np.ndarray:
+def uniform_combination(adjacency: np.ndarray) -> np.ndarray:
     """Uniform trust weights: column k puts 1/deg(k) on each in-neighbor.
 
-    ``self_loops`` is a per-agent boolean mask (or a scalar applied to all);
-    a flagged agent includes itself in its own neighborhood.
+    Every agent includes itself in its own neighborhood, so ``deg(k) >= 1``.
     """
     adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError(f"adjacency must be square, got {adj.shape}")
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric (undirected links)")
-    n = adj.shape[0]
-    support = adj | np.diag(np.broadcast_to(np.asarray(self_loops, dtype=bool), (n,)))
-    deg = support.sum(axis=0)
-    isolated = np.flatnonzero(deg == 0)
-    if isolated.size:
-        raise IsolatedAgentError(f"agent {isolated[0]} has no neighbors and no self-loop")
-    return np.where(support, 1.0 / deg, 0.0)
+    support = adj | np.eye(adj.shape[0], dtype=bool)
+    return np.where(support, 1.0 / support.sum(axis=0), 0.0)
 
 
 def trust_weighted_complete(

@@ -54,10 +54,10 @@ class Hypothesis(enum.Enum):
 
     @staticmethod
     def from_name(name: str) -> "Hypothesis":
-        key = name.strip().lower()
-        if key in ("theta1", "theta_1", "1"):
+        """``theta1`` or ``theta2``, spelled exactly so; nothing else is a name."""
+        if name == "theta1":
             return Hypothesis.THETA1
-        if key in ("theta2", "theta_2", "2"):
+        if name == "theta2":
             return Hypothesis.THETA2
         raise OutOfRangeError(f"unknown hypothesis name: {name!r}")
 

@@ -47,8 +47,7 @@ from . import learning
 from . import attacks  # noqa: F401
 from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
 from .config import ExperimentConfig, ExperimentSpec, Scenario, build_scenario, sweep_scenarios
-from .errors import NoSignChangeError, OutputIOError
-from .probability import Hypothesis
+from .errors import ConfigValidationError, NoSignChangeError, OutputIOError
 
 __all__ = [
     "ExperimentResult",
@@ -198,7 +197,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     and the root are expressed in aggregate-centrality units.
     """
     if cfg.sweep is None:
-        raise NoSignChangeError("config has no sweep section")
+        raise ConfigValidationError(["sweep must be given to run a sweep"])
     values = cfg.sweep.values
     scenario_at = sweep_scenarios(cfg)
     scenarios = [scenario_at(v) for v in values]
@@ -243,10 +242,10 @@ def _theory_root(
     reported as the aggregate centrality of the scenario built at it.
     """
     sweep = cfg.sweep
-    theta = Hypothesis.from_name(cfg.experiment.theta_true)
 
     def margin_of(value: float) -> float:
-        return scenario_at(value).report().margin(theta)
+        scenario = scenario_at(value)
+        return scenario.report().margin(scenario.theta_true)
 
     try:
         root = critical_parameter(margin_of, (min(sweep.values), max(sweep.values)))
@@ -272,7 +271,6 @@ def predict_document(cfg: ExperimentConfig, scenario: Scenario, report: Deceptio
         "scenario": {
             "adversary_centrality": scenario.adversary_centrality,
             "perron": scenario.perron.tolist(),
-            "violations": [],  # kept for the result bytes; such a network is refused
         },
     }
 

@@ -13,6 +13,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+Before it overwrites the manifest it compares the new record with the old
+one and prints to stderr one line per digest that moved and per headline key
+that changed, so the drift a change states is the drift it made.
+
 ``tests/test_golden.py`` collects the same record and compares it.
 """
 
@@ -127,8 +131,25 @@ def collect() -> dict:
     return {"stamp": blas_stamp(), "configs": configs}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per digest that moved and per headline key that changed, ``old`` to ``new``."""
+    lines = []
+    for name in sorted(old["configs"].keys() | new["configs"].keys()):
+        before, after = old["configs"].get(name, {}), new["configs"].get(name, {})
+        for part, verb in (("digests", "moved"), ("headline", "changed")):
+            b, a = before.get(part, {}), after.get(part, {})
+            keys = sorted(b.keys() | a.keys())
+            lines.extend(f"{name} {key}: {verb}" for key in keys if b.get(key) != a.get(key))
+    return lines
+
+
 def main() -> None:
     manifest = collect()
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST, "r", encoding="utf-8") as fh:
+            moved = changes(json.load(fh), manifest)
+        for line in moved or ["no digest moved and no headline key changed"]:
+            print(line, file=sys.stderr)
     with open(MANIFEST, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -31,7 +31,7 @@ from sociallearn import (
     sample,
     uniform_combination,
 )
-from sociallearn.errors import IsolatedAgentError, ZeroLikelihoodError
+from sociallearn.errors import ZeroLikelihoodError
 from sociallearn.learning import _sigmoid
 
 
@@ -67,7 +67,7 @@ def random_network(rng: np.random.Generator, n: int, n_malicious: int = 0):
     """Connected seeded ER network with uniform weights and self-loops."""
     seed = int(rng.integers(0, 2**31 - 1))
     adj = erdos_renyi_adjacency(n, 0.5, seed)
-    return make_network(uniform_combination(adj, True), n_malicious)
+    return make_network(uniform_combination(adj), n_malicious)
 
 
 def agents_for(net, models, forged=None) -> tuple[AgentConfig, ...]:
@@ -199,19 +199,14 @@ def step(
 
 # --- per-column combination reference ----------------------------------------------
 
-def reference_uniform_combination(adjacency, self_loops) -> np.ndarray:
-    """``uniform_combination`` one column at a time: 1/deg(k) on each neighbor."""
+def reference_uniform_combination(adjacency) -> np.ndarray:
+    """``uniform_combination`` one column at a time: 1/deg(k) on each neighbor, self included."""
     adj = np.asarray(adjacency, dtype=bool)
     n = adj.shape[0]
-    loops = np.broadcast_to(np.asarray(self_loops, dtype=bool), (n,))
     a = np.zeros((n, n), dtype=float)
     for k in range(n):
-        nbrs = list(np.flatnonzero(adj[:, k]))
-        if loops[k] and k not in nbrs:
-            nbrs.append(k)
-        if not nbrs:
-            raise IsolatedAgentError(f"agent {k} has no neighbors and no self-loop")
-        a[np.asarray(sorted(nbrs)), k] = 1.0 / len(nbrs)
+        nbrs = set(np.flatnonzero(adj[:, k]).tolist()) | {k}
+        a[sorted(nbrs), k] = 1.0 / len(nbrs)
     return a
 
 

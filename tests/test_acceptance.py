@@ -311,7 +311,7 @@ def test_09_topology_regime_reproduction():
     margin_fn = homogeneous_centrality_margin(model, forged, 1)
     critical = critical_parameter(margin_fn, (0.01, 0.99))
 
-    star = make_network(uniform_combination(star_adjacency(15, 0), True), 1)
+    star = make_network(uniform_combination(star_adjacency(15, 0)), 1)
     star_u = adversary_centrality(perron_vector(star), star.roles)
     er_cfg = load_config(read_config("learns_truth_random_bsc09.yaml"))
     from sociallearn import build_scenario

@@ -30,7 +30,7 @@ from sociallearn import (
     unknown_divergence_attack,
 )
 from sociallearn.errors import InfiniteDivergenceError, NoSignChangeError
-from sociallearn.learning import _symbol_tables, network_average_true_belief
+from sociallearn.learning import _symbol_tables, log_ratio_table, network_average_true_belief
 from sociallearn.network import adversary_centrality
 
 from helpers import (
@@ -50,7 +50,7 @@ NONSEP = make_model([0.8, 0.2], [0.55, 0.45])
 
 def er_network(n, edge_prob, seed, n_malicious):
     adj = erdos_renyi_adjacency(n, edge_prob, seed)
-    return make_network(uniform_combination(adj, True), n_malicious)
+    return make_network(uniform_combination(adj), n_malicious)
 
 
 def unknown_forged(models, eps):
@@ -269,7 +269,7 @@ class TestAsymptoticRate:
                 assert rate < 0
 
     def test_adversarial_star_positive_rate(self):
-        net = make_network(uniform_combination(star_adjacency(15, 0), True), 1)
+        net = make_network(uniform_combination(star_adjacency(15, 0)), 1)
         m = bsc_model(0.9)
         agents = agents_for(net, [m] * 15, unknown_forged([m], 5e-3))
         report = deception_verdict(net, agents)
@@ -304,7 +304,7 @@ class TestOneTable:
         with open(os.path.join(CONFIG_DIR, name), "r", encoding="utf-8") as fh:
             scenario = build_scenario(load_config(fh.read()))
         theta = scenario.theta_true
-        cum, llr, _ = _symbol_tables([scenario.agents], theta, 1)
+        cum, llr, _ = _symbol_tables(log_ratio_table([scenario.agents]), theta, 1)
         cum, llr = np.where(np.isinf(cum), 1.0, cum)[:, 0, 0, :, 0], llr[:, 0, 0, :, 0]
         ones = np.ones((1, cum.shape[1]))
         pmf = np.diff(np.concatenate([0.0 * ones, cum, ones]), axis=0)

@@ -46,6 +46,11 @@ attack: {strategy: unknown_divergences, epsilon: 5.0e-3}
 experiment: {horizon: 120, seeds: [4, 0, 9], stride: 7}
 """
 
+SELF_LOOPS_UNKNOWN = (
+    "topology.self_loops is not a known key; "
+    "known: kind, n_agents, edge_prob, seed, hub, edges, trust_weight"
+)
+
 
 class TestValidate:
     def test_valid_config(self, capsys):
@@ -101,17 +106,17 @@ class TestValidate:
                 id="trust-weight",
             ),
             pytest.param(
-                # the kind keeps every self-loop whatever the key says
+                # every kind gives each agent a self-loop, so no key selects them
                 "topology: {kind: trust_weighted_complete, n_agents: 5, trust_weight: 0.1,"
                 " self_loops: false}\n"
                 "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
-                ["topology.self_loops must be true for trust_weighted_complete, got False"],
+                [SELF_LOOPS_UNKNOWN],
                 id="trust-weighted-self-loops",
             ),
             pytest.param(
-                "topology: {kind: complete, n_agents: 5, self_loops: false}\n"
+                "topology: {kind: complete, n_agents: 5, self_loops: true}\n"
                 "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
-                ["network NoSelfLoop: no agent trusts itself (a_kk > 0)"],
+                [SELF_LOOPS_UNKNOWN],
                 id="uniform-self-loops",
             ),
             pytest.param(
@@ -149,6 +154,25 @@ class TestValidate:
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         err = capsys.readouterr().err
         assert [line.strip() for line in err.splitlines()[1:]] == violations
+
+    @pytest.mark.parametrize("spelling, got", [
+        pytest.param("theta_1", "theta_1", id="underscore"),
+        pytest.param("THETA1", "THETA1", id="upper-case"),
+        pytest.param('" theta1"', " theta1", id="space"),
+        pytest.param('"1"', "1", id="digit"),
+    ])
+    def test_theta_true_takes_one_spelling(self, tmp_path, capsys, spelling, got):
+        # one experiment, one echo: no alias of theta1 is accepted
+        text = (
+            "topology: {kind: complete, n_agents: 2}\n"
+            "agents: {model: {kind: bsc, p: 0.8}}\n"
+            f"experiment: {{theta_true: {spelling}}}\n"
+        )
+        assert main(["validate", "--config", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert [line.strip() for line in err.splitlines()[1:]] == [
+            f"experiment.theta_true must be theta1 or theta2, got {got!r}"
+        ]
 
     @pytest.mark.parametrize("stop, count", [("1.0e+3", "199997"), ("1.0e+308", "inf")])
     def test_oversized_grid_refused_before_expanding(self, tmp_path, capsys, stop, count):
@@ -391,6 +415,11 @@ class TestPredict:
         assert {rep["verdict1"], rep["verdict2"]} == {"misled", "learns_truth"}
         assert rep["cost1"] == pytest.approx(-rep["margin1"])
 
+    def test_scenario_holds_centrality_and_perron(self, capsys):
+        assert main(["predict", "--config", cfg_path("deceived_random_bsc08.yaml")]) == 0
+        scenario = json.loads(capsys.readouterr().out)["scenario"]
+        assert sorted(scenario) == ["adversary_centrality", "perron"]
+
 
 class TestAttack:
     def test_optimal_forgery_bit_pattern(self, tmp_path, capsys):
@@ -539,6 +568,13 @@ sweep: {parameter: bsc_p, values: [0.7, 0.95]}
         assert "empirical crossing" in out
         doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert len(doc["points"]) == 2
+
+    def test_config_without_sweep_section_refused(self, tmp_path, capsys):
+        argv = ["sweep", "--config", cfg_path("minimal_no_attack.yaml"), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid configuration:", "  sweep must be given to run a sweep"]
+        assert not any(tmp_path.iterdir())
 
 
 class TestSharedDocuments:

@@ -77,3 +77,14 @@ def test_digests(golden, current):
         if current["configs"][name]["digests"].get(key) != digest
     ]
     assert not moved, f"result bytes moved: {moved}; regenerate the manifest and state why"
+
+
+def test_changes_names_each_moved_digest_and_changed_headline_key():
+    old = {"configs": {"a": {"digests": {"predict": "x", "attack": "y"},
+                             "headline": {"margin1": 0.5, "verdict1": "misled"}}}}
+    new = {"configs": {"a": {"digests": {"predict": "z", "attack": "y"},
+                             "headline": {"margin1": 0.25, "verdict1": "misled"}},
+                       "b": {"digests": {"predict": "w"}, "headline": {}}}}
+    assert regenerate.changes(old, new) == [
+        "a predict: moved", "a margin1: changed", "b predict: moved"
+    ]

@@ -27,6 +27,7 @@ from sociallearn.learning import (
     _block_lengths,
     _simulate,
     _symbol_tables,
+    log_ratio_table,
     network_average_true_belief,
 )
 
@@ -141,7 +142,7 @@ class TestRun:
 
     def test_high_centrality_attack_misleads_fast(self):
         # star with a malicious hub: distorted updates dominate by step 100
-        net = make_network(uniform_combination(star_adjacency(15, 0), True), 1)
+        net = make_network(uniform_combination(star_adjacency(15, 0)), 1)
         m = bsc_model(0.8)
         forged = {0: unknown_divergence_attack(m, 5e-3)}
         agents = agents_for(net, [m] * 15, forged)
@@ -243,7 +244,7 @@ class TestRun:
         # star + distorted hub: (1/i) log-ratio growth matches the margin
         from sociallearn import deception_verdict
 
-        net = make_network(uniform_combination(star_adjacency(15, 0), True), 1)
+        net = make_network(uniform_combination(star_adjacency(15, 0)), 1)
         m = bsc_model(0.9)
         forged = {0: unknown_divergence_attack(m, 5e-3)}
         agents = agents_for(net, [m] * 15, forged)
@@ -281,7 +282,7 @@ def test_blas_computes_each_column_on_its_own(n):
 def er_scenario(n, edge_prob, n_malicious):
     """ER network (seed 7), shared BSC 0.8, unknown-divergence forgeries at 5e-3."""
     adj = erdos_renyi_adjacency(n, edge_prob, 7)
-    net = make_network(uniform_combination(adj, True), n_malicious)
+    net = make_network(uniform_combination(adj), n_malicious)
     m = bsc_model(0.8)
     forged = {k: unknown_divergence_attack(m, 5e-3) for k in range(n_malicious)}
     return net, agents_for(net, [m] * n, forged)
@@ -317,6 +318,20 @@ def test_blocks_sized_by_the_seed_group(monkeypatch):
     monkeypatch.setattr(learning, "_block_lengths", recorder)
     run_finals(net, agents, Hypothesis.THETA1, 3, seeds=range(410))
     assert per_step and max(per_step) <= learning._SEED_COLUMNS * 100
+
+
+def test_table_built_once_per_call(monkeypatch):
+    # the table depends only on the agent lists, so every seed group shares it
+    net, agents = er_scenario(20, 0.3, 2)
+    calls = []
+
+    def recorder(agent_lists):
+        calls.append(len(agent_lists))
+        return log_ratio_table(agent_lists)
+
+    monkeypatch.setattr(learning, "log_ratio_table", recorder)
+    run_finals(net, agents, Hypothesis.THETA1, 3, seeds=range(130))
+    assert calls == [1]
 
 
 def test_memory_flat_in_seed_count():
@@ -486,7 +501,7 @@ class TestStack:
         models = [random_model(rng, 3) for _ in range(5)]
         forged = unknown_divergence_attack(models[0], 1e-2)
         agent_lists = [agents_for(net, models, {0: forged}) for net in nets]
-        cum, llr, finite = _symbol_tables(agent_lists, Hypothesis.THETA1, 2)
+        cum, llr, finite = _symbol_tables(log_ratio_table(agent_lists), Hypothesis.THETA1, 2)
         assert cum.shape == (2, 1, 1, 5, 2) and llr.shape == (3, 1, 1, 5, 2) and finite
         _, _, finals = _simulate(nets, agent_lists, Hypothesis.THETA1, 200, [0, 5], 0, 0.5, None)
         for g, net in enumerate(nets):
@@ -494,9 +509,9 @@ class TestStack:
             assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
         # equal forgeries built apart count as equal; a different one does not
         rebuilt = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 1e-2)})]
-        assert _symbol_tables(agent_lists[:1] + rebuilt, Hypothesis.THETA1, 2)[0].shape[1] == 1
+        assert log_ratio_table(agent_lists[:1] + rebuilt).index.shape[0] == 1
         other = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 2e-2)})]
-        assert _symbol_tables(agent_lists[:1] + other, Hypothesis.THETA1, 2)[0].shape[1] == 2
+        assert log_ratio_table(agent_lists[:1] + other).index.shape[0] == 2
 
     def test_memory_bounded_and_flat_in_horizon(self):
         import tracemalloc

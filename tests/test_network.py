@@ -18,7 +18,7 @@ from sociallearn import (
     uniform_combination,
     validate_network,
 )
-from sociallearn.errors import IsolatedAgentError, SocialLearnError
+from sociallearn.errors import SocialLearnError
 from sociallearn.network import PERRON_RESIDUAL_TOL, _reaches_all
 
 from helpers import random_network, reference_uniform_combination
@@ -54,65 +54,48 @@ class TestErdosRenyi:
 
 class TestUniformCombination:
     def test_two_agent_complete(self):
-        a = uniform_combination(complete_adjacency(2), True)
+        a = uniform_combination(complete_adjacency(2))
         assert np.allclose(a, 0.5)
 
     def test_star_hub_column(self):
-        a = uniform_combination(star_adjacency(15, hub=0), True)
+        a = uniform_combination(star_adjacency(15, hub=0))
         assert np.allclose(a[:, 0], 1.0 / 15.0)
 
     def test_path3_middle_column(self):
-        a = uniform_combination(path_adjacency(3), True)
+        a = uniform_combination(path_adjacency(3))
         assert np.allclose(a[:, 1], [1.0 / 3.0] * 3)
 
     def test_asymmetric_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = True
         with pytest.raises(ValueError):
-            uniform_combination(adj, True)
-
-    def test_isolated_agent(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = adj[1, 0] = True
-        with pytest.raises(IsolatedAgentError):
-            uniform_combination(adj, np.array([True, True, False]))
+            uniform_combination(adj)
 
     @pytest.mark.parametrize("n", [15, 100, 300])
     def test_same_bits_as_per_column_reference(self, n):
         rng = np.random.default_rng(n)
         adj = erdos_renyi_adjacency(n, 0.2, int(rng.integers(0, 2**31 - 1)))
-        masks = (True, rng.random(n) < 0.5, False)
         with_diagonal = adj | np.eye(n, dtype=bool)
         for a in (adj, with_diagonal):
-            for loops in masks:
-                got = uniform_combination(a, loops)
-                assert np.array_equal(got, reference_uniform_combination(a, loops))
-
-    def test_isolated_agent_named_like_reference(self):
-        adj = np.zeros((5, 5), dtype=bool)
-        adj[0, 2] = adj[2, 0] = True
-        loops = np.array([True, False, True, False, True])
-        with pytest.raises(IsolatedAgentError) as ref:
-            reference_uniform_combination(adj, loops)
-        with pytest.raises(IsolatedAgentError) as err:
-            uniform_combination(adj, loops)
-        assert str(err.value) == str(ref.value) == "agent 1 has no neighbors and no self-loop"
+            got = uniform_combination(a)
+            assert np.array_equal(got, reference_uniform_combination(a))
+            assert np.all(np.diag(got) > 0.0)
 
 
 class TestValidateNetwork:
     def test_two_disconnected_pairs(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
-        net = make_network(uniform_combination(adj, True), 0)
+        net = make_network(uniform_combination(adj), 0)
         codes = {v.code for v in validate_network(net)}
         assert "NotStronglyConnected" in codes
 
     def test_valid_star(self):
-        net = make_network(uniform_combination(star_adjacency(6), True), 1)
+        net = make_network(uniform_combination(star_adjacency(6)), 1)
         assert validate_network(net) == []
 
     def test_non_stochastic_column(self):
-        a = uniform_combination(complete_adjacency(3), True).copy()
+        a = uniform_combination(complete_adjacency(3)).copy()
         a[:, 2] *= 0.9
         net = make_network(a, 0)
         codes = {v.code for v in validate_network(net)}
@@ -124,7 +107,7 @@ class TestValidateNetwork:
         assert "NoSelfLoop" in codes
 
     def test_all_malicious_flagged(self):
-        a = uniform_combination(complete_adjacency(3), True)
+        a = uniform_combination(complete_adjacency(3))
         net = Network(a, (Role.MALICIOUS,) * 3)
         codes = {v.code for v in validate_network(net)}
         assert "NoNormalAgent" in codes
@@ -153,7 +136,7 @@ class TestPerronVector:
         assert np.allclose(perron_vector(net), [0.5, 0.5], atol=1e-12)
 
     def test_three_cycle_uniform(self):
-        net = make_network(uniform_combination(ring_adjacency(3), True), 0)
+        net = make_network(uniform_combination(ring_adjacency(3)), 0)
         assert np.allclose(perron_vector(net), 1.0 / 3.0, atol=1e-12)
 
     def test_fixed_point_residual(self):
@@ -171,7 +154,7 @@ class TestPerronVector:
             adj = erdos_renyi_adjacency(8, 0.4, seed)
             aws = adj.copy()
             np.fill_diagonal(aws, True)
-            net = make_network(uniform_combination(adj, True), 0)
+            net = make_network(uniform_combination(adj), 0)
             u = perron_vector(net)
             assert np.allclose(u, degree_centrality(aws), atol=1e-11)
 
@@ -194,7 +177,7 @@ class TestPerronVector:
         order = np.random.default_rng(5).permutation(200)
         adj = np.zeros((200, 200), dtype=bool)
         adj[order[:-1], order[1:]] = adj[order[1:], order[:-1]] = True
-        net = make_network(uniform_combination(adj, True), 0)
+        net = make_network(uniform_combination(adj), 0)
         u = perron_vector(net)
         w, v = np.linalg.eig(net.combination)
         ref = np.real(v[:, np.argmin(np.abs(w - 1.0))])
@@ -216,7 +199,7 @@ class TestPerronVector:
                 perron_vector(net)
 
     def test_read_only(self):
-        u = perron_vector(make_network(uniform_combination(star_adjacency(5), True), 1))
+        u = perron_vector(make_network(uniform_combination(star_adjacency(5)), 1))
         assert not u.flags.writeable
         with pytest.raises(ValueError):
             u[0] = 1.0
@@ -233,17 +216,17 @@ class TestPerronVector:
 
 class TestAdversaryCentrality:
     def test_no_adversaries(self):
-        net = make_network(uniform_combination(complete_adjacency(4), True), 0)
+        net = make_network(uniform_combination(complete_adjacency(4)), 0)
         assert adversary_centrality(perron_vector(net), net.roles) == 0.0
 
     def test_all_adversaries_sum_to_one(self):
-        net = make_network(uniform_combination(complete_adjacency(4), True), 0)
+        net = make_network(uniform_combination(complete_adjacency(4)), 0)
         u = perron_vector(net)
         assert adversary_centrality(u, (Role.MALICIOUS,) * 4) == pytest.approx(1.0)
 
     def test_star_malicious_hub(self):
         # exact balance for the 15-agent star with self-loops: hub gets 15/43
-        net = make_network(uniform_combination(star_adjacency(15, hub=0), True), 1)
+        net = make_network(uniform_combination(star_adjacency(15, hub=0)), 1)
         u = perron_vector(net)
         assert adversary_centrality(u, net.roles) == pytest.approx(15.0 / 43.0, abs=1e-11)
 
@@ -252,8 +235,8 @@ class TestAdversaryCentrality:
         base = path_adjacency(4)
         more = base.copy()
         more[0, 2] = more[2, 0] = True
-        u_base = perron_vector(make_network(uniform_combination(base, True), 1))
-        u_more = perron_vector(make_network(uniform_combination(more, True), 1))
+        u_base = perron_vector(make_network(uniform_combination(base), 1))
+        u_more = perron_vector(make_network(uniform_combination(more), 1))
         roles = (Role.MALICIOUS, Role.NORMAL, Role.NORMAL, Role.NORMAL)
         assert adversary_centrality(u_more, roles) > adversary_centrality(u_base, roles)
 

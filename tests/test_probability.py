@@ -278,6 +278,8 @@ class TestHypothesis:
 
     def test_from_name(self):
         assert Hypothesis.from_name("theta1") is Hypothesis.THETA1
-        with pytest.raises(OutOfRangeError):
-            Hypothesis.from_name("theta3")
+        assert Hypothesis.from_name("theta2") is Hypothesis.THETA2
+        for name in ("theta3", "theta_1", "THETA1", " theta1 ", "1", "2"):
+            with pytest.raises(OutOfRangeError):
+                Hypothesis.from_name(name)
 

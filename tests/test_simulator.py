@@ -186,7 +186,11 @@ output: {format: parquet}
                 ["experiment.horizon", "experiment.stride"],
                 id="int-fraction",
             ),
-            pytest.param({"topology": {"self_loops": "no"}}, ["topology.self_loops"], id="bool-text"),
+            pytest.param(
+                {"attack": {"aggregate_centrality": "no"}},
+                ["attack.aggregate_centrality"],
+                id="bool-text",
+            ),
             pytest.param(
                 {
                     "agents": {"n_malicious": 1},
@@ -678,6 +682,11 @@ class TestRenderFloats:
 
 
 class TestRunSweep:
+    def test_config_without_sweep_section_refused(self):
+        with pytest.raises(ConfigValidationError) as err:
+            run_sweep(load_config(MINIMAL))
+        assert err.value.violations == ["sweep must be given to run a sweep"]
+
     def test_single_point_grid(self):
         text = read_config("sweep_bsc_p.yaml").replace(
             "grid: {start: 0.55, stop: 0.95, step: 0.01}", "values: [0.8]"
