@@ -4,7 +4,7 @@ One canonical schema (all keys optional unless noted):
 
 .. code-block:: yaml
 
-    topology:
+    topology:                    # each kind takes kind, n_agents and the keys marked
       kind: erdos_renyi          # erdos_renyi | star | complete | ring |
                                  # edge_list | trust_weighted_complete
       n_agents: 15               # required; each agent has a self-loop
@@ -18,13 +18,13 @@ One canonical schema (all keys optional unless noted):
       model: {kind: bsc, p: 0.8} # shared model, or
       models:                    # one per agent
         - {kind: rows, theta1: [0.8, 0.2], theta2: [0.55, 0.45]}
-    attack:
+    attack:                      # each strategy takes strategy and the keys marked
       strategy: unknown_divergences   # known_divergences | random | none
-      epsilon: 5.0e-3
+      epsilon: 5.0e-3            # every strategy but none
       s1: null                   # known_divergences: externally supplied
       s2: null                   #   (default: computed from the scenario)
-      aggregate_centrality: false
-      seed: 0                    # random strategy
+      aggregate_centrality: false  # known_divergences
+      seed: 0                    # random
     experiment:
       theta_true: theta1         # theta1 | theta2, spelled exactly so
       horizon: 2000
@@ -33,7 +33,8 @@ One canonical schema (all keys optional unless noted):
       initial_belief_theta1: 0.5 # scalar or per-agent list, strictly in (0,1)
     sweep:
       parameter: bsc_p           # bsc_p | epsilon | adversary_centrality, each
-                                 # setting one field (``_SWEEP_FIELDS``)
+                                 # setting one field (``_SWEEP_FIELDS``) that
+                                 # its section's kind reads
       grid: {start: 0.55, stop: 0.95, step: 0.01}   # never past stop; or
                                  # values: [...], strictly monotone
     output:
@@ -46,7 +47,8 @@ needs an integer (``10.7`` is refused, not truncated); a bool field needs
 ``true`` or ``false``; a float field also takes an integer, or a number
 written as text (YAML 1.1 reads ``1e-3`` as a string); a list field needs a
 list, and an edge exactly two agents; null selects the default; an unknown
-key is refused, and a model takes only the keys of its ``kind``. Loading
+key is refused, as is a key of a topology, a model or an attack that its kind
+does not read (``_KINDS``), and so a sweep of a field that moves nothing. Loading
 collects *every* violation, each naming its path, before failing; the entries
 of one list field (``sweep.values``, ``topology.edges``, a per-agent belief
 list, any list refused entry by entry for its type) list at most
@@ -87,6 +89,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from types import UnionType
 from typing import (
     TYPE_CHECKING,
@@ -116,15 +119,6 @@ if TYPE_CHECKING:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_TOPOLOGY_KINDS = (
-    "erdos_renyi",
-    "star",
-    "complete",
-    "ring",
-    "edge_list",
-    "trust_weighted_complete",
-)
-_STRATEGIES = ("none", "unknown_divergences", "known_divergences", "random")
 #: the field each sweep parameter sets, as a path of attribute names
 _SWEEP_FIELDS = {
     "bsc_p": ("agents", "model", "p"),
@@ -132,8 +126,6 @@ _SWEEP_FIELDS = {
     "adversary_centrality": ("topology", "trust_weight"),
 }
 _FORMATS = ("structured", "tabular")
-#: the keys each model kind reads, and the only ones it echoes
-_MODEL_KEYS = {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}
 #: most points a ``sweep.grid`` expands to; each point runs every seed
 _GRID_POINTS = 10_000
 #: most violations listed for the entries of one list field; a count stands for the rest
@@ -212,7 +204,7 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def to_dict(self) -> dict[str, Any]:
-        """Complete echo of every knob, defaults materialized."""
+        """Echo of every knob that the sections' kinds read, defaults materialized."""
         d = _echo(self)
         d["agents"]["models"] = d["agents"]["models"] or None  # no per-agent list echoes null
         return d
@@ -220,6 +212,26 @@ class ExperimentConfig:
     def echo(self) -> str:
         return yaml.dump(self.to_dict(), Dumper=_DUMPER, sort_keys=True)
 
+
+#: per section with a kind: the field naming it, and the keys each kind reads,
+#: the only ones the section takes and echoes (all of them for an unknown kind)
+_KINDS = {
+    TopologySpec: ("kind", {
+        "erdos_renyi": ("kind", "n_agents", "edge_prob", "seed"),
+        "star": ("kind", "n_agents", "hub"),
+        "complete": ("kind", "n_agents"),
+        "ring": ("kind", "n_agents"),
+        "edge_list": ("kind", "n_agents", "edges"),
+        "trust_weighted_complete": ("kind", "n_agents", "trust_weight"),
+    }),
+    ModelSpec: ("kind", {"bsc": ("kind", "p"), "rows": ("kind", "theta1", "theta2")}),
+    AttackSpec: ("strategy", {
+        "none": ("strategy",),
+        "unknown_divergences": ("strategy", "epsilon"),
+        "known_divergences": ("strategy", "epsilon", "s1", "s2", "aggregate_centrality"),
+        "random": ("strategy", "epsilon", "seed"),
+    }),
+}
 
 #: field name -> type per section, resolved once rather than on every load
 _HINTS = {
@@ -230,10 +242,12 @@ _HINTS = {
 
 
 def _keys(section: Any) -> Sequence[str]:
-    """The keys a section reads and echoes; a model has only those of its kind."""
-    if isinstance(section, ModelSpec):
-        return _MODEL_KEYS.get(section.kind, tuple(_HINTS[ModelSpec]))
-    return tuple(_HINTS[type(section)])
+    """The keys a section reads and echoes: those of its kind (``_KINDS``)."""
+    everything = tuple(_HINTS[type(section)])
+    if type(section) not in _KINDS:
+        return everything
+    name, kinds = _KINDS[type(section)]
+    return kinds.get(getattr(section, name), everything)
 
 
 def _echo(value: Any) -> Any:
@@ -370,17 +384,15 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Range and cross-field checks on a typed config; returns every violation."""
     v: list[str] = []
     t, a = cfg.topology, cfg.agents
-    if t.kind not in _TOPOLOGY_KINDS:
-        v.append(f"topology.kind must be one of {_TOPOLOGY_KINDS}, got {t.kind!r}")
     if t.n_agents < 2:
         v.append(f"topology.n_agents must be >= 2, got {t.n_agents!r}")
     if t.kind == "erdos_renyi" and not 0.0 < t.edge_prob <= 1.0:
         v.append(f"topology.edge_prob must lie in (0, 1], got {t.edge_prob!r}")
-    if t.kind == "trust_weighted_complete" and not 0.0 < t.trust_weight * a.n_malicious < 1.0:
-        v.append(
-            "topology.trust_weight must lie in (0, 1/n_malicious), with n_malicious >= 1, "
-            f"got {t.trust_weight!r} with n_malicious {a.n_malicious}"
-        )
+    if t.kind == "trust_weighted_complete":
+        v.extend(_out_of_range(
+            cfg, _SWEEP_FIELDS["adversary_centrality"], lambda x: 0.0 < x * a.n_malicious < 1.0,
+            f"must lie in (0, 1/n_malicious), with n_malicious >= 1 (here {a.n_malicious})",
+        ))
     if t.kind == "star" and not 0 <= t.hub < t.n_agents:
         v.append(f"topology.hub must index one of the {t.n_agents} agents, got {t.hub!r}")
     if t.kind == "edge_list":
@@ -404,9 +416,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append("agents takes either a shared 'model' or a per-agent 'models' list, not both")
     per_agent = [(f"agents.models[{k}]", m) for k, m in enumerate(a.models)]
     shared = [("agents.model", a.model)] if a.model is not None else []
-    for where, m in per_agent + shared:
-        if m.kind not in _MODEL_KEYS:
-            v.append(f"{where}.kind must be one of {tuple(_MODEL_KEYS)}, got {m.kind!r}")
+    at = cfg.attack
+    for where, section in [("topology", t), *per_agent, *shared, ("attack", at)]:
+        name, kinds = _KINDS[type(section)]
+        kind = getattr(section, name)
+        if kind not in kinds:
+            v.append(f"{where}.{name} must be one of {tuple(kinds)}, got {kind!r}")
     models: list[LikelihoodModel] = []
     if not v:
         for where, m in per_agent or shared:  # the specs the agents' models come from
@@ -416,15 +431,12 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                 v.append(f"{where}: {exc}")
         if v:
             models = []
-    at = cfg.attack
-    if at.strategy not in _STRATEGIES:
-        v.append(f"attack.strategy must be one of {_STRATEGIES}, got {at.strategy!r}")
     min_alphabet = min((m.alphabet_size for m in models), default=0)
-    if min_alphabet and at.strategy != "none" and not 0.0 < at.epsilon < 1.0 / min_alphabet:
-        v.append(
-            f"attack.epsilon must lie in (0, 1/{min_alphabet}) "
-            f"for the smallest alphabet, got {at.epsilon!r}"
-        )
+    if min_alphabet and at.strategy != "none":
+        v.extend(_out_of_range(
+            cfg, _SWEEP_FIELDS["epsilon"], lambda x: 0.0 < x < 1.0 / min_alphabet,
+            f"must lie in (0, 1/{min_alphabet}) for the smallest alphabet",
+        ))
     for name, s in (("s1", at.s1), ("s2", at.s2)):
         if s is not None and (not math.isfinite(s) or s < 0.0):
             v.append(f"attack.{name} must be finite and >= 0, got {s!r}")
@@ -460,41 +472,51 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     )))
     sw = cfg.sweep
     if sw is not None:
-        if sw.parameter not in _SWEEP_FIELDS:
-            v.append(f"sweep.parameter must be one of {tuple(_SWEEP_FIELDS)}, got {sw.parameter!r}")
+        v.extend(_sweep_parameter_violations(cfg))
         if not sw.values:
             v.append("sweep.values must be non-empty")
-        out_of_range: list[str] = []
-        if sw.parameter == "bsc_p":
-            if a.model is None or a.model.kind != "bsc":
-                v.append("agents.model must be a shared bsc model for a bsc_p sweep")
-            out_of_range = [
+        if sw.parameter == "bsc_p":  # stricter than bsc_model's (0, 1): p = 0.5 is uninformative
+            v.extend(_capped("sweep.values", (
                 f"sweep.values[{k}] must lie in (0.5, 1) for bsc_p, got {x!r}"
                 for k, x in enumerate(sw.values) if not 0.5 < x < 1.0
-            ]
-        if sw.parameter == "epsilon" and min_alphabet and at.strategy != "none":
-            out_of_range = [
-                f"sweep.values[{k}] must lie in (0, 1/{min_alphabet}) for epsilon, got {x!r}"
-                for k, x in enumerate(sw.values) if not 0.0 < x < 1.0 / min_alphabet
-            ]
-        if sw.parameter == "adversary_centrality":
-            if t.kind != "trust_weighted_complete":
-                v.append(
-                    "topology.kind must be trust_weighted_complete for an "
-                    f"adversary_centrality sweep, got {t.kind!r}"
-                )
-            else:
-                out_of_range = [
-                    f"sweep.values[{k}] must lie in (0, 1/n_malicious) as a trust weight, "
-                    f"got {x!r} with n_malicious {a.n_malicious}"
-                    for k, x in enumerate(sw.values) if not 0.0 < x * a.n_malicious < 1.0
-                ]
-        v.extend(_capped("sweep.values", out_of_range))
-        if not out_of_range:  # the crossing interpolates between adjacent listed values
+            )))
+        # the crossing interpolates between adjacent listed values, once all are in range
+        if not any(x.startswith("sweep.values[") for x in v):
             v.extend(_monotone_break(sw.values))
     if cfg.output.format not in _FORMATS:
         v.append(f"output.format must be one of {_FORMATS}, got {cfg.output.format!r}")
     return v
+
+
+def _out_of_range(
+    cfg: ExperimentConfig, path: Sequence[str], ok: Callable[[float], bool], rule: str
+) -> list[str]:
+    """``<where> <rule>, got <value>`` for each value the field at ``path`` takes
+    that is not ``ok``: its own, then each sweep value when the sweep sets it."""
+    taken = [(".".join(path), reduce(getattr, path, cfg))]
+    if cfg.sweep is not None and _SWEEP_FIELDS.get(cfg.sweep.parameter) == path:
+        taken += [(f"sweep.values[{k}]", x) for k, x in enumerate(cfg.sweep.values)]
+    return _capped("sweep.values", (f"{w} {rule}, got {x!r}" for w, x in taken if not ok(x)))
+
+
+def _sweep_parameter_violations(cfg: ExperimentConfig) -> list[str]:
+    """A violation when the sweep parameter is unknown, or when the field it sets
+    moves nothing: its section is missing or of a kind that does not read it, or
+    no adversary reads it."""
+    parameter = cfg.sweep.parameter
+    if parameter not in _SWEEP_FIELDS:
+        return [f"sweep.parameter must be one of {tuple(_SWEEP_FIELDS)}, got {parameter!r}"]
+    *head, last = path = _SWEEP_FIELDS[parameter]
+    where, section = ".".join(head), reduce(getattr, head, cfg)
+    sets = f"sweep.parameter {parameter} sets {'.'.join(path)}"
+    if section is None:
+        return [f"{sets}, but {where} is not given"]
+    if last not in _keys(section):
+        name = _KINDS[type(section)][0]
+        return [f"{sets}, which {where}.{name} {getattr(section, name)!r} does not read"]
+    if path[0] == "attack" and cfg.agents.n_malicious == 0:
+        return [f"{sets}, which no adversary reads: agents.n_malicious is 0"]
+    return []
 
 
 def _monotone_break(values: Sequence[float]) -> list[str]:
@@ -544,46 +566,31 @@ class Scenario:
 
 def build_network(cfg: ExperimentConfig) -> Network:
     """The configured network; one outside the theory (say, not strongly
-    connected) raises a ``ConfigValidationError`` listing every violation."""
-    from .network import (
-        make_network,
-        trust_weighted_complete,
-        uniform_combination,
-        validate_network,
-    )
+    connected) raises a ``ConfigValidationError`` listing every violation.
+
+    An adjacency builder is given ``n_agents`` and then the other keys its
+    kind reads (``_KINDS``), each by its name.
+    """
+    from . import network
 
     t = cfg.topology
     if t.kind == "trust_weighted_complete":
-        comb = trust_weighted_complete(t.n_agents, cfg.agents.n_malicious, t.trust_weight)
+        comb = network.trust_weighted_complete(t.n_agents, cfg.agents.n_malicious, t.trust_weight)
     else:
-        comb = uniform_combination(_adjacency(t))
-    net = make_network(comb, cfg.agents.n_malicious)
-    violations = validate_network(net)
+        adjacency = {
+            "erdos_renyi": network.erdos_renyi_adjacency,
+            "star": network.star_adjacency,
+            "complete": network.complete_adjacency,
+            "ring": network.ring_adjacency,
+            "edge_list": network.edge_list_adjacency,
+        }[t.kind]
+        read = {key: getattr(t, key) for key in _keys(t)[2:]}  # after kind and n_agents
+        comb = network.uniform_combination(adjacency(t.n_agents, **read))
+    net = network.make_network(comb, cfg.agents.n_malicious)
+    violations = network.validate_network(net)
     if violations:
         raise ConfigValidationError([f"network {x}" for x in violations])
     return net
-
-
-def _adjacency(t: TopologySpec) -> np.ndarray:
-    from .network import (
-        complete_adjacency,
-        edge_list_adjacency,
-        erdos_renyi_adjacency,
-        ring_adjacency,
-        star_adjacency,
-    )
-
-    if t.kind == "erdos_renyi":
-        return erdos_renyi_adjacency(t.n_agents, t.edge_prob, t.seed)
-    if t.kind == "star":
-        return star_adjacency(t.n_agents, t.hub)
-    if t.kind == "complete":
-        return complete_adjacency(t.n_agents)
-    if t.kind == "ring":
-        return ring_adjacency(t.n_agents)
-    if t.kind == "edge_list":
-        return edge_list_adjacency(t.n_agents, t.edges)
-    raise ConfigValidationError([f"unknown topology kind {t.kind!r}"])  # pragma: no cover
 
 
 def build_plan(

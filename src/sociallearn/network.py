@@ -104,13 +104,6 @@ def ring_adjacency(n: int) -> np.ndarray:
     return adj
 
 
-def path_adjacency(n: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
-    for k in range(n - 1):
-        adj[k, k + 1] = adj[k + 1, k] = True
-    return adj
-
-
 def edge_list_adjacency(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     adj = np.zeros((n, n), dtype=bool)
     i, j = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2).T

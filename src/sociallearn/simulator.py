@@ -162,14 +162,6 @@ class SweepResult:
     empirical_crossing: float | None
     theory_root: float | None
 
-    def crossing_count(self) -> int:
-        signs = [p.mean_final - 0.5 for p in self.points]
-        return sum(
-            1
-            for a, b in zip(signs, signs[1:])
-            if (a > 0) != (b > 0) and a != 0.0
-        )
-
 
 def _sweep_point(value: float, scenario: Scenario, finals: np.ndarray) -> SweepPoint:
     """A grid point from its scenario and its ``(S, n)`` final log ratios."""

@@ -46,10 +46,6 @@ attack: {strategy: unknown_divergences, epsilon: 5.0e-3}
 experiment: {horizon: 120, seeds: [4, 0, 9], stride: 7}
 """
 
-SELF_LOOPS_UNKNOWN = (
-    "topology.self_loops is not a known key; "
-    "known: kind, n_agents, edge_prob, seed, hub, edges, trust_weight"
-)
 
 
 class TestValidate:
@@ -85,38 +81,77 @@ class TestValidate:
                 "agents: {models: [{kind: rows, theta1: [0.9, 0.1], theta2: [0.2, 0.8]},"
                 " {kind: bsc, p: 0.8}]}\n"
                 "sweep: {parameter: bsc_p, values: []}\n",
-                ["sweep.values must be non-empty",
-                 "agents.model must be a shared bsc model for a bsc_p sweep"],
+                ["sweep.parameter bsc_p sets agents.model.p, but agents.model is not given",
+                 "sweep.values must be non-empty"],
                 id="bsc_p-needs",
             ),
             pytest.param(
                 "topology: {kind: ring, n_agents: 4}\n"
                 "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n"
                 "sweep: {parameter: adversary_centrality, values: [0.1]}\n",
-                ["topology.kind must be trust_weighted_complete for an adversary_centrality "
-                 "sweep, got 'ring'"],
+                ["sweep.parameter adversary_centrality sets topology.trust_weight, "
+                 "which topology.kind 'ring' does not read"],
                 id="centrality-needs",
             ),
             pytest.param(
                 "topology: {kind: trust_weighted_complete, n_agents: 4, trust_weight: 0.1}\n"
                 "agents: {n_malicious: 2, model: {kind: bsc, p: 0.8}}\n"
                 "sweep: {parameter: adversary_centrality, values: [0.7, 0.2]}\n",
-                ["sweep.values[0] must lie in (0, 1/n_malicious) as a trust weight, "
-                 "got 0.7 with n_malicious 2"],
+                ["sweep.values[0] must lie in (0, 1/n_malicious), with n_malicious >= 1 "
+                 "(here 2), got 0.7"],
                 id="trust-weight",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 3, edge_prob: 0.3}\n"
+                "agents: {model: {kind: bsc, p: 0.8}}\n",
+                ["topology.edge_prob is not a known key; known: kind, n_agents"],
+                id="unread-topology-key",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 3}\n"
+                "agents: {model: {kind: bsc, p: 0.8}}\n"
+                "attack: {strategy: none, epsilon: 0.01}\n",
+                ["attack.epsilon is not a known key; known: strategy"],
+                id="unread-attack-key",
+            ),
+            pytest.param(
+                # with no attack, every point of an epsilon sweep is the same experiment
+                "topology: {kind: complete, n_agents: 3}\n"
+                "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n"
+                "sweep: {parameter: epsilon, values: [0.01, 0.02, 0.03]}\n",
+                ["sweep.parameter epsilon sets attack.epsilon, "
+                 "which attack.strategy 'none' does not read"],
+                id="epsilon-needs-attack",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 3}\n"
+                "agents: {n_malicious: 0, model: {kind: bsc, p: 0.8}}\n"
+                "attack: {strategy: unknown_divergences}\n"
+                "sweep: {parameter: epsilon, values: [0.01, 0.02, 0.03]}\n",
+                ["sweep.parameter epsilon sets attack.epsilon, "
+                 "which no adversary reads: agents.n_malicious is 0"],
+                id="epsilon-needs-adversaries",
+            ),
+            pytest.param(
+                "topology: {kind: complete, n_agents: 2}\n"
+                "agents: {model: {kind: rows, theta1: [0.9, 0.1], theta2: [0.2, 0.8]}}\n"
+                "sweep: {parameter: bsc_p, values: [0.6, 0.7]}\n",
+                ["sweep.parameter bsc_p sets agents.model.p, "
+                 "which agents.model.kind 'rows' does not read"],
+                id="bsc_p-needs-bsc",
             ),
             pytest.param(
                 # every kind gives each agent a self-loop, so no key selects them
                 "topology: {kind: trust_weighted_complete, n_agents: 5, trust_weight: 0.1,"
                 " self_loops: false}\n"
                 "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
-                [SELF_LOOPS_UNKNOWN],
+                ["topology.self_loops is not a known key; known: kind, n_agents, trust_weight"],
                 id="trust-weighted-self-loops",
             ),
             pytest.param(
                 "topology: {kind: complete, n_agents: 5, self_loops: true}\n"
                 "agents: {n_malicious: 1, model: {kind: bsc, p: 0.8}}\n",
-                [SELF_LOOPS_UNKNOWN],
+                ["topology.self_loops is not a known key; known: kind, n_agents"],
                 id="uniform-self-loops",
             ),
             pytest.param(

@@ -28,9 +28,9 @@ EXPORTED = {
     ],
     "network": [
         "Network", "Role", "Violation", "adversary_centrality", "complete_adjacency",
-        "edge_list_adjacency", "erdos_renyi_adjacency", "make_network", "path_adjacency",
-        "perron_vector", "ring_adjacency", "star_adjacency", "trust_weighted_complete",
-        "uniform_combination", "validate_network",
+        "edge_list_adjacency", "erdos_renyi_adjacency", "make_network", "perron_vector",
+        "ring_adjacency", "star_adjacency", "trust_weighted_complete", "uniform_combination",
+        "validate_network",
     ],
     "learning": ["AgentConfig", "Trajectory", "run", "run_finals"],
     "attacks": [

@@ -8,9 +8,9 @@ from sociallearn import (
     Role,
     adversary_centrality,
     complete_adjacency,
+    edge_list_adjacency,
     erdos_renyi_adjacency,
     make_network,
-    path_adjacency,
     perron_vector,
     ring_adjacency,
     star_adjacency,
@@ -62,7 +62,7 @@ class TestUniformCombination:
         assert np.allclose(a[:, 0], 1.0 / 15.0)
 
     def test_path3_middle_column(self):
-        a = uniform_combination(path_adjacency(3))
+        a = uniform_combination(edge_list_adjacency(3, [(0, 1), (1, 2)]))
         assert np.allclose(a[:, 1], [1.0 / 3.0] * 3)
 
     def test_asymmetric_rejected(self):
@@ -232,7 +232,7 @@ class TestAdversaryCentrality:
 
     def test_monotone_in_adversary_degree(self):
         # plumbing sanity: adding an edge at the malicious agent raises its share
-        base = path_adjacency(4)
+        base = edge_list_adjacency(4, [(0, 1), (1, 2), (2, 3)])
         more = base.copy()
         more[0, 2] = more[2, 0] = True
         u_base = perron_vector(make_network(uniform_combination(base), 1))

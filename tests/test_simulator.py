@@ -187,7 +187,7 @@ output: {format: parquet}
                 id="int-fraction",
             ),
             pytest.param(
-                {"attack": {"aggregate_centrality": "no"}},
+                {"attack": {"strategy": "known_divergences", "aggregate_centrality": "no"}},
                 ["attack.aggregate_centrality"],
                 id="bool-text",
             ),
@@ -215,33 +215,66 @@ output: {format: parquet}
             assert any(v.startswith(path + " ") for v in violations), (path, violations)
 
     def test_echo_completeness(self):
-        # flipping any knob that affects results must change the echo
-        base = yaml.safe_load(read_config("deceived_random_bsc08.yaml"))
+        # flipping any knob that affects results must change the echo; a knob
+        # that only some kinds read is flipped on a section of such a kind
+        doc = yaml.safe_load(read_config("deceived_random_bsc08.yaml"))
+        star = {"kind": "star", "n_agents": 15}
+        edge_list = {"kind": "edge_list", "n_agents": 15}
+        trust = {"kind": "trust_weighted_complete", "n_agents": 15}
+        known = {"strategy": "known_divergences", "epsilon": 5e-3}
+        random = {"strategy": "random", "epsilon": 5e-3}
         mutations = [
-            ("topology", "seed", 29),
-            ("topology", "edge_prob", 0.35),
-            ("topology", "n_agents", 14),
-            ("agents", "n_malicious", 3),
-            ("agents", "model", {"kind": "bsc", "p": 0.85}),
-            ("attack", "strategy", "random"),
-            ("attack", "epsilon", 1e-4),
-            ("attack", "aggregate_centrality", True),
-            ("attack", "seed", 3),
-            ("attack", "s1", 0.2),
-            ("experiment", "theta_true", "theta2"),
-            ("experiment", "horizon", 777),
-            ("experiment", "seeds", [5]),
-            ("experiment", "stride", 17),
-            ("experiment", "initial_belief_theta1", 0.4),
-            ("output", "directory", "elsewhere"),
-            ("output", "format", "tabular"),
+            (None, "topology", "seed", 29),
+            (None, "topology", "edge_prob", 0.35),
+            (None, "topology", "n_agents", 14),
+            (star, "topology", "hub", 3),
+            (edge_list, "topology", "edges", [[0, 2]]),
+            (trust, "topology", "trust_weight", 0.1),
+            (None, "agents", "n_malicious", 3),
+            (None, "agents", "model", {"kind": "bsc", "p": 0.85}),
+            (None, "attack", "strategy", "random"),
+            (None, "attack", "epsilon", 1e-4),
+            (known, "attack", "aggregate_centrality", True),
+            (known, "attack", "s1", 0.2),
+            (known, "attack", "s2", 0.2),
+            (random, "attack", "seed", 3),
+            (None, "experiment", "theta_true", "theta2"),
+            (None, "experiment", "horizon", 777),
+            (None, "experiment", "seeds", [5]),
+            (None, "experiment", "stride", 17),
+            (None, "experiment", "initial_belief_theta1", 0.4),
+            (None, "output", "directory", "elsewhere"),
+            (None, "output", "format", "tabular"),
         ]
-        base_echo = load_config(yaml.safe_dump(base)).echo()
-        for section, key, value in mutations:
-            mutated = yaml.safe_load(yaml.safe_dump(base))
-            mutated.setdefault(section, {})[key] = value
-            echo = load_config(yaml.safe_dump(mutated)).echo()
+        for base_section, section, key, value in mutations:
+            base = yaml.safe_load(yaml.safe_dump(doc))
+            if base_section is not None:
+                base[section] = dict(base_section)
+            base_echo = load_config(yaml.safe_dump(base)).echo()
+            base.setdefault(section, {})[key] = value
+            echo = load_config(yaml.safe_dump(base)).echo()
             assert echo != base_echo, f"{section}.{key} missing from echo"
+
+    def test_echo_holds_only_the_keys_each_kind_reads(self):
+        echo = yaml.safe_load(load_config(read_config("deceived_random_bsc08.yaml")).echo())
+        assert sorted(echo["topology"]) == ["edge_prob", "kind", "n_agents", "seed"]
+        assert sorted(echo["attack"]) == ["epsilon", "strategy"]
+        assert sorted(echo["agents"]["model"]) == ["kind", "p"]
+
+
+@pytest.mark.parametrize("topology, adjacency", [
+    ("{kind: erdos_renyi, n_agents: 6, edge_prob: 0.5, seed: 3}",
+     lambda: network.erdos_renyi_adjacency(6, 0.5, 3)),
+    ("{kind: star, n_agents: 6, hub: 2}", lambda: network.star_adjacency(6, 2)),
+    ("{kind: complete, n_agents: 6}", lambda: network.complete_adjacency(6)),
+    ("{kind: ring, n_agents: 6}", lambda: network.ring_adjacency(6)),
+    ("{kind: edge_list, n_agents: 3, edges: [[0, 1], [2, 1]]}",
+     lambda: network.edge_list_adjacency(3, [(0, 1), (2, 1)])),
+])
+def test_each_topology_kind_builds_from_the_keys_it_reads(topology, adjacency):
+    cfg = load_config(f"topology: {topology}\nagents: {{model: {{kind: bsc, p: 0.8}}}}\n")
+    want = network.uniform_combination(adjacency())
+    np.testing.assert_array_equal(config.build_network(cfg).combination, want)
 
 
 PURE_YAML = (yaml.SafeLoader, yaml.SafeDumper)
@@ -707,7 +740,8 @@ class TestRunSweep:
         result = run_sweep(cfg)
         means = [p.mean_final for p in result.points]
         assert means[0] < 0.05 and means[-1] > 0.95
-        assert result.crossing_count() == 1
+        above = [m > 0.5 for m in means]
+        assert sum(a != b for a, b in zip(above, above[1:])) == 1  # one crossing
         assert result.empirical_crossing is not None
         assert result.theory_root is not None
         assert abs(result.empirical_crossing - result.theory_root) <= 0.05
