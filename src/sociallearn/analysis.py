@@ -1,10 +1,10 @@
 """Closed-form deception predictions, read from the kernel's log-ratio table.
 
-Each agent k has one row of ``learning.LogRatioTable``, shared with the
-kernel: ``llr_k(x) = ln inf_k(x|theta1) - ln inf_k(x|theta2)``, the step a
-symbol x adds to its log-belief ratio (an adversary's ``inf_k`` is its forged
-model), and its true PMF ``L_k``. Its drift toward the wrong state theta_j'
-when theta_j is true is
+Each agent k has one row of a ``learning.LogRatioTable``:
+``llr_k(x) = ln inf_k(x|theta1) - ln inf_k(x|theta2)``, the step a symbol x
+adds to its log-belief ratio (an adversary's ``inf_k`` is its forged model),
+and its true PMF ``L_k``. Its drift toward the wrong state theta_j' when
+theta_j is true is
 
     c_kj = -/+ sum_x L_k(x|theta_j) llr_k(x)     (- for theta1, + for theta2),
 
@@ -21,6 +21,10 @@ and to the truth when ``< 0``. As ``lam_t = A^T (lam_{t-1} + llr_t)`` and
 (toward the wrong state), the almost-sure limit of the per-step
 log-belief-ratio growth rate that the simulator cross-checks. The
 adversary-side cost is ``cost_j = -margin_j``.
+
+``_weighted_drifts`` reads the ``u_k c_kj`` of a stack of scenarios from one
+table: the public functions give it their agents' one-row table, a sweep the
+table the kernel stepped its grid with.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InfiniteDivergenceError, NoSignChangeError
-from .learning import AgentConfig, log_ratio_table
+from .learning import AgentConfig, LogRatioTable, log_ratio_table
 from .network import Network, Role, perron_vector
 from .probability import Hypothesis, LikelihoodModel
 
@@ -90,13 +94,13 @@ class DeceptionReport:
 
 
 def _weighted_drifts(
-    agents: Sequence[AgentConfig], u: Sequence[float], theta: Hypothesis | None = None
+    table: LogRatioTable, u: np.ndarray, theta: Hypothesis | None = None
 ) -> np.ndarray:
-    """``[j - 1, k]``: ``u_k c_kj`` of each agent ``k`` in state j, from the agents'
-    log-ratio table (see the module docstring); only ``theta``'s row when it is
+    """``[j - 1, g, k]``: ``u[g, k] c_kj`` of agent ``k`` of stack row ``g`` in
+    state j, read from ``table`` (see the module docstring) with ``u`` the
+    ``(G, n)`` stack of Perron vectors; only ``theta``'s ``[g, k]`` when it is
     given. An infinite entry raises :class:`InfiniteDivergenceError`."""
-    table = log_ratio_table([agents])
-    drifts = table.drifts()[:, table.index[0]]
+    drifts = table.drifts()[:, table.index]
     weighted = np.asarray(u) * (drifts if theta is None else drifts[theta.value])
     if not np.isfinite(weighted).all():
         raise InfiniteDivergenceError(
@@ -114,8 +118,8 @@ def normal_divergence(
     """Centrality-weighted KL divergence of the normal sub-network for state j."""
     u = np.asarray(u if u is not None else perron_vector(net))
     normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
-    w = _weighted_drifts([agents[k] for k in normal], u[normal], Hypothesis(j - 1))
-    return 0.0 - math.fsum(w.tolist())
+    table = log_ratio_table([[agents[k] for k in normal]])
+    return 0.0 - math.fsum(_weighted_drifts(table, u[normal], Hypothesis(j - 1))[0].tolist())
 
 
 def adversary_contribution(
@@ -123,7 +127,7 @@ def adversary_contribution(
 ) -> float:
     """u_k * E_{true, theta_j} [ ln( forged(.|theta_j') / forged(.|theta_j) ) ]."""
     adversary = AgentConfig(Role.MALICIOUS, true_model, forged_model)
-    return float(_weighted_drifts([adversary], [u_k], Hypothesis(j - 1))[0])
+    return float(_weighted_drifts(log_ratio_table([[adversary]]), u_k, Hypothesis(j - 1))[0, 0])
 
 
 def deception_verdict(
@@ -141,7 +145,7 @@ def deception_verdict(
     u = u if u is not None else perron_vector(net)
     adv = tuple(k for k, a in enumerate(agents) if a.role is Role.MALICIOUS)
     normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
-    weighted = _weighted_drifts(agents, u).tolist()
+    weighted = _weighted_drifts(log_ratio_table([agents]), u)[:, 0].tolist()
     s = [0.0 - math.fsum(w[k] for k in normal) for w in weighted]
     r = [tuple(w[k] for k in adv) for w in weighted]
     m = [math.fsum(w) for w in weighted]

@@ -161,10 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise OutOfRangeError(f"--jobs must be >= 1, got {args.jobs}")
         return args.fn(_config(args), args)
-    except SocialLearnError as exc:
+    except (SocialLearnError, MemoryError) as exc:  # numpy's says what it could not allocate
         # validate reports a refusal as its result, so it prints it bare
         prefix = "" if args.command == "validate" else "error: "
-        print(f"{prefix}{exc}", file=sys.stderr)
+        print(f"{prefix}{str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,8 @@ experiment, in one call.
 The kernel steps the seeds in groups of at most ``_SEED_COLUMNS`` (64), its
 outer loop, each as a lone run: a ``(G, n, w)`` state stack, one column per
 seed, stepped by ``at @ (lam + llr_i)``, ``at`` being the ``(G, n, n)`` stack
-of transposed combination matrices, so one BLAS dgemm per scenario per step.
+of transposed combination matrices (one matrix, broadcast over the stack, when
+every scenario has the same network), so one BLAS dgemm per scenario per step.
 A lone seed is stepped beside a zero column, since numpy hands a one-column
 product to gemv, whose bits differ from dgemm's. The bits promise two tiers:
 
@@ -51,18 +52,17 @@ finals, whatever the horizon and the seed count. Every scenario maps the
 uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
 ``sample`` uses), which selects log-likelihood ratios out of the
 ``LogRatioTable`` bit for bit, without arithmetic, along whole (agent, seed)
-rows. That table, built once per kernel call, holds one row per distinct
-(true, inference) model pair, with one index row for the whole stack when
-every scenario's agents are equal (say, a grid that moves only the network),
-so one ratio block then serves the whole stack by broadcasting; ``analysis``
-reads its closed forms from the same table. No block length changes the bits:
-a stream's uniforms are the same however they are split. The check for a
+rows. That table, built by the caller that assembles the stack, holds one row
+per distinct (true, inference) model pair, with one index row for the whole
+stack when every scenario's agents are equal (say, a grid that moves only the
+network), so one ratio block then serves the whole stack by broadcasting; the
+closed forms compared with the kernel's output (``analysis``) read the same
+table. No block length changes the bits: a stream's uniforms are the same
+however they are split. The check for a
 realized symbol of zero likelihood scans each block only when some table
 entry is infinite, since otherwise no realized ratio can be.
 
-Sampling is reproducible: agent ``k`` of a run draws from
-``default_rng((seed, agent_key[k]))``, so permuting agents together with
-their keys permutes trajectories identically.
+Sampling is reproducible: agent ``k`` of a run draws from ``default_rng((seed, k))``.
 """
 
 from __future__ import annotations
@@ -242,31 +242,27 @@ def _block_lengths(n_tables: int, per_step: int, horizon: int) -> tuple[int, int
 
 def _simulate(
     nets: Sequence[Network],
-    agent_lists: Sequence[Sequence[AgentConfig]],
+    table: LogRatioTable,
     theta_true: Hypothesis,
     horizon: int,
     seeds: Sequence[int],
     stride: int,
     init: Sequence[float] | float,
-    agent_keys: Sequence[int] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run every (scenario, seed) pair through the log-ratio recursion, block by block.
 
-    ``nets[g]`` and ``agent_lists[g]`` make scenario ``g``; all share the
-    agent count, the true state, the initial beliefs and the seeds. Returns
-    ``(steps, records, finals)``: the recorded time indices, the
-    ``(G, S, len(steps), n)`` records and the ``(G, S, n)`` final states.
+    ``nets[g]`` and row ``g`` of ``table`` (its only row, if one) make scenario
+    ``g``; all share the agent count, the true state, the initial beliefs and
+    the seeds. Returns ``(steps, records, finals)``: the recorded time indices,
+    the ``(G, S, len(steps), n)`` records and the ``(G, S, n)`` final states.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
     n = nets[0].n_agents
-    if any(net.n_agents != n for net in nets) or any(len(a) != n for a in agent_lists):
+    if any(net.n_agents != n for net in nets) or table.index.shape[1] != n:
         raise ValueError("agents list must match the network size")
-    if agent_keys is not None and len(agent_keys) != n:
-        raise ValueError(f"agent_keys must give one key per agent ({n}), got {len(agent_keys)}")
-    keys = range(n) if agent_keys is None else agent_keys
     b = np.broadcast_to(np.asarray(init, dtype=float), (n,))
     if not np.all((b > 0.0) & (b < 1.0)):  # nan is refused too
         raise ValueError("initial beliefs must lie strictly inside (0, 1)")
@@ -274,12 +270,12 @@ def _simulate(
     steps = np.arange(stride, horizon + 1, stride) if stride > 0 else np.empty(0, dtype=int)
     records = np.empty((n_grid, n_seeds, len(steps), n))
     finals = np.empty((n_grid, n_seeds, n))
-    # each matrix keeps the strides of ``net.combination.T``, so each dgemm is a lone run's
-    at = np.stack([net.combination for net in nets]).swapaxes(-1, -2)
-    table = log_ratio_table(agent_lists)
+    # strided as ``net.combination.T``, so each dgemm is a lone run's; one network held once
+    shared = all(net is nets[0] for net in nets)
+    at = np.stack([net.combination for net in (nets[:1] if shared else nets)]).swapaxes(-1, -2)
     for c in range(0, n_seeds, _SEED_COLUMNS):
         group = seeds[c : c + _SEED_COLUMNS]
-        rngs = [[np.random.default_rng((seed, key)) for key in keys] for seed in group]
+        rngs = [[np.random.default_rng((seed, k)) for k in range(n)] for seed in group]
         w = len(rngs)
         cum, tables, finite = _symbol_tables(table, theta_true, w)
         # the group's columns, then a zero column beside a lone seed, so every product is a dgemm
@@ -322,11 +318,10 @@ def _trajectories(
     seeds: Sequence[int],
     stride: int,
     init: Sequence[float] | float,
-    agent_keys: Sequence[int] | None = None,
 ) -> list[Trajectory]:
     """One kernel call for all ``seeds`` of one scenario, one record each."""
     steps, records, finals = _simulate(
-        [net], [agents], theta_true, horizon, seeds, stride, init, agent_keys
+        [net], log_ratio_table([agents]), theta_true, horizon, seeds, stride, init
     )
     return [
         Trajectory(
@@ -348,7 +343,6 @@ def run(
     seed: int,
     stride: int = 1,
     initial_belief_theta1: Sequence[float] | float = 0.5,
-    agent_keys: Sequence[int] | None = None,
 ) -> Trajectory:
     """Simulate one seeded run in the log domain and record a strided trajectory.
 
@@ -356,9 +350,7 @@ def run(
     steps stride, 2*stride, ... <= horizon. Initial beliefs default to
     uniform and must be strictly inside (0, 1).
     """
-    return _trajectories(
-        net, agents, theta_true, horizon, [seed], stride, initial_belief_theta1, agent_keys
-    )[0]
+    return _trajectories(net, agents, theta_true, horizon, [seed], stride, initial_belief_theta1)[0]
 
 
 def run_finals(
@@ -380,7 +372,7 @@ def run_finals(
     fixed order.
     """
     _, _, finals = _simulate(
-        [net], [agents], theta_true, horizon, seeds, 0, initial_belief_theta1, None
+        [net], log_ratio_table([agents]), theta_true, horizon, seeds, 0, initial_belief_theta1
     )
     return np.ascontiguousarray(finals[0].T)
 

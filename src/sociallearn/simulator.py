@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -46,6 +47,7 @@ from . import learning
 # RSS by about 0.4 MB on a 2-vCPU x86-64 Linux host.
 from . import attacks  # noqa: F401
 from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
+from .analysis import _weighted_drifts
 from .config import ExperimentConfig, ExperimentSpec, Scenario, build_scenario, sweep_scenarios
 from .errors import ConfigValidationError, NoSignChangeError, OutputIOError
 
@@ -110,21 +112,13 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     )
 
 
-def _grid_finals(e: ExperimentSpec, scenarios: Sequence[Scenario]) -> np.ndarray:
-    """One kernel call for a chunk of the grid, every seed: ``(G, S, n)`` finals."""
-    _, _, finals = learning._simulate(
-        [s.net for s in scenarios], [s.agents for s in scenarios], scenarios[0].theta_true,
-        e.horizon, e.seeds, 0, e.initial_belief_theta1, None,
-    )
-    return finals
-
-
 def _in_chunks(fn, items: Sequence, jobs: int) -> list:
     """``fn`` over at most ``jobs`` contiguous chunks of ``items``, in order.
 
     One chunk runs in this process; more run in a pool of worker processes,
-    one chunk each. A chunk of grid points gives each point the same dgemm
-    over the same seeds as the whole grid does. A chunk of seeds gives each
+    one chunk each. A chunk of grid points (one table, one kernel call) gives
+    each point the same dgemm over the same seeds, and the same margin, as the
+    whole grid does. A chunk of seeds gives each
     seed a column of a narrower dgemm (a lone seed beside a zero column), the
     same bits given a BLAS that computes each output column on its own (see
     ``learning``). So the results do not depend on ``jobs``.
@@ -163,24 +157,36 @@ class SweepResult:
     theory_root: float | None
 
 
-def _sweep_point(value: float, scenario: Scenario, finals: np.ndarray) -> SweepPoint:
-    """A grid point from its scenario and its ``(S, n)`` final log ratios."""
-    # the (n, S) layout ``run_finals`` returns, so the agent means sum in its order
-    lam = np.ascontiguousarray(finals.T)
-    beliefs = learning.network_average_true_belief(lam, scenario.theta_true)
-    return SweepPoint(
-        value=float(value),
-        adversary_centrality=scenario.adversary_centrality,
-        margin_true=scenario.report().margin(scenario.theta_true),
-        per_seed_final=tuple(float(x) for x in beliefs),
+def _grid_points(e: ExperimentSpec, grid: Sequence[tuple[float, Scenario]]) -> list[SweepPoint]:
+    """The points of a chunk of ``(value, scenario)`` pairs, from one log-ratio table:
+    the kernel steps them, then each margin is its ``deception_verdict`` margin."""
+    values, scenarios = zip(*grid)
+    theta = scenarios[0].theta_true
+    table = learning.log_ratio_table([s.agents for s in scenarios])
+    _, _, finals = learning._simulate(
+        [s.net for s in scenarios], table, theta, e.horizon, e.seeds, 0, e.initial_belief_theta1
     )
+    # both states' drifts are checked, as a report checks them, before theta's are read
+    weighted = _weighted_drifts(table, np.stack([s.perron for s in scenarios]))[theta.value]
+    # the (n, S) layout ``run_finals`` returns, so the agent means sum in its order
+    lams = np.ascontiguousarray(finals.swapaxes(-1, -2))
+    return [
+        SweepPoint(
+            value=float(value),
+            adversary_centrality=scenario.adversary_centrality,
+            margin_true=math.fsum(w.tolist()),
+            per_seed_final=tuple(map(float, learning.network_average_true_belief(lam, theta))),
+        )
+        for value, scenario, lam, w in zip(values, scenarios, lams, weighted)
+    ]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid point (all seeds each) plus the theory root.
 
-    The grid points x seeds are one stack, stepped by one kernel call (one per
-    chunk with ``jobs > 1``); each point's finals equal its own ``run_finals``.
+    The grid points x seeds are one stack: one log-ratio table and one kernel
+    call (per chunk with ``jobs > 1``); each point's finals equal its own
+    ``run_finals`` and its margin its ``deception_verdict`` margin, bit for bit.
 
     The empirical crossing is the linear interpolation of the mean final
     true-state belief through 0.5 at the first adjacent grid pair where it
@@ -190,11 +196,9 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """
     if cfg.sweep is None:
         raise ConfigValidationError(["sweep must be given to run a sweep"])
-    values = cfg.sweep.values
     scenario_at = sweep_scenarios(cfg)
-    scenarios = [scenario_at(v) for v in values]
-    finals = np.concatenate(_in_chunks(partial(_grid_finals, cfg.experiment), scenarios, jobs))
-    points = tuple(map(_sweep_point, values, scenarios, finals))
+    grid = [(v, scenario_at(v)) for v in cfg.sweep.values]
+    points = tuple(chain(*_in_chunks(partial(_grid_points, cfg.experiment), grid, jobs)))
 
     axis = [
         p.adversary_centrality if cfg.sweep.parameter == "adversary_centrality" else p.value

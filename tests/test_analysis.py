@@ -29,6 +29,7 @@ from sociallearn import (
     uniform_combination,
     unknown_divergence_attack,
 )
+from sociallearn.analysis import _weighted_drifts
 from sociallearn.errors import InfiniteDivergenceError, NoSignChangeError
 from sociallearn.learning import _symbol_tables, log_ratio_table, network_average_true_belief
 from sociallearn.network import adversary_centrality
@@ -311,6 +312,26 @@ class TestOneTable:
         step = float(scenario.perron @ (pmf * llr).sum(axis=0))
         toward_wrong = -step if theta is Hypothesis.THETA1 else step
         assert toward_wrong == pytest.approx(scenario.report().margin(theta), rel=1e-12, abs=1e-15)
+
+    def test_stack_table_reads_as_one_row_tables(self):
+        # the 3-row table numbers its pairs in first appearance over all rows,
+        # each one-row table over its own row: the weighted drifts are the same bits
+        rng = np.random.default_rng(50)
+        models = [random_model(rng, int(rng.integers(2, 5))) for _ in range(4)]
+        forged = {0: unknown_divergence_attack(models[3], 1e-2)}
+        net = random_network(rng, 5, n_malicious=1)
+        agent_lists = [
+            agents_for(net, [models[i] for i in order], forged if order[0] == 3 else {})
+            for order in ([0, 1, 2, 1, 0], [2, 0, 3, 3, 1], [3, 2, 1, 0, 2])
+        ]
+        u = rng.uniform(0.05, 1.0, size=(3, 5))
+        table = log_ratio_table(agent_lists)
+        assert table.index.shape == (3, 5)
+        for theta in (None, Hypothesis.THETA1, Hypothesis.THETA2):
+            stacked = _weighted_drifts(table, u, theta)
+            for g, agents in enumerate(agent_lists):
+                one = _weighted_drifts(log_ratio_table([agents]), u[g], theta)
+                assert np.array_equal(stacked[..., g, :], one[..., 0, :])
 
 
 class TestCriticalParameter:

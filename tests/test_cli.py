@@ -584,6 +584,34 @@ experiment: {horizon: 20}
         assert capsys.readouterr().err == ""
 
 
+class TestOutOfMemory:
+    # a complete network of 100,000 agents asks numpy for a 9.31 GiB matrix; the
+    # builder raises here instead, since a huge allocation may succeed under
+    # overcommit and get the process killed later
+    HUGE = "topology: {kind: complete, n_agents: 100000}\n" + (
+        "agents: {n_malicious: 0, model: {kind: bsc, p: 0.8}}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, prefix, message",
+        [
+            ("validate", "", "Unable to allocate 9.31 GiB"),
+            ("predict", "error: ", "Unable to allocate 9.31 GiB"),
+            ("predict", "error: ", ""),
+        ],
+    )
+    def test_one_line(self, tmp_path, capsys, monkeypatch, command, prefix, message):
+        from sociallearn import network
+
+        def refuse(n_agents):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(network, "complete_adjacency", refuse)
+        assert main([command, "--config", write(tmp_path, self.HUGE)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{prefix}{message or 'out of memory'}\n"
+
+
 class TestSweep:
     def test_tiny_sweep(self, tmp_path, capsys):
         path = write(

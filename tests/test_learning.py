@@ -214,32 +214,6 @@ class TestRun:
         empty = run(net, agents, Hypothesis.THETA1, horizon=100, seed=0, stride=0)
         assert empty.log_ratio.shape == (0, 3)
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(17)
-        n = 5
-        net = random_network(rng, n, n_malicious=1)
-        models = [random_model(rng, 3) for _ in range(n)]
-        forged = {0: unknown_divergence_attack(models[0], 1e-2)}
-        agents = agents_for(net, models, forged)
-        traj = run(net, agents, Hypothesis.THETA1, horizon=80, seed=6)
-
-        perm = np.array([2, 0, 4, 1, 3])  # new index -> old index
-        a_p = net.combination[np.ix_(perm, perm)]
-        roles_p = tuple(net.roles[k] for k in perm)
-        from sociallearn import Network
-
-        net_p = Network(a_p, roles_p)
-        agents_p = tuple(agents[k] for k in perm)
-        traj_p = run(
-            net_p,
-            agents_p,
-            Hypothesis.THETA1,
-            horizon=80,
-            seed=6,
-            agent_keys=[int(k) for k in perm],
-        )
-        assert np.array_equal(traj_p.final_log_ratio, traj.final_log_ratio[perm])
-
     def test_empirical_rate_adversarial(self):
         # star + distorted hub: (1/i) log-ratio growth matches the margin
         from sociallearn import deception_verdict
@@ -321,7 +295,7 @@ def test_blocks_sized_by_the_seed_group(monkeypatch):
 
 
 def test_table_built_once_per_call(monkeypatch):
-    # the table depends only on the agent lists, so every seed group shares it
+    # run_finals builds its scenario's table once; the kernel's seed groups share it
     net, agents = er_scenario(20, 0.3, 2)
     calls = []
 
@@ -351,21 +325,12 @@ def test_memory_flat_in_seed_count():
     assert max(peaks) <= 1.1 * min(peaks), peaks
 
 
-@pytest.mark.parametrize("n_keys", [2, 16])
-def test_agent_keys_one_per_agent(n_keys):
-    rng = np.random.default_rng(20)
-    net = random_network(rng, 15, n_malicious=2)
-    agents = agents_for(net, [bsc_model(0.8)] * 15)
-    with pytest.raises(ValueError, match=r"one key per agent \(15\), got %d" % n_keys):
-        run(net, agents, Hypothesis.THETA1, 10, seed=0, agent_keys=list(range(n_keys)))
-
-
 def test_empty_seed_list_refused():
     net, agents = er_scenario(5, 0.5, 1)
     with pytest.raises(ValueError, match="seeds must be non-empty"):
         run_finals(net, agents, Hypothesis.THETA1, 10, seeds=[])
     with pytest.raises(ValueError, match="seeds must be non-empty"):
-        _simulate([net], [agents], Hypothesis.THETA1, 10, [], 0, 0.5, None)
+        _simulate([net], log_ratio_table([agents]), Hypothesis.THETA1, 10, [], 0, 0.5)
 
 
 def lone_agent(model):
@@ -374,25 +339,25 @@ def lone_agent(model):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
-@pytest.mark.parametrize("key", [0, 1, 199])
-def test_stream_entropy_draws_as_the_seed_tuple(seed, key):
-    # the stream of agent key k is default_rng((seed, k)), multi-word ints included
+@pytest.mark.parametrize("k", [0, 1, 199])
+def test_stream_entropy_draws_as_the_seed_tuple(seed, k):
+    # agent k draws from default_rng((seed, k)), multi-word ints included; with
+    # the identity combination each agent sums its own log-likelihood ratios
     model = bsc_model(0.7)
-    net, agents = lone_agent(model)
-    traj = run(net, agents, Hypothesis.THETA1, 16, seed=seed, agent_keys=[key])
-    symbols = sample(model.given_theta1, np.random.default_rng((seed, key)), 16)
+    net = make_network(np.eye(k + 1), 0)
+    agents = [AgentConfig(role=Role.NORMAL, true_model=model)] * (k + 1)
+    traj = run(net, agents, Hypothesis.THETA1, 16, seed=seed)
+    symbols = sample(model.given_theta1, np.random.default_rng((seed, k)), 16)
     llr = np.log(model.given_theta1.as_array()) - np.log(model.given_theta2.as_array())
-    assert np.array_equal(traj.log_ratio[:, 0], np.cumsum(llr[symbols]))
+    assert np.array_equal(traj.log_ratio[:, k], np.cumsum(llr[symbols]))
 
 
-@pytest.mark.parametrize("seed, key", [(-1, 0), (0, -1)])
-def test_negative_stream_seed_refused(seed, key):
+def test_negative_stream_seed_refused():
     net, agents = lone_agent(bsc_model(0.7))
     with pytest.raises(ValueError, match="non-negative"):
-        run(net, agents, Hypothesis.THETA1, 5, seed=seed, agent_keys=[key])
-    if key == 0:  # run_finals keys each agent by its index
-        with pytest.raises(ValueError, match="non-negative"):
-            run_finals(net, agents, Hypothesis.THETA1, 5, seeds=[seed])
+        run(net, agents, Hypothesis.THETA1, 5, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_finals(net, agents, Hypothesis.THETA1, 5, seeds=[-1])
 
 
 def mixed_grid(seed: int, n: int = 5, points: int = 4):
@@ -417,7 +382,7 @@ class TestStack:
         nets, agent_lists = mixed_grid(41)
         seeds = [0, 3, 7]
         _, _, finals = _simulate(
-            nets, agent_lists, Hypothesis.THETA1, 300, seeds, 0, 0.5, None
+            nets, log_ratio_table(agent_lists), Hypothesis.THETA1, 300, seeds, 0, 0.5
         )
         assert finals.shape == (len(nets), len(seeds), 5)
         for g, (net, agents) in enumerate(zip(nets, agent_lists)):
@@ -427,7 +392,7 @@ class TestStack:
     def test_stacked_records_match_reference(self):
         nets, agent_lists = mixed_grid(42, points=3)
         steps, records, finals = _simulate(
-            nets, agent_lists, Hypothesis.THETA2, 120, [5, 9], 7, 0.5, None
+            nets, log_ratio_table(agent_lists), Hypothesis.THETA2, 120, [5, 9], 7, 0.5
         )
         for g, (net, agents) in enumerate(zip(nets, agent_lists)):
             for s, seed in enumerate([5, 9]):
@@ -439,7 +404,7 @@ class TestStack:
 
     def test_block_sizes_do_not_change_bits(self, monkeypatch):
         nets, agent_lists = mixed_grid(43, points=3)
-        args = (nets, agent_lists, Hypothesis.THETA1, 60, [1, 2], 4, 0.3, None)
+        args = (nets, log_ratio_table(agent_lists), Hypothesis.THETA1, 60, [1, 2], 4, 0.3)
         _, records, finals = _simulate(*args)
         monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(learning, "_BLOCK_STEPS", 1)
@@ -450,7 +415,8 @@ class TestStack:
     def test_element_budget_bounds_the_block(self, monkeypatch):
         # a budget below one step's ratios still steps, one step per block
         nets, agent_lists = mixed_grid(44, points=2)
-        args = (nets, agent_lists, Hypothesis.THETA1, 2 * _BLOCK_STEPS + 3, [0], 0, 0.5, None)
+        table = log_ratio_table(agent_lists)
+        args = (nets, table, Hypothesis.THETA1, 2 * _BLOCK_STEPS + 3, [0], 0, 0.5)
         _, _, finals = _simulate(*args)
         monkeypatch.setattr(learning, "_BLOCK_ELEMENTS", 7)
         _, _, finals_7 = _simulate(*args)
@@ -469,11 +435,12 @@ class TestStack:
         # 3 tables x 2 seeds x 5 agents: ratio blocks of 4 steps, draw blocks of
         # 12, and a horizon of 43 that ends 7 steps into its last draw block
         nets, agent_lists = mixed_grid(47, points=3)
+        table = log_ratio_table(agent_lists)
         seeds, horizon = [1, 2], 43
 
         def both_strides():
             return [
-                _simulate(nets, agent_lists, Hypothesis.THETA1, horizon, seeds, stride, 0.5, None)
+                _simulate(nets, table, Hypothesis.THETA1, horizon, seeds, stride, 0.5)
                 for stride in (0, 3)
             ]
 
@@ -503,7 +470,8 @@ class TestStack:
         agent_lists = [agents_for(net, models, {0: forged}) for net in nets]
         cum, llr, finite = _symbol_tables(log_ratio_table(agent_lists), Hypothesis.THETA1, 2)
         assert cum.shape == (2, 1, 1, 5, 2) and llr.shape == (3, 1, 1, 5, 2) and finite
-        _, _, finals = _simulate(nets, agent_lists, Hypothesis.THETA1, 200, [0, 5], 0, 0.5, None)
+        table = log_ratio_table(agent_lists)
+        _, _, finals = _simulate(nets, table, Hypothesis.THETA1, 200, [0, 5], 0, 0.5)
         for g, net in enumerate(nets):
             lone = run_finals(net, agent_lists[g], Hypothesis.THETA1, horizon=200, seeds=[0, 5])
             assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
@@ -523,12 +491,12 @@ class TestStack:
             m = bsc_model(p)
             forged = {k: unknown_divergence_attack(m, 5e-3) for k in range(4)}
             agent_lists.append(agents_for(net, [m] * 15, forged))
+        table = log_ratio_table(agent_lists)
         peaks = []
         for horizon in (1000, 4000):
             tracemalloc.start()
             try:
-                _simulate([net] * 41, agent_lists, Hypothesis.THETA1, horizon, range(10), 0,
-                          0.5, None)
+                _simulate([net] * 41, table, Hypothesis.THETA1, horizon, range(10), 0, 0.5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -549,7 +517,7 @@ class TestStack:
         for agents in (agent_lists[0], agent_lists[2]):
             run_finals(net, agents, Hypothesis.THETA1, horizon=50, seeds=[0])
         with pytest.raises(ZeroLikelihoodError):
-            _simulate([net] * 3, agent_lists, Hypothesis.THETA1, 50, [0], 0, 0.5, None)
+            _simulate([net] * 3, log_ratio_table(agent_lists), Hypothesis.THETA1, 50, [0], 0, 0.5)
 
     def test_infinite_ratio_of_an_undrawn_symbol_is_fine(self):
         # the forgery rules out symbol 1, but the true model never draws it

@@ -18,11 +18,11 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
-from sociallearn import attacks, config, network, simulator
-from sociallearn.analysis import critical_parameter, normal_divergence
+from sociallearn import analysis, attacks, config, learning, network, simulator
+from sociallearn.analysis import critical_parameter, deception_verdict, normal_divergence
 from sociallearn.config import apply_sweep_value, build_plan
-from sociallearn.errors import ConfigParseError, ConfigValidationError
-from sociallearn.learning import network_average_true_belief
+from sociallearn.errors import ConfigParseError, ConfigValidationError, InfiniteDivergenceError
+from sociallearn.learning import log_ratio_table, network_average_true_belief
 from sociallearn.simulator import (
     SweepPoint,
     attack_document,
@@ -825,6 +825,78 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
                              horizon=e.horizon, seeds=e.seeds)
             want = network_average_true_belief(lam, scenario.theta_true)
             assert point.per_seed_final == tuple(float(x) for x in want)
+
+    @pytest.mark.parametrize(
+        "name, tables", [("sweep_bsc_p.yaml", 33), ("sweep_centrality.yaml", 32)]
+    )
+    def test_one_table_for_the_grid(self, name, tables, monkeypatch):
+        # one table steps the grid and gives every point's margin; each theory-root
+        # bisection step builds its own (31 or 32 of them)
+        calls = []
+
+        def recorder(agent_lists):
+            calls.append(len(agent_lists))
+            return log_ratio_table(agent_lists)
+
+        monkeypatch.setattr(learning, "log_ratio_table", recorder)
+        monkeypatch.setattr(analysis, "log_ratio_table", recorder)
+        cfg = _with(load_config(read_config(name)), horizon=20)
+        run_sweep(cfg, jobs=1)
+        assert len(calls) == tables
+        assert calls[0] == len(cfg.sweep.values) and set(calls[1:]) == {1}
+
+    @pytest.mark.parametrize(
+        "name, jobs",
+        [("sweep_bsc_p.yaml", 1), ("sweep_centrality.yaml", 1), ("sweep_bsc_p.yaml", 2)],
+    )
+    def test_margins_are_the_verdict_margins(self, name, jobs, tmp_path):
+        cfg = _with(load_config(read_config(name)), horizon=20, seeds=(0,))
+        emit_sweep_results(run_sweep(cfg, jobs=jobs), str(tmp_path))
+        points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+        assert len(points) == len(cfg.sweep.values)
+        for value, point in zip(cfg.sweep.values, points):
+            scenario = build_scenario(apply_sweep_value(cfg, value))
+            report = deception_verdict(scenario.net, scenario.agents, scenario.perron)
+            assert point["margin_true"] == report.margin(scenario.theta_true)
+
+    def test_infinite_other_state_drift_refused(self):
+        # theta2 puts no mass on symbol 1, so under theta2 no drift is infinite and
+        # the kernel runs; theta1's honest drift is infinite, so no verdict exists
+        cfg = load_config("""
+topology: {kind: complete, n_agents: 4}
+agents:
+  n_malicious: 1
+  model: {kind: rows, theta1: [0.5, 0.5], theta2: [1.0, 0.0]}
+attack: {strategy: unknown_divergences, epsilon: 1.0e-3}
+experiment: {theta_true: theta2, horizon: 20, seeds: [0, 1], stride: 0}
+sweep: {parameter: epsilon, values: [1.0e-3, 2.0e-3]}
+""")
+        scenario = build_scenario(apply_sweep_value(cfg, 2.0e-3))
+        run_finals(scenario.net, scenario.agents, scenario.theta_true, 20, seeds=[0, 1])
+        with pytest.raises(InfiniteDivergenceError, match="infinite"):
+            run_sweep(cfg)
+
+    def test_memory_flat_in_grid_size(self):
+        import tracemalloc
+
+        # 400 bsc_p points on one n = 200 network: the kernel holds its matrix
+        # once, not one (n, n) copy per point (400 n^2 8 bytes = 128 MB)
+        cfg = load_config("""
+topology: {kind: erdos_renyi, n_agents: 200, edge_prob: 0.05, seed: 7}
+agents: {n_malicious: 20, model: {kind: bsc, p: 0.8}}
+attack: {strategy: unknown_divergences, epsilon: 5.0e-3}
+experiment: {horizon: 5, seeds: [0, 1], stride: 0}
+sweep: {parameter: bsc_p, grid: {start: 0.55, stop: 0.949, step: 0.001}}
+""")
+        points = len(cfg.sweep.values)
+        assert points == 400
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points * 200 * 200 * 8 / 3, peak
 
     def test_theta2_finals_match_run_bitwise(self):
         import dataclasses
