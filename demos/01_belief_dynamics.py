@@ -12,7 +12,6 @@ wins back the network on a low-centrality topology.
 
 from sociallearn import (
     Hypothesis,
-    Role,
     bsc_model,
     deception_verdict,
     erdos_renyi_adjacency,
@@ -39,16 +38,11 @@ def show(title, p, seed, n_malicious, topology_seed, eps=5e-3):
     net = make_network(uniform_combination(adj), n_malicious)
     model = bsc_model(p)
     forged = unknown_divergence_attack(model, eps)
-    agents = tuple(
-        AgentConfig(
-            role=net.roles[k],
-            true_model=model,
-            forged_model=forged if net.roles[k] is Role.MALICIOUS else None,
-        )
-        for k in range(15)
-    )
-    centrality = adversary_centrality(perron_vector(net), net.roles)
-    report = deception_verdict(net, agents)
+    adversaries = net.malicious_indices
+    agents = tuple(AgentConfig(model, forged if k in adversaries else None) for k in range(15))
+    u = perron_vector(net)
+    centrality = adversary_centrality(u, net.roles)
+    report = deception_verdict(net, agents, u)
     traj = run(net, agents, Hypothesis.THETA1, horizon=100, seed=seed, stride=1)
 
     print(f"\n=== {title} ===")

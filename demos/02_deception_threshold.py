@@ -14,7 +14,6 @@ import numpy as np
 
 from sociallearn import (
     Hypothesis,
-    Role,
     bsc_model,
     deception_verdict,
     erdos_renyi_adjacency,
@@ -33,17 +32,13 @@ def main():
     model = bsc_model(0.8)
     eps = 5e-3
     forged = unknown_divergence_attack(model, eps)
+    adversaries = net.malicious_indices
     agents = tuple(
-        AgentConfig(
-            role=net.roles[k],
-            true_model=model,
-            forged_model=forged if net.roles[k] is Role.MALICIOUS else None,
-        )
-        for k in range(net.n_agents)
+        AgentConfig(model, forged if k in adversaries else None) for k in range(net.n_agents)
     )
 
     u = perron_vector(net)
-    report = deception_verdict(net, agents)
+    report = deception_verdict(net, agents, u)
 
     print("Scenario: 15 agents, BSC p=0.8, 4 adversaries with the optimal")
     print(f"network-agnostic forgery at eps={eps}.\n")

@@ -2,14 +2,15 @@
 
 Each agent k has one row of a ``learning.LogRatioTable``:
 ``llr_k(x) = ln inf_k(x|theta1) - ln inf_k(x|theta2)``, the step a symbol x
-adds to its log-belief ratio (an adversary's ``inf_k`` is its forged model),
-and its true PMF ``L_k``. Its drift toward the wrong state theta_j' when
-theta_j is true is
+adds to its log-belief ratio (``inf_k`` is the forged model whenever agent
+k has one), and its true PMF ``L_k``. Its drift toward the wrong state
+theta_j' when theta_j is true is
 
     c_kj = -/+ sum_x L_k(x|theta_j) llr_k(x)     (- for theta1, + for theta2),
 
-which is ``-D(L_k(.|theta_j) || L_k(.|theta_j'))`` for a normal agent and
-``r_kj / u_k`` for an adversary. With ``u`` the Perron vector,
+which is ``-D(L_k(.|theta_j) || L_k(.|theta_j'))`` for an agent without a
+forged model and ``r_kj / u_k`` for an adversary. With ``u`` the Perron
+vector (passed in by the caller) and ``Network.roles`` splitting the agents,
 
     s_j      = -(sum over normal agents of u_k c_kj)
     r_kj     = u_k c_kj for each adversary
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import InfiniteDivergenceError, NoSignChangeError
 from .learning import AgentConfig, LogRatioTable, log_ratio_table
-from .network import Network, Role, perron_vector
+from .network import Network, Role
 from .probability import Hypothesis, LikelihoodModel
 
 __all__ = [
@@ -110,14 +111,11 @@ def _weighted_drifts(
 
 
 def normal_divergence(
-    net: Network,
-    agents: Sequence[AgentConfig],
-    j: int,
-    u: np.ndarray | None = None,
+    net: Network, agents: Sequence[AgentConfig], j: int, u: np.ndarray
 ) -> float:
-    """Centrality-weighted KL divergence of the normal sub-network for state j."""
-    u = np.asarray(u if u is not None else perron_vector(net))
-    normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
+    """Centrality-weighted KL divergence of the normal sub-network for state j,
+    the agents that ``net.roles`` tags normal, with ``u`` the Perron vector."""
+    normal = [k for k, r in enumerate(net.roles) if r is Role.NORMAL]
     table = log_ratio_table([[agents[k] for k in normal]])
     return 0.0 - math.fsum(_weighted_drifts(table, u[normal], Hypothesis(j - 1))[0].tolist())
 
@@ -126,25 +124,22 @@ def adversary_contribution(
     u_k: float, true_model: LikelihoodModel, forged_model: LikelihoodModel, j: int
 ) -> float:
     """u_k * E_{true, theta_j} [ ln( forged(.|theta_j') / forged(.|theta_j) ) ]."""
-    adversary = AgentConfig(Role.MALICIOUS, true_model, forged_model)
+    adversary = AgentConfig(true_model, forged_model)
     return float(_weighted_drifts(log_ratio_table([[adversary]]), u_k, Hypothesis(j - 1))[0, 0])
 
 
 def deception_verdict(
-    net: Network,
-    agents: Sequence[AgentConfig],
-    u: np.ndarray | None = None,
+    net: Network, agents: Sequence[AgentConfig], u: np.ndarray
 ) -> DeceptionReport:
-    """Full threshold report for both candidate true states.
+    """Full threshold report for both states, with ``u`` the Perron vector of ``net``.
 
     Every agent contributes ``u_k c_kj``, its centrality times the drift of
-    its (true, inference) pair in the log-ratio table; an adversary's
-    inference model is ``inference_model``, the forged model its update uses
-    (its true model when it has none).
+    its (true, inference) pair in the log-ratio table, the inference model
+    being the forged one whenever the agent has one. ``net.roles`` splits the
+    contributions: the normal agents' make ``s_j``, the adversaries' ``r_j``.
     """
-    u = u if u is not None else perron_vector(net)
-    adv = tuple(k for k, a in enumerate(agents) if a.role is Role.MALICIOUS)
-    normal = [k for k, a in enumerate(agents) if a.role is Role.NORMAL]
+    adv = net.malicious_indices
+    normal = [k for k, r in enumerate(net.roles) if r is Role.NORMAL]
     weighted = _weighted_drifts(log_ratio_table([agents]), u)[:, 0].tolist()
     s = [0.0 - math.fsum(w[k] for k in normal) for w in weighted]
     r = [tuple(w[k] for k in adv) for w in weighted]

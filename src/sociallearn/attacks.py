@@ -329,29 +329,30 @@ class DistortionRegion:
 
 
 def select_support_pair(model: LikelihoodModel) -> tuple[int, int]:
-    """Deterministic support pair: maximal |determinant|, then lexicographic.
+    """Deterministic support pair: the first of ``_candidate_pairs``, maximal
+    |determinant|, then lexicographic.
 
     The determinant ``d = L(z2|t2) L(z1|t1) - L(z2|t1) L(z1|t2)`` must be
-    nonzero for the pair to support the construction; informative models
-    always admit such a pair.
+    nonzero for the pair to support the construction, and ``z2`` needs mass
+    in both states; :class:`DegeneratePairError` when no pair qualifies.
     """
     if not is_informative(model):
         raise UninformativeModelError("support pair needs an informative model")
     pairs = _candidate_pairs(model)
     if not pairs:
-        raise UninformativeModelError("no symbol pair with nonzero determinant")
+        raise DegeneratePairError("no pair with nonzero determinant and mass at z2 in both states")
     return pairs[0]
 
 
 def _candidate_pairs(model: LikelihoodModel) -> list[tuple[int, int]]:
-    """Every symbol pair with a nonzero determinant, by decreasing |d|, then (i, j)."""
+    """Pairs (i, j) with d != 0 and mass at j in both states, by decreasing |d|, then (i, j)."""
     t1 = model.given_theta1.as_array()
     t2 = model.given_theta2.as_array()
     n = model.alphabet_size
     cands = []
     for i in range(n):
         for j in range(n):
-            if i == j:
+            if i == j or t1[j] == 0.0 or t2[j] == 0.0:
                 continue
             d = t2[j] * t1[i] - t1[j] * t2[i]
             if d != 0.0:
@@ -422,10 +423,11 @@ def distortion_region(
     eps: float,
     pair: tuple[int, int] | None = None,
 ) -> DistortionRegion:
-    """Region geometry for ``pair`` (default: the canonical support pair).
+    """Region geometry for ``pair`` (default: :func:`select_support_pair`).
 
     Raises :class:`OutOfRangeError` for a pair index outside the alphabet and
-    :class:`DegeneratePairError` for a pair with a zero determinant (``i == j``).
+    :class:`DegeneratePairError` for a pair with a zero determinant (``i == j``)
+    or, by default, when no pair qualifies.
     """
     _check_region_inputs(u_k, s1, s2, eps, model.alphabet_size)
     if pair is None:
@@ -559,8 +561,6 @@ def known_divergence_attack(
 
     first: DistortionRegion | None = None
     for i, j in _candidate_pairs(model):
-        if model.given_theta1[j] == 0.0 or model.given_theta2[j] == 0.0:
-            continue
         region = _pair_geometry(model, u_k, s1, s2, eps, (i, j))
         if region.empty:
             continue

@@ -32,19 +32,25 @@ import functools
 import sys
 
 from .config import (
+    _FORMATS,
     ExperimentConfig,
     build_network,
     build_scenario,
     load_config,
     validate_config,
 )
-from .errors import ConfigValidationError, OutOfRangeError, SocialLearnError
+from .errors import ConfigParseError, ConfigValidationError, OutOfRangeError, SocialLearnError
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The config at ``--config`` with the given overrides, validated again."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = load_config(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigParseError(f"cannot read config {args.config}: {reason}") from exc
+    cfg = load_config(text)
     seeds = None if args.seed is None else (args.seed,)
     cfg = dataclasses.replace(
         cfg,
@@ -141,10 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=None, help="override horizon")
         p.add_argument("--stride", type=int, default=None, help="override record stride")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--format", choices=("tabular", "structured"), default=None,
-            help="result file format",
-        )
+        p.add_argument("--format", choices=_FORMATS, default=None, help="result file format")
         if needs_jobs:
             p.add_argument(
                 "--jobs", type=int, default=1,

@@ -58,9 +58,11 @@ that produced it.
 
 A scenario is assembled in two parts. The topology part (``build_topology``:
 the network, validated, and its Perron vector) reads only ``topology`` and
-``agents.n_malicious``; the model part (``assemble_scenario``: agents, attack
-plan, report) is built on it, and the scenario sums the adversary centrality
-from the Perron vector when asked. ``build_scenario`` is the two in turn.
+``agents.n_malicious``, and its roles are the one record of the adversaries.
+The model part (``assemble_scenario``) forges the attack plan from the true
+models, then builds each agent once, an adversary with its forged model. The
+scenario sums the adversary centrality from the Perron vector when asked.
+``build_scenario`` is the two in turn.
 ``_SWEEP_FIELDS`` maps each sweep parameter to the one field it sets, and a
 sweep's value -> scenario builder (``sweep_scenarios``) builds the topology
 per value only when that field lies under ``topology``
@@ -594,11 +596,11 @@ def build_network(cfg: ExperimentConfig) -> Network:
 
 
 def build_plan(
-    cfg: ExperimentConfig, net: Network, agents: Sequence[AgentConfig], u: np.ndarray
+    cfg: ExperimentConfig, net: Network, models: Sequence[LikelihoodModel], u: np.ndarray
 ) -> AttackPlan | None:
-    """Assemble the forged models the configured strategy prescribes for the
-    honest ``agents``; both constructive strategies forge once per distinct
-    input (``forge_once``), as the module docstring sets out."""
+    """The forged models the configured strategy prescribes for the adversaries
+    of ``net``, agent ``k``'s true model being ``models[k]``; both constructive
+    strategies forge once per distinct input (``forge_once``)."""
     import numpy as np
 
     from .analysis import normal_divergence
@@ -610,9 +612,9 @@ def build_plan(
         random_attack,
         unknown_divergence_attack,
     )
+    from .learning import AgentConfig
 
     at = cfg.attack
-    models = [a.true_model for a in agents]
     malicious = net.malicious_indices
     if at.strategy == "none" or not malicious:
         return None
@@ -621,8 +623,9 @@ def build_plan(
         # the minimal network knowledge is (s1, s2) plus the adversary's own
         # centrality; defaults are computed from the scenario, but both
         # divergences can be supplied externally in the config.
-        s1 = at.s1 if at.s1 is not None else normal_divergence(net, agents, 1, u)
-        s2 = at.s2 if at.s2 is not None else normal_divergence(net, agents, 2, u)
+        honest = [AgentConfig(m) for m in models]
+        s1 = at.s1 if at.s1 is not None else normal_divergence(net, honest, 1, u)
+        s2 = at.s2 if at.s2 is not None else normal_divergence(net, honest, 2, u)
         return multi_adversary_known(
             [models[k] for k in malicious],
             [u[k] for k in malicious],
@@ -656,21 +659,15 @@ def build_topology(cfg: ExperimentConfig) -> tuple[Network, np.ndarray]:
 
 def assemble_scenario(cfg: ExperimentConfig, net: Network, u: np.ndarray) -> Scenario:
     """The model part of a scenario on a built network ``net`` with Perron
-    vector ``u``: agents, and the attack plan with its forged models bound to
-    the adversaries."""
+    vector ``u``: the attack plan, and each agent built once, its forged
+    model (an adversary's, under a plan) bound."""
     from .learning import AgentConfig
 
-    agents = tuple(
-        AgentConfig(role=role, true_model=model)
-        for role, model in zip(net.roles, _model_list(cfg))
-    )
-    plan = build_plan(cfg, net, agents, u)
-    if plan is not None:
-        forged = dict(zip(net.malicious_indices, (e.forged for e in plan.entries)))
-        agents = tuple(
-            replace(a, forged_model=forged[k]) if k in forged else a
-            for k, a in enumerate(agents)
-        )
+    models = _model_list(cfg)
+    plan = build_plan(cfg, net, models, u)
+    entries = () if plan is None else plan.entries
+    forged = dict(zip(net.malicious_indices, (e.forged for e in entries)))
+    agents = tuple(AgentConfig(m, forged.get(k)) for k, m in enumerate(models))
     return Scenario(
         net=net,
         perron=u,

@@ -5,7 +5,8 @@ its private observation and (ii) *combines* neighbors' intermediate beliefs
 by a weighted geometric mean. Malicious agents run the identical arithmetic
 but plug a forged likelihood model into the adapt step; their observations
 are still drawn from their true model (only the inference model is faked,
-never the data).
+never the data). So an agent is its true model plus, for an adversary, its
+forged model; which agents are adversaries only ``Network.roles`` records.
 
 The dynamics are implemented in the log domain only, as the exact linear
 recursion ``lam_i = A^T (llr_i + lam_{i-1})`` on the per-agent log-belief
@@ -73,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZeroLikelihoodError
-from .network import Network, Role
+from .network import Network
 from .probability import Hypothesis, LikelihoodModel, _inverse_cdf
 
 __all__ = [
@@ -94,23 +95,21 @@ _SEED_COLUMNS = 64
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Role, true observation model, and (for malicious agents) forged model."""
+    """An agent's true observation model and, when it has one, the forged
+    model it updates with. Who is an adversary is ``Network.roles``' to say."""
 
-    role: Role
     true_model: LikelihoodModel
     forged_model: LikelihoodModel | None = None
 
     def __post_init__(self):
-        if self.role is Role.MALICIOUS and self.forged_model is not None:
+        if self.forged_model is not None:
             if self.forged_model.alphabet_size != self.true_model.alphabet_size:
                 raise ValueError("forged model must share the true model's alphabet")
 
     @property
     def inference_model(self) -> LikelihoodModel:
-        """Model actually used in the adapt step (forged one for adversaries)."""
-        if self.role is Role.MALICIOUS and self.forged_model is not None:
-            return self.forged_model
-        return self.true_model
+        """Model used in the adapt step: the forged one whenever one is given."""
+        return self.true_model if self.forged_model is None else self.forged_model
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -38,8 +38,10 @@ class Role(enum.Enum):
 class Network:
     """Combination matrix plus per-agent roles.
 
-    By convention the builders list malicious agents first; nothing in the
-    analysis depends on the ordering, only on the role tags.
+    ``roles`` is the one record of which agents are adversaries: an agent
+    (``learning.AgentConfig``) holds only its models. By convention the
+    builders list malicious agents first; nothing in the analysis depends on
+    the ordering.
     """
 
     combination: np.ndarray

@@ -72,10 +72,7 @@ def random_network(rng: np.random.Generator, n: int, n_malicious: int = 0):
 
 def agents_for(net, models, forged=None) -> tuple[AgentConfig, ...]:
     forged = forged or {}
-    return tuple(
-        AgentConfig(role=net.roles[k], true_model=models[k], forged_model=forged.get(k))
-        for k in range(net.n_agents)
-    )
+    return tuple(AgentConfig(models[k], forged.get(k)) for k in range(net.n_agents))
 
 
 def draw_symbols(agents, theta_true, horizon, seed) -> list[np.ndarray]:

@@ -322,7 +322,7 @@ def test_09_topology_regime_reproduction():
     straddle = er_u < critical < star_u
 
     star_agents = agents_for(star, [model] * 15, {0: forged})
-    star_report = deception_verdict(star, star_agents)
+    star_report = deception_verdict(star, star_agents, perron_vector(star))
     er_report = er_sc.report()
     verdicts_ok = (
         star_report.verdict1 is Verdict.MISLED

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sociallearn import (
+    AgentConfig,
     Hypothesis,
+    Network,
     Role,
     Verdict,
     adversary_contribution,
@@ -62,21 +64,22 @@ def unknown_forged(models, eps):
 class TestNormalDivergence:
     def test_two_agent_doubly_stochastic(self):
         net = make_network(np.full((2, 2), 0.5), 0)
-        agents = agents_for(net, [bsc_model(0.8)] * 2)
-        assert normal_divergence(net, agents, 1) == pytest.approx(BSC08_KL, abs=1e-12)
-        assert normal_divergence(net, agents, 2) == pytest.approx(BSC08_KL, abs=1e-12)
+        agents, u = agents_for(net, [bsc_model(0.8)] * 2), perron_vector(net)
+        assert normal_divergence(net, agents, 1, u) == pytest.approx(BSC08_KL, abs=1e-12)
+        assert normal_divergence(net, agents, 2, u) == pytest.approx(BSC08_KL, abs=1e-12)
 
     def test_uninformative_normal_agent_contributes_zero(self):
         net = make_network(np.full((3, 3), 1.0 / 3.0), 2)
         agents = agents_for(net, [bsc_model(0.9), bsc_model(0.9), bsc_model(0.5)])
-        assert normal_divergence(net, agents, 1) == pytest.approx(0.0, abs=1e-15)
+        u = perron_vector(net)
+        assert normal_divergence(net, agents, 1, u) == pytest.approx(0.0, abs=1e-15)
 
     def test_linear_in_normal_centrality(self):
         net = er_network(15, 0.25, 28, 4)
         agents = agents_for(net, [bsc_model(0.8)] * 15)
         u = perron_vector(net)
         normal_mass = 1.0 - adversary_centrality(u, net.roles)
-        assert normal_divergence(net, agents, 1) == pytest.approx(
+        assert normal_divergence(net, agents, 1, u) == pytest.approx(
             normal_mass * BSC08_KL, abs=1e-12
         )
 
@@ -90,10 +93,9 @@ def kl_form(u_k, true_model, forged_model, j):
 
 class TestAdversaryContribution:
     @staticmethod
-    def assert_kl_form(u, agents):
-        for k, agent in enumerate(agents):
-            if agent.role is not Role.MALICIOUS:
-                continue
+    def assert_kl_form(net, u, agents):
+        for k in net.malicious_indices:
+            agent = agents[k]
             for j in (1, 2):
                 args = (float(u[k]), agent.true_model, agent.inference_model, j)
                 val, alt = adversary_contribution(*args), kl_form(*args)
@@ -103,7 +105,7 @@ class TestAdversaryContribution:
     def test_kl_form_on_bundled_configs(self, name):
         with open(os.path.join(CONFIG_DIR, name), "r", encoding="utf-8") as fh:
             scenario = build_scenario(load_config(fh.read()))
-        self.assert_kl_form(scenario.perron, scenario.agents)
+        self.assert_kl_form(scenario.net, scenario.perron, scenario.agents)
 
     def test_kl_form_on_random_scenarios(self):
         rng = np.random.default_rng(17)
@@ -120,7 +122,7 @@ class TestAdversaryContribution:
                 else random_model(rng, models[k].alphabet_size)
                 for k in range(n_mal)
             }
-            self.assert_kl_form(perron_vector(net), agents_for(net, models, forged))
+            self.assert_kl_form(net, perron_vector(net), agents_for(net, models, forged))
 
     def test_uninformative_true_model_antisymmetry(self):
         rng = np.random.default_rng(2)
@@ -152,10 +154,31 @@ class TestDeceptionVerdict:
         rng = np.random.default_rng(3)
         net = random_network(rng, 5)
         agents = agents_for(net, [bsc_model(0.7)] * 5)
-        report = deception_verdict(net, agents)
+        report = deception_verdict(net, agents, perron_vector(net))
         assert report.verdict1 is Verdict.LEARNS_TRUTH
         assert report.verdict2 is Verdict.LEARNS_TRUTH
         assert report.margin1 == pytest.approx(-report.s1)
+
+    def test_adversaries_are_the_network_roles(self):
+        # the same agents on the same weights: the roles alone split s_j from r_j
+        m = bsc_model(0.8)
+        forged = unknown_divergence_attack(m, 1e-3)
+        agents = (AgentConfig(m, forged), AgentConfig(m), AgentConfig(m))
+        comb = np.full((3, 3), 1.0 / 3.0)
+        n, a = Role.NORMAL, Role.MALICIOUS
+        reports = {}
+        for roles in ((a, n, n), (n, n, a), (n, n, n)):
+            net = Network(comb, roles)
+            reports[roles] = deception_verdict(net, agents, perron_vector(net))
+            assert reports[roles].adversary_indices == net.malicious_indices
+        first, last, honest = reports[(a, n, n)], reports[(n, n, a)], reports[(n, n, n)]
+        assert first.s1 == pytest.approx(2.0 / 3.0 * BSC08_KL, abs=1e-12)
+        assert first.r1 == pytest.approx((adversary_contribution(1.0 / 3.0, m, forged, 1),))
+        assert last.r1 == pytest.approx((-BSC08_KL / 3.0,), abs=1e-12)
+        assert honest.r1 == () and honest.s1 == pytest.approx(-honest.margin1, abs=1e-12)
+        for report in reports.values():  # the margin sums every agent whatever its role
+            assert report.margin1 == pytest.approx(first.margin1, abs=1e-12)
+            assert report.margin1 == pytest.approx(math.fsum(report.r1) - report.s1, abs=1e-12)
 
     def test_infinite_divergence_refused(self):
         # theta2 puts no mass on a symbol theta1 emits: D(L(theta1) || L(theta2)) is infinite
@@ -163,13 +186,13 @@ class TestDeceptionVerdict:
         net = make_network(np.full((4, 4), 0.25), 1)
         agents = agents_for(net, [m] * 4, unknown_forged([m], 1e-3))
         with pytest.raises(InfiniteDivergenceError, match="infinite"):
-            deception_verdict(net, agents)
+            deception_verdict(net, agents, perron_vector(net))
 
     def test_nonseparable_unknown_attack_misleads_one_state(self):
         net = er_network(15, 0.25, 28, 4)
         models = [NONSEP] * 15
         agents = agents_for(net, models, unknown_forged([NONSEP] * 4, 1e-5))
-        report = deception_verdict(net, agents)
+        report = deception_verdict(net, agents, perron_vector(net))
         verdicts = (report.verdict1, report.verdict2)
         assert verdicts.count(Verdict.MISLED) == 1
         assert verdicts.count(Verdict.LEARNS_TRUTH) == 1
@@ -185,7 +208,7 @@ class TestDeceptionVerdict:
             aggregate_centrality=True,
         )
         forged = {k: entry.forged for k, entry in enumerate(plan.entries)}
-        report = deception_verdict(net, agents_for(net, [NONSEP] * 15, forged))
+        report = deception_verdict(net, agents_for(net, [NONSEP] * 15, forged), u)
         assert report.verdict1 is Verdict.MISLED
         assert report.verdict2 is Verdict.MISLED
 
@@ -195,7 +218,8 @@ class TestDeceptionVerdict:
             net = random_network(rng, int(rng.integers(3, 8)), n_malicious=1)
             models = [random_model(rng, 3) for _ in range(net.n_agents)]
             forged = unknown_forged([models[0]], 1e-3)
-            report = deception_verdict(net, agents_for(net, models, forged))
+            agents = agents_for(net, models, forged)
+            report = deception_verdict(net, agents, perron_vector(net))
             assert report.cost1 == pytest.approx(-report.margin1, abs=1e-12)
             assert report.cost2 == pytest.approx(-report.margin2, abs=1e-12)
 
@@ -205,7 +229,8 @@ class TestDeceptionVerdict:
         base = random_model(rng, 4)
         models = [base] * 4
         forged = unknown_forged([base], 1e-3)
-        report = deception_verdict(net, agents_for(net, models, forged))
+        u = perron_vector(net)
+        report = deception_verdict(net, agents_for(net, models, forged), u)
 
         perm = [2, 0, 3, 1]
 
@@ -216,7 +241,7 @@ class TestDeceptionVerdict:
 
         models_p = [permute(m) for m in models]
         forged_p = {0: permute(forged[0])}
-        report_p = deception_verdict(net, agents_for(net, models_p, forged_p))
+        report_p = deception_verdict(net, agents_for(net, models_p, forged_p), u)
         assert report_p.s1 == pytest.approx(report.s1, abs=1e-12)
         assert report_p.s2 == pytest.approx(report.s2, abs=1e-12)
         assert report_p.margin1 == pytest.approx(report.margin1, abs=1e-12)
@@ -235,7 +260,7 @@ class TestDeceptionVerdict:
             models = [shared] * n
             forged = unknown_forged([shared] * n_mal, 5e-3)
             agents = agents_for(net, models, forged)
-            report = deception_verdict(net, agents)
+            report = deception_verdict(net, agents, perron_vector(net))
             if abs(report.margin1) <= 0.05:
                 continue
             total += 1
@@ -253,7 +278,7 @@ class TestAsymptoticRate:
         rng = np.random.default_rng(11)
         net = random_network(rng, 5)
         agents = agents_for(net, [bsc_model(0.8)] * 5)
-        rate = deception_verdict(net, agents).margin(Hypothesis.THETA1)
+        rate = deception_verdict(net, agents, perron_vector(net)).margin(Hypothesis.THETA1)
         assert rate == pytest.approx(-BSC08_KL, abs=1e-12)
 
     def test_sign_matches_verdict(self):
@@ -262,7 +287,7 @@ class TestAsymptoticRate:
             net = random_network(rng, 5, n_malicious=1)
             models = [random_model(rng, 3) for _ in range(5)]
             agents = agents_for(net, models, unknown_forged([models[0]], 1e-3))
-            report = deception_verdict(net, agents)
+            report = deception_verdict(net, agents, perron_vector(net))
             rate = report.margin(Hypothesis.THETA1)
             if report.verdict1 is Verdict.MISLED:
                 assert rate > 0
@@ -273,7 +298,7 @@ class TestAsymptoticRate:
         net = make_network(uniform_combination(star_adjacency(15, 0)), 1)
         m = bsc_model(0.9)
         agents = agents_for(net, [m] * 15, unknown_forged([m], 5e-3))
-        report = deception_verdict(net, agents)
+        report = deception_verdict(net, agents, perron_vector(net))
         rate = report.margin(Hypothesis.THETA1)
         assert report.verdict1 is Verdict.MISLED and rate > 0
 

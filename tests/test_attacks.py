@@ -237,6 +237,21 @@ class TestSelectSupportPair:
         with pytest.raises(UninformativeModelError):
             select_support_pair(bsc_model(0.5))
 
+    def test_one_rule_skips_a_second_symbol_without_mass(self):
+        # (0, 2) ties (2, 0) on |d| and comes first, but symbol 2 has no mass under
+        # theta1: every default takes (2, 0), the pair the attack forges on
+        m = make_model([0.5, 0.5, 0.0], [0.1, 0.1, 0.8])
+        assert select_support_pair(m) == (2, 0)
+        assert distortion_region(m, 0.3, 0.2, 0.2, 1e-3).support_pair == (2, 0)
+        assert known_divergence_attack(m, 0.3, 0.2, 0.2, 1e-3).params["support_pair"] == (2, 0)
+        assert one_variable_feasibility(m, 0.3, 0.2, 0.2, 1e-3)
+        with pytest.raises(DegeneratePairError, match="second pair symbol"):
+            one_variable_feasibility(m, 0.3, 0.2, 0.2, 1e-3, pair=(0, 2))
+
+    def test_no_pair_with_mass_at_its_second_symbol_raises(self):
+        with pytest.raises(DegeneratePairError, match="no pair"):
+            select_support_pair(make_model([1.0, 0.0], [0.0, 1.0]))
+
 
 class TestDistortionRegion:
     def test_bsc09_reference_values(self):

@@ -323,6 +323,20 @@ class TestValidate:
         assert "topology.n_agents must be int, got 'three'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exits_1_in_one_line(self, tmp_path, case):
+        path = {"missing": tmp_path / "missing.yaml", "directory": tmp_path,
+                "not_utf8": tmp_path / "utf16.yaml"}[case]
+        if case == "not_utf8":
+            path.write_bytes(b"\xff\xfe")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sociallearn.cli", "predict", "--config", str(path)],
+            capture_output=True, text=True, env=_env(),
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: cannot read config {path}: ")
+
     def test_invalid_override_refused(self, capsys):
         argv = ["validate", "--config", cfg_path("misled_star_bsc09.yaml"), "--seed", "-1"]
         assert main(argv) == 1

@@ -105,7 +105,7 @@ class TestStep:
         # lone agent with a self-loop: E[log-ratio increment] = D(row1 || row2)
         net = make_network(np.array([[1.0]]), 0)
         m = bsc_model(0.9)
-        agents = (AgentConfig(role=Role.NORMAL, true_model=m),)
+        agents = (AgentConfig(m),)
         traj = run(net, agents, Hypothesis.THETA1, horizon=20000, seed=3)
         mean_inc = float(traj.final_log_ratio[0]) / 20000.0
         expected = 0.8 * math.log(9.0)
@@ -201,7 +201,7 @@ class TestRun:
         # the forged model rules out symbol 1, which the true model draws half the time
         net = make_network(np.array([[1.0]]), 1)
         forged = make_model([1.0, 0.0], [0.5, 0.5])
-        agents = (AgentConfig(role=Role.MALICIOUS, true_model=bsc_model(0.5), forged_model=forged),)
+        agents = (AgentConfig(bsc_model(0.5), forged),)
         with pytest.raises(ZeroLikelihoodError):
             run(net, agents, Hypothesis.THETA1, horizon=50, seed=0)
 
@@ -216,13 +216,13 @@ class TestRun:
 
     def test_empirical_rate_adversarial(self):
         # star + distorted hub: (1/i) log-ratio growth matches the margin
-        from sociallearn import deception_verdict
+        from sociallearn import deception_verdict, perron_vector
 
         net = make_network(uniform_combination(star_adjacency(15, 0)), 1)
         m = bsc_model(0.9)
         forged = {0: unknown_divergence_attack(m, 5e-3)}
         agents = agents_for(net, [m] * 15, forged)
-        report = deception_verdict(net, agents)
+        report = deception_verdict(net, agents, perron_vector(net))
         predicted = report.margin1  # theta_true = theta1
         finals = run_finals(net, agents, Hypothesis.THETA1, 5000, seeds=range(20))
         empirical = float(np.mean(-finals / 5000.0))
@@ -335,7 +335,7 @@ def test_empty_seed_list_refused():
 
 def lone_agent(model):
     """A one-agent network: each step adds the agent's own log-likelihood ratio."""
-    return make_network(np.array([[1.0]]), 0), [AgentConfig(role=Role.NORMAL, true_model=model)]
+    return make_network(np.array([[1.0]]), 0), [AgentConfig(model)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
@@ -345,7 +345,7 @@ def test_stream_entropy_draws_as_the_seed_tuple(seed, k):
     # the identity combination each agent sums its own log-likelihood ratios
     model = bsc_model(0.7)
     net = make_network(np.eye(k + 1), 0)
-    agents = [AgentConfig(role=Role.NORMAL, true_model=model)] * (k + 1)
+    agents = [AgentConfig(model)] * (k + 1)
     traj = run(net, agents, Hypothesis.THETA1, 16, seed=seed)
     symbols = sample(model.given_theta1, np.random.default_rng((seed, k)), 16)
     llr = np.log(model.given_theta1.as_array()) - np.log(model.given_theta2.as_array())
@@ -510,10 +510,7 @@ class TestStack:
         net = make_network(np.array([[1.0]]), 1)
         honest = make_model([0.5, 0.5], [0.4, 0.6])
         zeroing = make_model([1.0, 0.0], [0.5, 0.5])
-        agent_lists = [
-            (AgentConfig(role=Role.MALICIOUS, true_model=bsc_model(0.5), forged_model=f),)
-            for f in (honest, zeroing, honest)
-        ]
+        agent_lists = [(AgentConfig(bsc_model(0.5), f),) for f in (honest, zeroing, honest)]
         for agents in (agent_lists[0], agent_lists[2]):
             run_finals(net, agents, Hypothesis.THETA1, horizon=50, seeds=[0])
         with pytest.raises(ZeroLikelihoodError):
@@ -523,17 +520,29 @@ class TestStack:
         # the forgery rules out symbol 1, but the true model never draws it
         net = make_network(np.array([[1.0]]), 1)
         agents = (
-            AgentConfig(
-                role=Role.MALICIOUS,
-                true_model=make_model([1.0, 0.0], [0.5, 0.5]),
-                forged_model=make_model([1.0, 0.0], [0.5, 0.5]),
-            ),
+            AgentConfig(make_model([1.0, 0.0], [0.5, 0.5]), make_model([1.0, 0.0], [0.5, 0.5])),
         )
         finals = run_finals(net, agents, Hypothesis.THETA1, horizon=50, seeds=[0, 1])
         lam = 0.0
         for _ in range(50):
             lam += math.log(1.0) - math.log(0.5)
         assert np.array_equal(finals, np.full((1, 2), lam))
+
+
+class TestAgentConfig:
+    def test_forged_model_of_another_alphabet_refused(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            AgentConfig(bsc_model(0.8), make_model([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]))
+
+    def test_inference_model_is_the_forged_one_whenever_given(self):
+        # who is an adversary is the network's to say; an agent only holds its models
+        m, forged = bsc_model(0.8), bsc_model(0.3)
+        assert AgentConfig(m).inference_model is m
+        assert AgentConfig(m, forged).inference_model is forged
+
+    def test_role_refused(self):
+        with pytest.raises(TypeError):
+            AgentConfig(role=Role.MALICIOUS, true_model=bsc_model(0.8))
 
 
 class TestBeliefState:

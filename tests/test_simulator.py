@@ -484,7 +484,8 @@ attack: {strategy: random, epsilon: 1.0e-2, seed: 7}
         # one stream drawn in adversary order, so a shared model still gets two forgeries
         cfg = load_config(self.RANDOM)
         scenario = build_scenario(cfg)
-        plan = build_plan(cfg, scenario.net, scenario.agents, scenario.perron)
+        models = [a.true_model for a in scenario.agents]
+        plan = build_plan(cfg, scenario.net, models, scenario.perron)
         pinned = [
             ((0.3082266399196018, 0.44212764319420766, 0.24964571688619064),
              (0.20357912408567228, 0.05466538828757557, 0.7417554876267521)),
