@@ -23,9 +23,9 @@ and to the truth when ``< 0``. As ``lam_t = A^T (lam_{t-1} + llr_t)`` and
 log-belief-ratio growth rate that the simulator cross-checks. The
 adversary-side cost is ``cost_j = -margin_j``.
 
-``_weighted_drifts`` reads the ``u_k c_kj`` of a stack of scenarios from one
-table: the public functions give it their agents' one-row table, a sweep the
-table the kernel stepped its grid with.
+``_reports`` builds every report, for a stack of scenarios as the kernel
+steps them: ``deception_verdict`` is its one-scenario call, on its agents'
+one-row table, and a sweep hands it the table its grid was stepped with.
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def _weighted_drifts(
 
 
 def normal_divergence(
-    net: Network, agents: Sequence[AgentConfig], j: int, u: np.ndarray
+    net: Network, models: Sequence[LikelihoodModel], j: int, u: np.ndarray
 ) -> float:
     """Centrality-weighted KL divergence of the normal sub-network for state j,
-    the agents that ``net.roles`` tags normal, with ``u`` the Perron vector."""
+    the agents that ``net.roles`` tags normal, agent ``k``'s true model being
+    ``models[k]``, with ``u`` the Perron vector."""
     normal = [k for k, r in enumerate(net.roles) if r is Role.NORMAL]
-    table = log_ratio_table([[agents[k] for k in normal]])
+    table = log_ratio_table([[AgentConfig(models[k]) for k in normal]])
     return 0.0 - math.fsum(_weighted_drifts(table, u[normal], Hypothesis(j - 1))[0].tolist())
 
 
@@ -128,43 +129,46 @@ def adversary_contribution(
     return float(_weighted_drifts(log_ratio_table([[adversary]]), u_k, Hypothesis(j - 1))[0, 0])
 
 
+def _verdict(margin: float) -> Verdict:
+    if margin > BOUNDARY_TOL:
+        return Verdict.MISLED
+    if margin < -BOUNDARY_TOL:
+        return Verdict.LEARNS_TRUTH
+    return Verdict.BOUNDARY
+
+
+def _reports(
+    nets: Sequence[Network], table: LogRatioTable, u: np.ndarray
+) -> list[DeceptionReport]:
+    """The report of each scenario of a stack: ``nets[g]``, row ``g`` of
+    ``table`` (its only row, if one) and Perron vector ``u[g]``, the stack
+    ``learning._simulate`` steps. The one place ``s_j``, ``r_kj``, ``margin_j``
+    and the verdicts are computed; both states' drifts are checked finite."""
+    reports = []
+    for net, *weighted in zip(nets, *_weighted_drifts(table, u).tolist()):
+        adv = net.malicious_indices
+        normal = [k for k, r in enumerate(net.roles) if r is Role.NORMAL]
+        s = [0.0 - math.fsum(w[k] for k in normal) for w in weighted]
+        r = [tuple(w[k] for k in adv) for w in weighted]
+        m = [math.fsum(w) for w in weighted]
+        reports.append(DeceptionReport(
+            s1=s[0], s2=s[1], adversary_indices=adv, r1=r[0], r2=r[1],
+            margin1=m[0], margin2=m[1], verdict1=_verdict(m[0]), verdict2=_verdict(m[1]),
+            cost1=-m[0], cost2=-m[1],
+        ))
+    return reports
+
+
 def deception_verdict(
     net: Network, agents: Sequence[AgentConfig], u: np.ndarray
 ) -> DeceptionReport:
-    """Full threshold report for both states, with ``u`` the Perron vector of ``net``.
-
-    Every agent contributes ``u_k c_kj``, its centrality times the drift of
-    its (true, inference) pair in the log-ratio table, the inference model
-    being the forged one whenever the agent has one. ``net.roles`` splits the
-    contributions: the normal agents' make ``s_j``, the adversaries' ``r_j``.
-    """
-    adv = net.malicious_indices
-    normal = [k for k, r in enumerate(net.roles) if r is Role.NORMAL]
-    weighted = _weighted_drifts(log_ratio_table([agents]), u)[:, 0].tolist()
-    s = [0.0 - math.fsum(w[k] for k in normal) for w in weighted]
-    r = [tuple(w[k] for k in adv) for w in weighted]
-    m = [math.fsum(w) for w in weighted]
-
-    def decide(margin: float) -> Verdict:
-        if margin > BOUNDARY_TOL:
-            return Verdict.MISLED
-        if margin < -BOUNDARY_TOL:
-            return Verdict.LEARNS_TRUTH
-        return Verdict.BOUNDARY
-
-    return DeceptionReport(
-        s1=s[0],
-        s2=s[1],
-        adversary_indices=adv,
-        r1=r[0],
-        r2=r[1],
-        margin1=m[0],
-        margin2=m[1],
-        verdict1=decide(m[0]),
-        verdict2=decide(m[1]),
-        cost1=-m[0],
-        cost2=-m[1],
-    )
+    """Full threshold report for both states, with ``u`` the Perron vector of
+    ``net``: the one-scenario call of ``_reports``. Every agent contributes
+    ``u_k c_kj``, its centrality times the drift of its (true, inference) pair
+    in the log-ratio table, the inference model being the forged one whenever
+    the agent has one. ``net.roles`` splits the contributions: the normal
+    agents' make ``s_j``, the adversaries' ``r_j``."""
+    return _reports([net], log_ratio_table([agents]), np.asarray(u)[None])[0]
 
 
 def critical_parameter(

@@ -612,7 +612,6 @@ def build_plan(
         random_attack,
         unknown_divergence_attack,
     )
-    from .learning import AgentConfig
 
     at = cfg.attack
     malicious = net.malicious_indices
@@ -623,9 +622,8 @@ def build_plan(
         # the minimal network knowledge is (s1, s2) plus the adversary's own
         # centrality; defaults are computed from the scenario, but both
         # divergences can be supplied externally in the config.
-        honest = [AgentConfig(m) for m in models]
-        s1 = at.s1 if at.s1 is not None else normal_divergence(net, honest, 1, u)
-        s2 = at.s2 if at.s2 is not None else normal_divergence(net, honest, 2, u)
+        s1 = at.s1 if at.s1 is not None else normal_divergence(net, models, 1, u)
+        s2 = at.s2 if at.s2 is not None else normal_divergence(net, models, 2, u)
         return multi_adversary_known(
             [models[k] for k in malicious],
             [u[k] for k in malicious],

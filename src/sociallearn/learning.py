@@ -140,7 +140,7 @@ class Trajectory:
         return _sigmoid(self.log_ratio)
 
     def final_network_average_true_belief(self) -> float:
-        return network_average_true_belief(self.final_log_ratio, self.theta_true)
+        return float(network_average_true_belief(self.final_log_ratio, self.theta_true))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,14 +379,14 @@ def run_finals(
 def network_average_true_belief(
     lam: np.ndarray, theta_true: Hypothesis
 ) -> np.ndarray | float:
-    """Agent-average belief in the true state from log ratios (vector or matrix).
+    """Agent-average belief in the true state from log ratios, over the last
+    axis, the kernel's agents axis: one value for an ``(n,)`` state, one per
+    row for an ``(S, n)`` stack of seed states (``run_finals(...).T``).
 
     The belief in theta2 is the logistic of ``-lam``, never ``1 - sigmoid(lam)``,
-    so a deceived network's vanishing belief keeps its digits.
+    so a deceived network's vanishing belief keeps its digits. The beliefs are
+    laid out C-contiguous, so every row sums in the order a lone state does.
     """
     sign = 1.0 if theta_true is Hypothesis.THETA1 else -1.0
     b = _sigmoid(sign * np.asarray(lam, dtype=float))
-    if b.ndim == 1:
-        return float(b.mean())
-    # one contiguous row per seed sums in the order a lone seed's vector does
-    return np.ascontiguousarray(b.T).mean(axis=1)
+    return np.ascontiguousarray(b).mean(axis=-1)

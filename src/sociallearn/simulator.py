@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -46,8 +45,7 @@ from . import learning
 # where its import (a compile, when no bytecode is cached) raised a sweep's peak
 # RSS by about 0.4 MB on a 2-vCPU x86-64 Linux host.
 from . import attacks  # noqa: F401
-from .analysis import DeceptionReport, critical_parameter, predicted_and_empirical_agree
-from .analysis import _weighted_drifts
+from .analysis import DeceptionReport, _reports, critical_parameter, predicted_and_empirical_agree
 from .config import ExperimentConfig, ExperimentSpec, Scenario, build_scenario, sweep_scenarios
 from .errors import ConfigValidationError, NoSignChangeError, OutputIOError
 
@@ -159,34 +157,33 @@ class SweepResult:
 
 def _grid_points(e: ExperimentSpec, grid: Sequence[tuple[float, Scenario]]) -> list[SweepPoint]:
     """The points of a chunk of ``(value, scenario)`` pairs, from one log-ratio table:
-    the kernel steps them, then each margin is its ``deception_verdict`` margin."""
+    the kernel steps them and ``analysis._reports`` reads their margins from it;
+    each point's ``(S, n)`` finals are averaged over agents as the kernel gives them."""
     values, scenarios = zip(*grid)
     theta = scenarios[0].theta_true
+    nets = [s.net for s in scenarios]
     table = learning.log_ratio_table([s.agents for s in scenarios])
     _, _, finals = learning._simulate(
-        [s.net for s in scenarios], table, theta, e.horizon, e.seeds, 0, e.initial_belief_theta1
+        nets, table, theta, e.horizon, e.seeds, 0, e.initial_belief_theta1
     )
-    # both states' drifts are checked, as a report checks them, before theta's are read
-    weighted = _weighted_drifts(table, np.stack([s.perron for s in scenarios]))[theta.value]
-    # the (n, S) layout ``run_finals`` returns, so the agent means sum in its order
-    lams = np.ascontiguousarray(finals.swapaxes(-1, -2))
+    reports = _reports(nets, table, np.stack([s.perron for s in scenarios]))
     return [
         SweepPoint(
             value=float(value),
             adversary_centrality=scenario.adversary_centrality,
-            margin_true=math.fsum(w.tolist()),
+            margin_true=report.margin(theta),
             per_seed_final=tuple(map(float, learning.network_average_true_belief(lam, theta))),
         )
-        for value, scenario, lam, w in zip(values, scenarios, lams, weighted)
+        for value, scenario, report, lam in zip(values, scenarios, reports, finals)
     ]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid point (all seeds each) plus the theory root.
 
-    The grid points x seeds are one stack: one log-ratio table and one kernel
-    call (per chunk with ``jobs > 1``); each point's finals equal its own
-    ``run_finals`` and its margin its ``deception_verdict`` margin, bit for bit.
+    The grid points x seeds are one stack: one log-ratio table, read by one kernel
+    call and one ``analysis._reports`` call (per chunk with ``jobs > 1``); each point's
+    finals and margin are its ``run_finals`` and ``deception_verdict`` ones, bit for bit.
 
     The empirical crossing is the linear interpolation of the mean final
     true-state belief through 0.5 at the first adjacent grid pair where it

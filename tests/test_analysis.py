@@ -64,22 +64,22 @@ def unknown_forged(models, eps):
 class TestNormalDivergence:
     def test_two_agent_doubly_stochastic(self):
         net = make_network(np.full((2, 2), 0.5), 0)
-        agents, u = agents_for(net, [bsc_model(0.8)] * 2), perron_vector(net)
-        assert normal_divergence(net, agents, 1, u) == pytest.approx(BSC08_KL, abs=1e-12)
-        assert normal_divergence(net, agents, 2, u) == pytest.approx(BSC08_KL, abs=1e-12)
+        models, u = [bsc_model(0.8)] * 2, perron_vector(net)
+        assert normal_divergence(net, models, 1, u) == pytest.approx(BSC08_KL, abs=1e-12)
+        assert normal_divergence(net, models, 2, u) == pytest.approx(BSC08_KL, abs=1e-12)
 
     def test_uninformative_normal_agent_contributes_zero(self):
         net = make_network(np.full((3, 3), 1.0 / 3.0), 2)
-        agents = agents_for(net, [bsc_model(0.9), bsc_model(0.9), bsc_model(0.5)])
+        models = [bsc_model(0.9), bsc_model(0.9), bsc_model(0.5)]
         u = perron_vector(net)
-        assert normal_divergence(net, agents, 1, u) == pytest.approx(0.0, abs=1e-15)
+        assert normal_divergence(net, models, 1, u) == pytest.approx(0.0, abs=1e-15)
 
     def test_linear_in_normal_centrality(self):
         net = er_network(15, 0.25, 28, 4)
-        agents = agents_for(net, [bsc_model(0.8)] * 15)
+        models = [bsc_model(0.8)] * 15
         u = perron_vector(net)
         normal_mass = 1.0 - adversary_centrality(u, net.roles)
-        assert normal_divergence(net, agents, 1, u) == pytest.approx(
+        assert normal_divergence(net, models, 1, u) == pytest.approx(
             normal_mass * BSC08_KL, abs=1e-12
         )
 
@@ -200,9 +200,8 @@ class TestDeceptionVerdict:
     def test_nonseparable_known_attack_misleads_both(self):
         net = er_network(15, 0.25, 28, 4)
         u = perron_vector(net)
-        agents = agents_for(net, [NONSEP] * 15)
-        s1 = normal_divergence(net, agents, 1, u)
-        s2 = normal_divergence(net, agents, 2, u)
+        s1 = normal_divergence(net, [NONSEP] * 15, 1, u)
+        s2 = normal_divergence(net, [NONSEP] * 15, 2, u)
         plan = multi_adversary_known(
             [NONSEP] * 4, [u[k] for k in range(4)], s1, s2, 1e-5,
             aggregate_centrality=True,
@@ -265,7 +264,7 @@ class TestDeceptionVerdict:
                 continue
             total += 1
             lam = run_finals(net, agents, Hypothesis.THETA1, 5000, seeds=range(10))
-            finals = network_average_true_belief(lam, Hypothesis.THETA1)
+            finals = network_average_true_belief(lam.T, Hypothesis.THETA1)
             majority_true = float(np.mean(np.asarray(finals) > 0.5)) > 0.5
             predicted_true = report.verdict1 is Verdict.LEARNS_TRUTH
             if majority_true == predicted_true:

@@ -562,5 +562,16 @@ class TestBeliefState:
 
     def test_network_average_helper(self):
         lam = np.array([[0.0, 100.0], [0.0, -100.0]])
-        avg = network_average_true_belief(lam, Hypothesis.THETA1)
+        avg = network_average_true_belief(lam.T, Hypothesis.THETA1)
         assert avg == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("theta", list(Hypothesis))
+    def test_network_average_rows_are_vector_calls(self, theta):
+        # an (S, n) stack of seed states averages each row over its agents, in
+        # the bits of the lone vector call, whatever the stack's memory layout
+        lam = np.random.default_rng(3).normal(scale=40.0, size=(15, 5))
+        for stack in (lam.T, np.ascontiguousarray(lam.T)):
+            avg = network_average_true_belief(stack, theta)
+            assert avg.shape == (5,)
+            rows = [float(network_average_true_belief(row, theta)) for row in stack]
+            assert avg.tolist() == rows

@@ -3,7 +3,7 @@
 import glob
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,9 +18,14 @@ from sociallearn import (
     run_finals,
     run_sweep,
 )
-from sociallearn import analysis, attacks, config, learning, network, simulator
-from sociallearn.analysis import critical_parameter, deception_verdict, normal_divergence
-from sociallearn.config import apply_sweep_value, build_plan
+from sociallearn import analysis, attacks, cli, config, learning, network, simulator
+from sociallearn.analysis import (
+    DeceptionReport,
+    critical_parameter,
+    deception_verdict,
+    normal_divergence,
+)
+from sociallearn.config import apply_sweep_value, build_plan, sweep_scenarios
 from sociallearn.errors import ConfigParseError, ConfigValidationError, InfiniteDivergenceError
 from sociallearn.learning import log_ratio_table, network_average_true_belief
 from sociallearn.simulator import (
@@ -461,7 +466,8 @@ attack: {strategy: random, epsilon: 1.0e-2, seed: 7}
         scenario = build_scenario(cfg)
         assert len(calls) == 2
         net, u = scenario.net, scenario.perron
-        s1, s2 = (normal_divergence(net, scenario.agents, j, u) for j in (1, 2))
+        models = [a.true_model for a in scenario.agents]
+        s1, s2 = (normal_divergence(net, models, j, u) for j in (1, 2))
         mal = net.malicious_indices
         plan = reference_known_plan(
             [scenario.agents[k].true_model for k in mal], [u[k] for k in mal],
@@ -824,7 +830,7 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
             scenario = build_scenario(apply_sweep_value(cfg, point.value))
             lam = run_finals(scenario.net, scenario.agents, scenario.theta_true,
                              horizon=e.horizon, seeds=e.seeds)
-            want = network_average_true_belief(lam, scenario.theta_true)
+            want = network_average_true_belief(lam.T, scenario.theta_true)
             assert point.per_seed_final == tuple(float(x) for x in want)
 
     @pytest.mark.parametrize(
@@ -859,6 +865,22 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
             scenario = build_scenario(apply_sweep_value(cfg, value))
             report = deception_verdict(scenario.net, scenario.agents, scenario.perron)
             assert point["margin_true"] == report.margin(scenario.theta_true)
+
+    @pytest.mark.parametrize("name", ["sweep_bsc_p.yaml", "sweep_centrality.yaml"])
+    def test_stacked_reports_are_the_verdicts(self, name):
+        # the grid's one table, read by the stacked reader, gives each point the
+        # report its deception_verdict gives, every float the same bits
+        cfg = load_config(read_config(name))
+        scenario_at = sweep_scenarios(cfg)
+        scenarios = [scenario_at(value) for value in cfg.sweep.values]
+        table = log_ratio_table([s.agents for s in scenarios])
+        u = np.stack([s.perron for s in scenarios])
+        reports = analysis._reports([s.net for s in scenarios], table, u)
+        assert len(reports) == len(scenarios)
+        for scenario, report in zip(scenarios, reports):
+            want = deception_verdict(scenario.net, scenario.agents, scenario.perron)
+            for field in fields(DeceptionReport):
+                assert getattr(report, field.name) == getattr(want, field.name), field.name
 
     def test_infinite_other_state_drift_refused(self):
         # theta2 puts no mass on symbol 1, so under theta2 no drift is infinite and
@@ -918,6 +940,43 @@ sweep: {parameter: bsc_p, grid: {start: 0.55, stop: 0.949, step: 0.001}}
                            horizon=100, seed=seed, stride=0)
                 assert final == traj.final_network_average_true_belief()
                 assert final > 0.0
+
+
+class TestTracedReport:
+    """Every report but a sweep grid's is a call of the module attribute
+    ``analysis.deception_verdict``, the entry a tracer that wraps it sees."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        verdict = analysis.deception_verdict
+        monkeypatch.setattr(
+            analysis, "deception_verdict", lambda *args: calls.append(args) or verdict(*args)
+        )
+        return calls
+
+    def test_one_per_run_experiment(self, calls):
+        run_experiment(_with(load_config(read_config("deceived_random_bsc08.yaml")), horizon=20))
+        assert len(calls) == 1
+
+    def test_one_per_predict(self, calls, capsys):
+        path = os.path.join(CONFIG_DIR, "deceived_random_bsc08.yaml")
+        assert cli.main(["predict", "--config", path]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, evals", [("sweep_bsc_p.yaml", 32), ("sweep_centrality.yaml", 31)]
+    )
+    def test_one_per_theory_root_evaluation(self, name, evals, calls, monkeypatch):
+        values = []
+        bisect = simulator.critical_parameter
+
+        def counting(margin_fn, bracket):
+            return bisect(lambda value: values.append(value) or margin_fn(value), bracket)
+
+        monkeypatch.setattr(simulator, "critical_parameter", counting)
+        run_sweep(_with(load_config(read_config(name)), horizon=20), jobs=1)
+        assert len(calls) == len(values) == evals
 
 
 def _with(cfg, horizon=None, seeds=None, stride=None):
