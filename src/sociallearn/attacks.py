@@ -15,17 +15,19 @@ with ``n_j = L(z_j|theta2) s1 + L(z_j|theta1) s2`` and
 point yields forged PMFs that mislead the network for *both* candidate true
 states. The epsilon floor on forged masses further restricts (x1, x2) to a
 region that is strictly smaller than the naive box |x| <= ln((alpha-eps)/eps);
-for a fixed x1 the four floor constraints are linear in e^{x2}, so the
-feasible x2 interval is computed exactly in the log domain. Each pair's
-:class:`DistortionRegion` records the inputs it was built from, so the
-search and the mapping back to forged PMFs read the region alone. The
-constructor scans candidate support pairs by decreasing |d| and picks the
-midpoint of the largest floor-feasible slice; if no pair admits a
-floor-feasible point (possible: the wedge may only intersect the box near
-its edges where the floor fails), it falls back to the classical
+for a fixed x1 the floor constraints are linear in e^{x2}, one of them binds
+per side, and the feasible x2 interval is computed exactly in the log
+domain. Its slack (upper minus lower end) is concave in x1, so the
+floor-feasible x1 set is one interval and its point of largest slack is
+found by bracketing to 1e-12. Each pair's :class:`DistortionRegion` records
+the inputs it was built from, so the search and the mapping back to forged
+PMFs read the region alone. The constructor scans candidate support pairs
+by decreasing |d| and takes the first pair with positive slack, x2 at the
+middle of its interval; only when no pair has any (the wedge may meet the
+box only where the floor fails) does it fall back to the classical
 wedge-midpoint choice, which still satisfies both deception inequalities
-but may place a forged mass below the floor -- flagged on the returned
-entry. Both paths build their entry through one function.
+but places a forged mass below the floor -- flagged on the returned entry.
+Both paths build their entry through one function.
 
 **Unknown-divergence construction.** Without network knowledge the
 adversary minimizes the expected-cost objective assuming equally likely
@@ -75,7 +77,8 @@ __all__ = [
 ]
 
 _STRICT_MARGIN = 1e-9
-_GRID_POINTS = 768
+#: slack samples per search round; they set only the search's speed
+_SLACK_SAMPLES = 257
 #: the oracle enumerates 2^A faces per column
 _FACES_MAX_ALPHABET = 12
 
@@ -464,7 +467,19 @@ def _floor_x2_interval(
     The wedge lies between the two deception lines, x2 above
     ``(s1 - u l11 x1) / (u l21)`` and below ``-(s2 + u l12 x1) / (u l22)``.
     With E = e^{x2} the four floor constraints are linear in E for fixed
-    x1, so the interval endpoints are closed-form in the log domain.
+    x1, so the interval endpoints are closed-form in the log domain. Only
+    one floor bound per side can bind. Write c = x1, a = alpha and
+
+        F1 = ln(a - (a-eps) e^c) - ln eps,   F2 = ln eps + c - ln(a e^c - (a-eps)),
+        G1 = ln(a - eps e^c) - ln(a-eps),    G2 = ln(a-eps) + c - ln(a e^c - eps).
+
+    For beta in {eps, a - eps}, ``(a - beta e^c)(a - beta e^{-c}) <= (a -
+    beta)^2`` since ``e^c + e^{-c} >= 2``; beta = a - eps gives F1 <= F2
+    and beta = eps gives G1 <= G2; a log of a non-positive argument makes F1
+    or G1 -inf, or F2 or G2 +inf, which keeps both. For d_k > 0 the floor
+    bounds x2 below by F1 and F2 and above by G1 and G2, so only F2 and G1
+    bind; for d_k < 0 the roles swap (F1, F2 above, G1, G2 below) and only
+    G2 and F1 bind.
     """
     x1 = np.asarray(x1, dtype=float)
     u, eps = region.u_k, region.eps
@@ -473,22 +488,12 @@ def _floor_x2_interval(
     lame = math.log(region.alpha_k - eps)
     lo = np.maximum((region.s1 - u * region.l11 * x1) / (u * region.l21), -region.x_plus)
     hi = np.minimum(-(region.s2 + u * region.l12 * x1) / (u * region.l22), region.x_plus)
-
-    la_m_ame_e1 = _logsubexp(lal, lame + x1)  # ln(alpha - (alpha-eps) e^{x1})
-    la_m_eps_e1 = _logsubexp(lal, leps + x1)  # ln(alpha - eps e^{x1})
-    l_ae1_m_eps = _logsubexp(lal + x1, leps)  # ln(alpha e^{x1} - eps)
-    l_ae1_m_ame = _logsubexp(lal + x1, lame)  # ln(alpha e^{x1} - (alpha-eps))
-
     if region.d_k > 0:
-        lo = np.maximum(lo, np.where(np.isfinite(la_m_ame_e1), la_m_ame_e1 - leps, -np.inf))
-        hi = np.minimum(hi, la_m_eps_e1 - lame)
-        hi = np.minimum(hi, lame + x1 - l_ae1_m_eps)
-        lo = np.maximum(lo, leps + x1 - l_ae1_m_ame)
+        lo = np.maximum(lo, leps + x1 - _logsubexp(lal + x1, lame))  # F2
+        hi = np.minimum(hi, _logsubexp(lal, leps + x1) - lame)  # G1
     else:
-        hi = np.minimum(hi, la_m_ame_e1 - leps)
-        lo = np.maximum(lo, la_m_eps_e1 - lame)
-        lo = np.maximum(lo, lame + x1 - l_ae1_m_eps)
-        hi = np.minimum(hi, np.where(np.isfinite(l_ae1_m_ame), leps + x1 - l_ae1_m_ame, np.inf))
+        lo = np.maximum(lo, lame + x1 - _logsubexp(lal + x1, leps))  # G2
+        hi = np.minimum(hi, _logsubexp(lal, lame + x1) - leps)  # F1
     return lo, hi
 
 
@@ -543,11 +548,12 @@ def known_divergence_attack(
 
     Scans support pairs by decreasing |determinant|. For each admissible
     pair (epsilon below that pair's feasibility bound)
-    :func:`_floor_feasible_point` searches the floor-feasible region. When
-    no pair admits a floor-feasible point, the first admissible pair's
-    wedge midpoint is returned instead: both deception inequalities still
-    hold strictly, but a forged mass sits below the floor;
-    ``params['floor_satisfied']`` records which path was taken.
+    :func:`_floor_feasible_point` finds the floor-feasible point of largest
+    slack, exactly up to 1e-12, or that there is none. When no pair admits
+    one, the first admissible pair's wedge midpoint is returned instead:
+    both deception inequalities still hold strictly, but a forged mass sits
+    below the floor; ``params['floor_satisfied']`` records which path was
+    taken.
 
     Raises :class:`OutOfRangeError` for a centrality outside (0, 1), a
     divergence that is negative or not finite, or an epsilon outside
@@ -595,47 +601,32 @@ def _wedge_midpoint(region: DistortionRegion) -> tuple[float, float]:
 
 
 def _floor_feasible_point(region: DistortionRegion) -> tuple[float, float] | None:
-    """Floor-feasible (x1, x2) on the wedge's side of the apex, or None.
+    """Floor-feasible (x1, x2) of largest slack on the wedge's side of the apex, or None.
 
-    The floor-feasible x1 slice is located on a fixed grid with exact
-    per-x1 intervals; x1 is the midpoint of the largest slice (the first
-    feasible grid point when that midpoint falls in a gap), and the line
-    slope through the wedge intersection is the midpoint of the admissible
-    slope interval that x1 implies.
+    The slack ``hi - lo`` of :func:`_floor_x2_interval` is concave in x1:
+    lo is a max of linear, constant and convex terms (F2 and G2 are convex),
+    hi a min of linear, constant and concave ones (G1 and F1 are concave).
+    So the floor-feasible x1 set is one interval, and the slack's maximum
+    lies between the neighbours of the best of any even sample. Each round
+    samples the bracket ``_SLACK_SAMPLES`` times and keeps those neighbours,
+    until the bracket is 1e-12 wide relative to x1. The pair is
+    floor-feasible exactly when the best slack exceeds 1e-12; x1 is then
+    the best point and x2 the middle of its interval.
     """
     if region.d_k > 0:
         a, b = region.x1_prime, region.x_plus
     else:
         a, b = -region.x_plus, region.x1_prime
-    ts = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
-    grid = a + (b - a) * ts
-    lo, hi = _floor_x2_interval(region, grid)
-    feas = lo < hi - 1e-12
-    if not feas.any():
+    while True:
+        grid = np.linspace(a, b, _SLACK_SAMPLES)
+        lo, hi = _floor_x2_interval(region, grid)
+        m = int(np.argmax(hi - lo))
+        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
+            break
+        a, b = grid[max(m - 1, 0)], grid[min(m + 1, _SLACK_SAMPLES - 1)]
+    if not hi[m] - lo[m] > 1e-12:
         return None
-    s_idx, e_idx = _largest_run(feas)
-    x1 = 0.5 * (float(grid[s_idx]) + float(grid[e_idx - 1]))
-    lo1, hi1 = _floor_x2_interval(region, np.asarray([x1]))
-    lov, hiv = float(lo1[0]), float(hi1[0])
-    if not lov < hiv - 1e-12:
-        m = int(np.argmax(feas))
-        x1, lov, hiv = float(grid[m]), float(lo[m]), float(hi[m])
-    # slope parameterization over the x2 interval through the intersection
-    delta = x1 - region.x1_prime
-    beta_a = (lov - region.x2_prime) / delta
-    beta_b = (hiv - region.x2_prime) / delta
-    beta = 0.5 * (beta_a + beta_b)
-    return x1, region.x2_prime + beta * delta
-
-
-def _largest_run(mask: np.ndarray) -> tuple[int, int]:
-    """[start, end) of the longest run of True in a mask with at least one;
-    the earliest of equally long runs."""
-    # a bool diff marks every change; the padding makes them alternate start, end
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    starts, ends = edges[::2], edges[1::2]
-    k = int(np.argmax(ends - starts))
-    return int(starts[k]), int(ends[k])
+    return float(grid[m]), 0.5 * (float(lo[m]) + float(hi[m]))
 
 
 def _entry(

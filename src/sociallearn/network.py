@@ -61,7 +61,7 @@ class Network:
     def n_agents(self) -> int:
         return self.combination.shape[0]
 
-    @property
+    @functools.cached_property
     def malicious_indices(self) -> tuple[int, ...]:
         return tuple(k for k, r in enumerate(self.roles) if r is Role.MALICIOUS)
 

@@ -373,24 +373,21 @@ class TestKnownDivergenceAttack:
                                  relaxed.forged.given_theta2.as_array()])
         assert masses.min() < region.eps
 
-    def test_infeasible_midpoint_falls_back_to_first_feasible_point(self, monkeypatch):
-        region = distortion_region(bsc_model(0.9), 0.25, 0.5, 0.5, 0.01)
-        midpoint = attacks._floor_feasible_point(region)
-        exact, grids = attacks._floor_x2_interval, []
-
-        def interval(region, x1):
-            lo, hi = exact(region, x1)
-            if len(x1) == 1:  # the midpoint of the largest run: make it a gap
-                return lo, lo - 1.0
-            grids.append((x1, lo, hi))
-            return lo, hi
-
-        monkeypatch.setattr(attacks, "_floor_x2_interval", interval)
-        x1, x2 = attacks._floor_feasible_point(region)
-        (grid, lo, hi), = grids
-        m = int(np.argmax(lo < hi - 1e-12))
-        assert x1 == grid[m] != midpoint[0]
-        assert x2 == pytest.approx(0.5 * (lo[m] + hi[m]), abs=1e-12)
+    def test_floor_sliver_found(self):
+        # frozen instance whose floor-feasible set is a sliver that a fixed
+        # 768-point grid missed, forging a mass at 0.95 eps instead
+        m = make_model(
+            [0.09327256418316068, 0.07302761682875998, 0.8336998189880793],
+            [0.2421887670590778, 0.2646002358682036, 0.4932109970727186],
+        )
+        u, s1, s2 = 0.5564500446868049, 0.8025870552880092, 0.28858152480442834
+        eps = 0.0018238148873514753
+        entry = known_divergence_attack(m, u, s1, s2, eps)
+        assert entry.params["floor_satisfied"] is True
+        assert np.all(entry.forged.given_theta1.as_array() >= eps * (1 - 1e-9))
+        assert np.all(entry.forged.given_theta2.as_array() >= eps * (1 - 1e-9))
+        assert adversary_contribution(u, m, entry.forged, 1) > s1
+        assert adversary_contribution(u, m, entry.forged, 2) > s2
 
     def test_uninformative_raises(self):
         with pytest.raises(UninformativeModelError):
@@ -558,49 +555,116 @@ class TestRegionMembership:
             checked += 1
 
 
-def reference_largest_run(mask):
-    """[start, end) of the longest True run by a plain scan; earliest on ties."""
-    best, start = None, None
-    for m, v in enumerate(list(mask) + [False]):
-        if v and start is None:
-            start = m
-        if not v and start is not None:
-            if best is None or m - start > best[1] - best[0]:
-                best = (start, m)
-            start = None
-    return best
+def reference_floor_x2_interval(region, x1):
+    """The feasible x2 interval with all four floor bounds intersected."""
+    from sociallearn.attacks import _logsubexp
+
+    x1 = np.asarray(x1, dtype=float)
+    u, eps = region.u_k, region.eps
+    leps, lal, lame = math.log(eps), math.log(region.alpha_k), math.log(region.alpha_k - eps)
+    lo = np.maximum((region.s1 - u * region.l11 * x1) / (u * region.l21), -region.x_plus)
+    hi = np.minimum(-(region.s2 + u * region.l12 * x1) / (u * region.l22), region.x_plus)
+    la_m_ame_e1 = _logsubexp(lal, lame + x1)  # ln(alpha - (alpha-eps) e^{x1})
+    la_m_eps_e1 = _logsubexp(lal, leps + x1)  # ln(alpha - eps e^{x1})
+    l_ae1_m_eps = _logsubexp(lal + x1, leps)  # ln(alpha e^{x1} - eps)
+    l_ae1_m_ame = _logsubexp(lal + x1, lame)  # ln(alpha e^{x1} - (alpha-eps))
+    if region.d_k > 0:
+        lo = np.maximum(lo, np.where(np.isfinite(la_m_ame_e1), la_m_ame_e1 - leps, -np.inf))
+        hi = np.minimum(hi, la_m_eps_e1 - lame)
+        hi = np.minimum(hi, lame + x1 - l_ae1_m_eps)
+        lo = np.maximum(lo, leps + x1 - l_ae1_m_ame)
+    else:
+        hi = np.minimum(hi, la_m_ame_e1 - leps)
+        lo = np.maximum(lo, la_m_eps_e1 - lame)
+        lo = np.maximum(lo, lame + x1 - l_ae1_m_eps)
+        hi = np.minimum(hi, np.where(np.isfinite(l_ae1_m_ame), leps + x1 - l_ae1_m_ame, np.inf))
+    return lo, hi
 
 
-class TestLargestRun:
-    @pytest.mark.parametrize(
-        "mask, run",
-        [
-            ([0, 1, 1, 0, 1, 1, 0], (1, 3)),  # equal longest runs: the earlier wins
-            ([1, 1, 0, 0, 1, 1], (0, 2)),
-            ([0, 0, 1, 0, 1, 1, 1], (4, 7)),  # the run touches the last grid point
-            ([0, 0, 0, 1, 0], (3, 4)),  # a single True
-            ([1], (0, 1)),
-            ([1] * 768, (0, 768)),  # all True
-        ],
-    )
-    def test_cases(self, mask, run):
-        from sociallearn.attacks import _largest_run
+def seeded_regions(seed: int, count: int) -> list:
+    """Every nonempty pair region of random models, floors and divergences."""
+    from sociallearn.attacks import _candidate_pairs, _pair_geometry
 
-        mask = np.asarray(mask, dtype=bool)
-        assert _largest_run(mask) == run == reference_largest_run(mask)
+    rng = np.random.default_rng(seed)
+    regions = []
+    while len(regions) < count:
+        n = int(rng.integers(2, 6))
+        m = random_model(rng, n)
+        u = float(rng.uniform(0.05, 0.9))
+        s1, s2 = (float(x) for x in rng.uniform(0.0, 2.0, 2))
+        eps = float(np.exp(rng.uniform(math.log(1e-8), math.log(1.0 / n))))
+        for pair in _candidate_pairs(m):
+            region = _pair_geometry(m, u, s1, s2, eps, pair)
+            if not region.empty:
+                regions.append(region)
+    return regions
 
-    def test_matches_plain_scan(self):
-        from sociallearn.attacks import _largest_run
 
-        rng = np.random.default_rng(768)
-        for _ in range(2000):
-            size = int(rng.integers(1, 60))
-            mask = rng.random(size) < rng.uniform(0.05, 0.95)
-            if not mask.any():
+def wedge_side(region) -> np.ndarray:
+    """The x1 range the search covers: from the apex to the box edge."""
+    if region.d_k > 0:
+        return np.asarray([region.x1_prime, region.x_plus])
+    return np.asarray([-region.x_plus, region.x1_prime])
+
+
+def slack(region, x1) -> np.ndarray:
+    lo, hi = attacks._floor_x2_interval(region, x1)
+    return hi - lo
+
+
+class TestFloorFeasiblePoint:
+    def test_two_bounds_equal_four(self):
+        regions = seeded_regions(3442, 400)
+        assert {r.d_k > 0 for r in regions} == {True, False}
+        for region in regions:
+            a, b = wedge_side(region)
+            x1 = np.concatenate([
+                a + (b - a) * (np.arange(768) + 0.5) / 768,
+                np.linspace(-region.x_plus, region.x_plus, 257),
+            ])
+            lo, hi = attacks._floor_x2_interval(region, x1)
+            ref_lo, ref_hi = reference_floor_x2_interval(region, x1)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    def test_search_beats_a_dense_scan(self):
+        found = 0
+        for region in seeded_regions(2506, 300):
+            a, b = wedge_side(region)
+            best = float(slack(region, np.linspace(a, b, 20_001)).max())
+            point = attacks._floor_feasible_point(region)
+            if best > 1e-12:
+                assert point is not None
+            if point is None:
                 continue
-            start, end = _largest_run(mask)
-            assert (start, end) == reference_largest_run(mask)
-            assert isinstance(start, int) and isinstance(end, int)
+            x1, x2 = point
+            lo, hi = attacks._floor_x2_interval(region, np.asarray([x1]))
+            assert hi[0] - lo[0] >= best - 1e-12
+            assert lo[0] < x2 < hi[0]
+            entry = attacks._entry(region, x1, x2, floor_satisfied=True)
+            assert entry is not None
+            for pmf in (entry.forged.given_theta1, entry.forged.given_theta2):
+                assert np.all(pmf.as_array() >= region.eps * (1 - 1e-9))
+            found += 1
+        assert found > 250
+
+    def test_fallback_instance_has_no_slack(self):
+        # the instance of test_floor_infeasible_fallback_still_deceives: the
+        # wedge midpoint runs only because no pair has a floor-feasible point
+        from sociallearn.attacks import _candidate_pairs, _pair_geometry
+
+        m = make_model(
+            [0.6938267132471291, 0.30617328675287087],
+            [0.8734007302956696, 0.12659926970433033],
+        )
+        u, s1, s2 = 0.3538172813515632, 0.22952856180400527, 0.02135837253422679
+        eps = 0.016329307825644363
+        regions = [_pair_geometry(m, u, s1, s2, eps, p) for p in _candidate_pairs(m)]
+        admissible = [r for r in regions if not r.empty]
+        assert admissible
+        for region in admissible:
+            a, b = wedge_side(region)
+            assert slack(region, np.linspace(a, b, 100_001)).max() <= 1e-12
+            assert attacks._floor_feasible_point(region) is None
 
 
 class TestOneVariableFeasibility:

@@ -113,6 +113,15 @@ class TestValidateNetwork:
         assert "NoNormalAgent" in codes
 
 
+class TestMaliciousIndices:
+    def test_roles_read_once(self):
+        a = uniform_combination(complete_adjacency(4))
+        net = Network(a, (Role.MALICIOUS, Role.NORMAL, Role.MALICIOUS, Role.NORMAL))
+        first = net.malicious_indices
+        assert first == (0, 2)
+        assert net.malicious_indices is first
+
+
 class TestStronglyConnected:
     def test_one_way_link_refused(self):
         # agent 1 listens to agent 0, who listens only to itself
