@@ -67,6 +67,9 @@ scenario sums the adversary centrality from the Perron vector when asked.
 sweep's value -> scenario builder (``sweep_scenarios``) builds the topology
 per value only when that field lies under ``topology``
 (``adversary_centrality``), and once otherwise, grid and theory root alike.
+A topology sweep assembles the model part once as well, unless its plan reads
+the Perron vector (``known_divergences``), and sets each value's network and
+Perron vector in it.
 The attack plan forges once per distinct input
 (``attacks.forge_once``): per distinct model under ``unknown_divergences``,
 and per distinct (model, effective centrality) under ``known_divergences``,
@@ -699,9 +702,24 @@ def sweep_scenarios(cfg: ExperimentConfig) -> Callable[[float], Scenario]:
 
     Only a field under ``topology`` moves the network, so only a sweep of
     one builds the network per value; any other sweep builds it once, here,
-    and assembles each value's models on it.
+    and assembles each value's models on it. A topology sweep leaves the
+    models and the adversaries as they are, so its model part changes with
+    the value only when the plan reads the Perron vector
+    (``known_divergences``); under any other strategy it is assembled once,
+    on the first value's topology, and each value sets its own network and
+    Perron vector in it.
     """
-    if _SWEEP_FIELDS[cfg.sweep.parameter][0] == "topology":
+    if _SWEEP_FIELDS[cfg.sweep.parameter][0] != "topology":
+        topology = build_topology(cfg)
+        return lambda value: assemble_scenario(apply_sweep_value(cfg, value), *topology)
+    if cfg.attack.strategy == "known_divergences":
         return lambda value: build_scenario(apply_sweep_value(cfg, value))
-    topology = build_topology(cfg)
-    return lambda value: assemble_scenario(apply_sweep_value(cfg, value), *topology)
+    assembled: list[Scenario] = []
+
+    def scenario_at(value: float) -> Scenario:
+        net, u = build_topology(apply_sweep_value(cfg, value))
+        if not assembled:
+            assembled.append(assemble_scenario(cfg, net, u))
+        return replace(assembled[0], net=net, perron=u)
+
+    return scenario_at

@@ -15,9 +15,12 @@ logistic map. (Beliefs themselves decay exponentially and underflow on long
 horizons; the belief-domain adapt/combine/step survives only as the test
 suite's reference.) One private kernel, ``_simulate``, runs that recursion
 for a stack of G scenarios (networks with their agents, say the points of a
-sweep grid) times S seeds: ``run`` and ``run_finals`` are its one-scenario
-calls, and the simulator hands it a whole sweep grid, or every seed of an
-experiment, in one call.
+sweep grid) times S seeds and returns the records ``(G, S, R, n)`` and the
+final states ``(G, S, n)``. The simulator hands it every seed of an experiment,
+or a whole sweep grid, in one call (one per chunk of seeds or points with
+``jobs > 1``) and reads those arrays as they are. ``run`` (one seed, as a
+``Trajectory``) and ``run_finals`` (the ``(S, n)`` final states of a seed list)
+are its public one-scenario calls; no command makes them.
 
 The kernel steps the seeds in groups of at most ``_SEED_COLUMNS`` (64), its
 outer loop, each as a lone run: a ``(G, n, w)`` state stack, one column per
@@ -31,7 +34,7 @@ product to gemv, whose bits differ from dgemm's. The bits promise two tiers:
   scenario's dgemm has the same operands in a sweep grid as in its own
   ``run_finals``, in any chunk of the grid and with any block length;
 * a seed's column is bit-identical whatever other seeds share its product
-  (``run`` against a column of ``run_finals``, a chunk of seeds against the
+  (``run`` against a row of ``run_finals``, a chunk of seeds against the
   whole list) only because dgemm computes each output column independently
   of the other columns. OpenBLAS 0.3.31 does so up to 64 columns for every n
   from 2 to 300, on 1 and 2 threads, but not for wider products: on one
@@ -309,31 +312,6 @@ def _simulate(
     return steps, records, finals
 
 
-def _trajectories(
-    net: Network,
-    agents: Sequence[AgentConfig],
-    theta_true: Hypothesis,
-    horizon: int,
-    seeds: Sequence[int],
-    stride: int,
-    init: Sequence[float] | float,
-) -> list[Trajectory]:
-    """One kernel call for all ``seeds`` of one scenario, one record each."""
-    steps, records, finals = _simulate(
-        [net], log_ratio_table([agents]), theta_true, horizon, seeds, stride, init
-    )
-    return [
-        Trajectory(
-            theta_true=theta_true,
-            seed=int(seed),
-            steps=steps,
-            log_ratio=records[0, s],
-            final_log_ratio=finals[0, s],
-        )
-        for s, seed in enumerate(seeds)
-    ]
-
-
 def run(
     net: Network,
     agents: Sequence[AgentConfig],
@@ -349,7 +327,17 @@ def run(
     steps stride, 2*stride, ... <= horizon. Initial beliefs default to
     uniform and must be strictly inside (0, 1).
     """
-    return _trajectories(net, agents, theta_true, horizon, [seed], stride, initial_belief_theta1)[0]
+    table = log_ratio_table([agents])
+    steps, records, finals = _simulate(
+        [net], table, theta_true, horizon, [seed], stride, initial_belief_theta1
+    )
+    return Trajectory(
+        theta_true=theta_true,
+        seed=int(seed),
+        steps=steps,
+        log_ratio=records[0, 0],
+        final_log_ratio=finals[0, 0],
+    )
 
 
 def run_finals(
@@ -360,11 +348,12 @@ def run_finals(
     seeds: Sequence[int],
     initial_belief_theta1: Sequence[float] | float = 0.5,
 ) -> np.ndarray:
-    """Final log-ratio matrix (n_agents, n_seeds) for a batch of seeds.
+    """Final log-ratio matrix (n_seeds, n_agents) for a batch of seeds, the
+    kernel's layout as it returns it.
 
-    The same call gives the same bits, in a sweep grid as alone. Column ``s``
+    The same call gives the same bits, in a sweep grid as alone. Row ``s``
     is bit-identical to ``run(..., seed=seeds[s]).final_log_ratio`` and to the
-    column of any other seed list holding ``seeds[s]``: every seed is a column
+    row of any other seed list holding ``seeds[s]``: every seed is a column
     of one dgemm per step (a lone seed beside a zero column), and the BLAS
     computes each output column independently of the others (see the module
     docstring). The matrix is C-contiguous, so reductions over it sum in a
@@ -373,7 +362,7 @@ def run_finals(
     _, _, finals = _simulate(
         [net], log_ratio_table([agents]), theta_true, horizon, seeds, 0, initial_belief_theta1
     )
-    return np.ascontiguousarray(finals[0].T)
+    return finals[0]
 
 
 def network_average_true_belief(
@@ -381,7 +370,8 @@ def network_average_true_belief(
 ) -> np.ndarray | float:
     """Agent-average belief in the true state from log ratios, over the last
     axis, the kernel's agents axis: one value for an ``(n,)`` state, one per
-    row for an ``(S, n)`` stack of seed states (``run_finals(...).T``).
+    row for an ``(S, n)`` stack of seed states (``run_finals``' matrix, or an
+    experiment's finals).
 
     The belief in theta2 is the logistic of ``-lam``, never ``1 - sigmoid(lam)``,
     so a deceived network's vanishing belief keeps its digits. The beliefs are

@@ -67,47 +67,65 @@ __all__ = [
 _CSV_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """A run's scenario, its closed-form report, and the kernel's arrays for
+    its seeds as ``learning._simulate`` lays them out: ``steps[r]`` is the time
+    index of record ``r``, ``records[s, r, k]`` the log ratio of agent ``k``
+    under seed ``s`` (``config.experiment.seeds[s]``) then, and ``finals[s, k]``
+    its exact final state."""
+
     config: ExperimentConfig
     scenario: Scenario
     report: DeceptionReport
-    trajectories: tuple[learning.Trajectory, ...]
+    steps: np.ndarray
+    records: np.ndarray
+    finals: np.ndarray
 
     def final_true_beliefs(self) -> list[float]:
-        return [t.final_network_average_true_belief() for t in self.trajectories]
+        return learning.network_average_true_belief(self.finals, self.scenario.theta_true).tolist()
 
     def prediction_table(self) -> list[dict]:
         """Side-by-side of the closed-form verdict and each seed's outcome."""
         theta = self.scenario.theta_true
         return [
             {
-                "seed": t.seed,
+                "seed": seed,
                 "final_true_belief": final,
                 "predicted_verdict": self.report.verdict(theta).value,
                 "agrees": predicted_and_empirical_agree(self.report, theta, final),
             }
-            for t, final in zip(self.trajectories, self.final_true_beliefs())
+            for seed, final in zip(self.config.experiment.seeds, self.final_true_beliefs())
         ]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every configured seed and attach the closed-form report.
 
-    All seeds are one stack, stepped by one kernel call (one per chunk of
-    seeds with ``jobs > 1``).
+    All seeds are one stack on one log-ratio table, stepped by one kernel call
+    (one per chunk of seeds with ``jobs > 1``, the chunks' arrays joined in
+    seed order); one chunk's arrays are kept as the kernel returns them.
     """
     scenario = build_scenario(cfg)
     report = scenario.report()
     e = cfg.experiment
     one_chunk = partial(
-        learning._trajectories, scenario.net, scenario.agents, scenario.theta_true, e.horizon,
-        stride=e.stride, init=e.initial_belief_theta1,
+        learning._simulate, [scenario.net], learning.log_ratio_table([scenario.agents]),
+        scenario.theta_true, e.horizon, stride=e.stride, init=e.initial_belief_theta1,
     )
-    runs = _in_chunks(one_chunk, e.seeds, jobs)
+    steps, records, finals = zip(*_in_chunks(one_chunk, e.seeds, jobs))
     return ExperimentResult(
-        config=cfg, scenario=scenario, report=report, trajectories=tuple(chain(*runs))
+        config=cfg, scenario=scenario, report=report, steps=steps[0],
+        records=_joined(records), finals=_joined(finals),
     )
+
+
+def _joined(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The one-scenario ``(1, S, ...)`` kernel stacks of the seed chunks, as one
+    ``(S, ...)`` array; a lone chunk's is a view, with no copy."""
+    if len(stacks) == 1:
+        return stacks[0][0]
+    return np.concatenate([stack[0] for stack in stacks])
 
 
 def _in_chunks(fn, items: Sequence, jobs: int) -> list:
@@ -230,7 +248,8 @@ def _theory_root(
     Each step assembles the scenario at the trial value by ``scenario_at``
     (``config.sweep_scenarios``, the builder of the grid), so per-agent
     models and every sweep parameter take the one path, and only an
-    ``adversary_centrality`` step rebuilds the network and its Perron vector.
+    ``adversary_centrality`` step rebuilds the network and its Perron vector
+    (and its plan, under ``known_divergences``).
     That root is found on the trust-weight axis the grid is written in, then
     reported as the aggregate centrality of the scenario built at it.
     """
@@ -332,11 +351,11 @@ def _write_trajectories(fh, result: ExperimentResult) -> None:
     n = net.n_agents
     heads = [f",{k},{net.roles[k].value}," for k in range(n)]
     per_chunk = max(1, _CSV_ROWS // n)
-    for traj in result.trajectories:
-        tail = f",{traj.seed}\n"
-        for r in range(0, len(traj.steps), per_chunk):
+    for seed, lam in zip(result.config.experiment.seeds, result.records):
+        tail = f",{seed}\n"
+        for r in range(0, len(result.steps), per_chunk):
             chunk = slice(r, r + per_chunk)
-            fh.write(_csv_chunk(traj.steps[chunk], traj.log_ratio[chunk], heads, tail))
+            fh.write(_csv_chunk(result.steps[chunk], lam[chunk], heads, tail))
 
 
 def _csv_chunk(steps: np.ndarray, lam: np.ndarray, heads: list[str], tail: str) -> str:

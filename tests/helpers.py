@@ -216,15 +216,16 @@ def reference_trajectories_csv(result) -> str:
         return repr(float(x))
 
     rows = ["step,agent_id,role,belief_theta1,log_ratio,seed\n"]
-    for traj in result.trajectories:
-        beliefs = traj.belief_theta1()
-        for r, step_idx in enumerate(traj.steps):
+    for s, seed in enumerate(result.config.experiment.seeds):
+        lam = result.records[s]
+        beliefs = _sigmoid(lam)
+        for r, step_idx in enumerate(result.steps):
             for k in range(result.scenario.net.n_agents):
                 role = result.scenario.net.roles[k].value
                 rows.append(
                     f"{int(step_idx)},{k},{role},"
-                    f"{_fmt(beliefs[r, k])},{_fmt(traj.log_ratio[r, k])},"
-                    f"{traj.seed}\n"
+                    f"{_fmt(beliefs[r, k])},{_fmt(lam[r, k])},"
+                    f"{int(seed)}\n"
                 )
     return "".join(rows)
 

@@ -331,11 +331,11 @@ def test_09_topology_regime_reproduction():
 
     horizon = 800
     star_finals = network_average_true_belief(
-        run_finals(star, star_agents, Hypothesis.THETA1, horizon, seeds=range(10)).T,
+        run_finals(star, star_agents, Hypothesis.THETA1, horizon, seeds=range(10)),
         Hypothesis.THETA1,
     )
     er_finals = network_average_true_belief(
-        run_finals(er_sc.net, er_sc.agents, Hypothesis.THETA1, horizon, seeds=range(10)).T,
+        run_finals(er_sc.net, er_sc.agents, Hypothesis.THETA1, horizon, seeds=range(10)),
         Hypothesis.THETA1,
     )
     sims_ok = bool(np.all(np.asarray(star_finals) < 0.5)) and bool(

@@ -264,7 +264,7 @@ class TestDeceptionVerdict:
                 continue
             total += 1
             lam = run_finals(net, agents, Hypothesis.THETA1, 5000, seeds=range(10))
-            finals = network_average_true_belief(lam.T, Hypothesis.THETA1)
+            finals = network_average_true_belief(lam, Hypothesis.THETA1)
             majority_true = float(np.mean(np.asarray(finals) > 0.5)) > 0.5
             predicted_true = report.verdict1 is Verdict.LEARNS_TRUTH
             if majority_true == predicted_true:

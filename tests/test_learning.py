@@ -166,10 +166,12 @@ class TestRun:
         agents = agents_for(net, [bsc_model(0.7)] * 4)
         for seeds in ([3], [3, 8, 11, 20]):
             finals = run_finals(net, agents, Hypothesis.THETA1, horizon=150, seeds=seeds)
-            assert finals.shape == (4, len(seeds)) and finals.flags.c_contiguous
-            for col, seed in enumerate(seeds):
-                traj = run(net, agents, Hypothesis.THETA1, horizon=150, seed=seed)
-                assert np.array_equal(finals[:, col], traj.final_log_ratio)
+            # the kernel's (S, n) layout: row s is seed s's final state
+            assert finals.shape == (len(seeds), 4) and finals.flags.c_contiguous
+            for s, seed in enumerate(seeds):
+                for stride in (0, 1):
+                    traj = run(net, agents, Hypothesis.THETA1, 150, seed=seed, stride=stride)
+                    assert np.array_equal(finals[s], traj.final_log_ratio)
 
     def test_lone_seed_finals_match_a_ten_seed_column(self):
         # a lone seed is stepped beside a zero column, ten seeds as ten columns
@@ -180,9 +182,9 @@ class TestRun:
         agents = agents_for(net, models, forged)
         seeds = list(range(10))
         finals = run_finals(net, agents, Hypothesis.THETA2, horizon=200, seeds=seeds)
-        for col, seed in enumerate(seeds):
+        for s, seed in enumerate(seeds):
             lone = run_finals(net, agents, Hypothesis.THETA2, horizon=200, seeds=[seed])
-            assert np.array_equal(lone[:, 0], finals[:, col])
+            assert np.array_equal(lone[0], finals[s])
 
     def test_blocks_match_per_step_loop(self):
         # a horizon over several symbol blocks, and a stride that does not divide a block
@@ -272,11 +274,11 @@ def test_many_seeds_match_the_same_seeds_in_halves():
         return run_finals(net, agents, Hypothesis.THETA1, 5, part)
 
     whole = finals(seeds)
-    halves = np.hstack([finals(seeds[:205]), finals(seeds[205:])])
-    differ = np.flatnonzero(np.any(whole != halves, axis=0))
-    assert differ.size == 0, f"seed columns {differ.tolist()} differ"
+    halves = np.vstack([finals(seeds[:205]), finals(seeds[205:])])
+    differ = np.flatnonzero(np.any(whole != halves, axis=1))
+    assert differ.size == 0, f"seed rows {differ.tolist()} differ"
     # 65 = 64 + 1: the last seed steps beside a zero column
-    assert np.array_equal(finals(seeds[:65]), whole[:, :65])
+    assert np.array_equal(finals(seeds[:65]), whole[:65])
 
 
 def test_blocks_sized_by_the_seed_group(monkeypatch):
@@ -387,7 +389,7 @@ class TestStack:
         assert finals.shape == (len(nets), len(seeds), 5)
         for g, (net, agents) in enumerate(zip(nets, agent_lists)):
             lone = run_finals(net, agents, Hypothesis.THETA1, horizon=300, seeds=seeds)
-            assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
+            assert np.array_equal(finals[g], lone)
 
     def test_stacked_records_match_reference(self):
         nets, agent_lists = mixed_grid(42, points=3)
@@ -474,7 +476,7 @@ class TestStack:
         _, _, finals = _simulate(nets, table, Hypothesis.THETA1, 200, [0, 5], 0, 0.5)
         for g, net in enumerate(nets):
             lone = run_finals(net, agent_lists[g], Hypothesis.THETA1, horizon=200, seeds=[0, 5])
-            assert np.array_equal(np.ascontiguousarray(finals[g].T), lone)
+            assert np.array_equal(finals[g], lone)
         # equal forgeries built apart count as equal; a different one does not
         rebuilt = [agents_for(nets[1], models, {0: unknown_divergence_attack(models[0], 1e-2)})]
         assert log_ratio_table(agent_lists[:1] + rebuilt).index.shape[0] == 1
@@ -526,7 +528,7 @@ class TestStack:
         lam = 0.0
         for _ in range(50):
             lam += math.log(1.0) - math.log(0.5)
-        assert np.array_equal(finals, np.full((1, 2), lam))
+        assert np.array_equal(finals, np.full((2, 1), lam))
 
 
 class TestAgentConfig:

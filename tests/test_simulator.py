@@ -398,6 +398,28 @@ class TestSweepTopology:
         assert result.points == want.points
         assert result.theory_root == want.theory_root is not None
 
+    @pytest.mark.parametrize("attack, forgeries", [
+        ("strategy: unknown_divergences\n  epsilon: 5.0e-3", 1),
+        ("strategy: random\n  epsilon: 5.0e-3\n  seed: 3", 0),
+        ("strategy: none", 0),
+    ])
+    def test_centrality_sweep_assembles_the_models_once(self, attack, forgeries, monkeypatch):
+        # only a known_divergences plan reads the Perron vector, so under any other
+        # strategy the 45 grid points, the bisection steps and the root share one
+        # plan, where a per-value rebuild forges at each of the 77
+        text = read_config("sweep_centrality.yaml").replace(
+            "strategy: unknown_divergences\n  epsilon: 5.0e-3", attack
+        )
+        cfg = _with(load_config(text), horizon=20, seeds=(0,))
+        want = _rebuilt_per_value(cfg)
+        calls = _count_forgeries(monkeypatch)
+        plans = []
+        monkeypatch.setattr(config, "build_plan", lambda *a: plans.append(1) or build_plan(*a))
+        result = run_sweep(cfg)
+        assert len(calls) == forgeries and len(plans) == 1
+        assert result.points == want.points
+        assert result.theory_root == want.theory_root
+
 
 def _count_forgeries(monkeypatch) -> list:
     """The models ``build_plan`` hands to ``unknown_divergence_attack``, in call order."""
@@ -522,6 +544,23 @@ class TestRunExperiment:
         for final in result.final_true_beliefs():
             assert final > 0.99
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_arrays_are_the_runs(self, jobs):
+        # records (S, R, n) and finals (S, n): row s is seed s's run, bit for bit
+        cfg = load_config(read_config("deceived_random_bsc08.yaml"))
+        cfg = _with(cfg, horizon=60, stride=1)
+        result = run_experiment(cfg, jobs=jobs)
+        e, s = cfg.experiment, result.scenario
+        assert result.records.shape == (len(e.seeds), 60, s.net.n_agents)
+        assert result.finals.shape == (len(e.seeds), s.net.n_agents)
+        beliefs = result.final_true_beliefs()
+        for k, seed in enumerate(e.seeds):
+            traj = run(s.net, s.agents, s.theta_true, e.horizon, seed=seed, stride=e.stride)
+            assert np.array_equal(result.steps, traj.steps)
+            assert np.array_equal(result.records[k], traj.log_ratio)
+            assert np.array_equal(result.finals[k], traj.final_log_ratio)
+            assert beliefs[k] == traj.final_network_average_true_belief()
+
     def test_no_adversary_agreement(self):
         cfg = load_config(read_config("minimal_no_attack.yaml"))
         result = run_experiment(cfg)
@@ -640,11 +679,12 @@ class TestTrajectoryCsv:
             [0.0, -0.0, 40.0, -40.0, 800.0, -800.0,
              1e-300, 1e308, -1e308, -740.0, 5e-324, -5e-324]
         ).reshape(6, 2)
-        traj = dataclasses.replace(result.trajectories[0], steps=np.arange(1, 7), log_ratio=lam)
-        beliefs = traj.belief_theta1()
+        assert result.config.experiment.seeds == (0,)
+        result = dataclasses.replace(result, steps=np.arange(1, 7), records=lam[None])
+        beliefs = learning._sigmoid(result.records[0])
         assert 0.0 in beliefs and 1.0 in beliefs
         assert np.any((beliefs > 0.0) & (beliefs < np.finfo(float).tiny))  # subnormal
-        self.assert_matches_reference(dataclasses.replace(result, trajectories=(traj,)), tmp_path)
+        self.assert_matches_reference(result, tmp_path)
 
     def test_band_edge_log_ratios(self, tmp_path):
         # both columns on, inside and just outside each edge of the band that
@@ -658,12 +698,13 @@ class TestTrajectoryCsv:
              1e-5, -1e-5, -1e-7, 1e-9, np.nextafter(1e-9, 0.0), -1e-4,
              np.nextafter(1e-4, 0.0), 1e-10, *logit, -23.03, -9.21]
         ).reshape(9, 2)
-        traj = dataclasses.replace(result.trajectories[0], steps=np.arange(1, 10), log_ratio=lam)
-        beliefs = traj.belief_theta1()
+        assert result.config.experiment.seeds == (0,)
+        result = dataclasses.replace(result, steps=np.arange(1, 10), records=lam[None])
+        beliefs = learning._sigmoid(result.records[0])
         for edge in (1e-9, 1e-4):
             near = beliefs[np.abs(beliefs / edge - 1.0) < 1e-5]
             assert near.min() < edge <= near.max()
-        self.assert_matches_reference(dataclasses.replace(result, trajectories=(traj,)), tmp_path)
+        self.assert_matches_reference(result, tmp_path)
 
     def test_memory_flat_in_horizon(self, tmp_path):
         import tracemalloc
@@ -830,7 +871,7 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
             scenario = build_scenario(apply_sweep_value(cfg, point.value))
             lam = run_finals(scenario.net, scenario.agents, scenario.theta_true,
                              horizon=e.horizon, seeds=e.seeds)
-            want = network_average_true_belief(lam.T, scenario.theta_true)
+            want = network_average_true_belief(lam, scenario.theta_true)
             assert point.per_seed_final == tuple(float(x) for x in want)
 
     @pytest.mark.parametrize(
