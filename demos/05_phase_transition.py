@@ -36,13 +36,14 @@ def main():
     print("mean steady-state belief in the true state vs channel accuracy p")
     print("(15 agents, 4 adversaries holding ~0.27 centrality, eps = 5e-3)\n")
     width = 40
-    for point in result.points:
-        bar = "#" * int(round(point.mean_final * width))
+    means = result.final_true_beliefs.mean(axis=1)
+    for p, mean in zip(cfg.sweep.values, means.tolist()):
+        bar = "#" * int(round(mean * width))
         marker = " <- crossing" if (
             result.empirical_crossing is not None
-            and abs(point.value - result.empirical_crossing) <= 0.0125
+            and abs(p - result.empirical_crossing) <= 0.0125
         ) else ""
-        print(f"p={point.value:.3f}  |{bar:<{width}}| {point.mean_final:.3f}{marker}")
+        print(f"p={p:.3f}  |{bar:<{width}}| {mean:.3f}{marker}")
     print(f"\nempirical crossing of 0.5: {result.empirical_crossing:.4f}")
     print(f"closed-form critical p:    {result.theory_root:.4f}")
     print(f"difference:                {abs(result.empirical_crossing - result.theory_root):.4f}")

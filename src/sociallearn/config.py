@@ -1,13 +1,15 @@
 """Experiment configuration: YAML schema, validation, and scenario assembly.
 
-One canonical schema (all keys optional unless noted):
+One canonical schema. Every key is optional but one: ``agents`` needs a
+shared ``model`` or a per-agent ``models`` list. The values shown are
+examples, not defaults; the echo writes out the dataclass defaults below.
 
 .. code-block:: yaml
 
     topology:                    # each kind takes kind, n_agents and the keys marked
       kind: erdos_renyi          # erdos_renyi | star | complete | ring |
                                  # edge_list | trust_weighted_complete
-      n_agents: 15               # required; each agent has a self-loop
+      n_agents: 15               # each agent has a self-loop
       edge_prob: 0.25            # erdos_renyi
       seed: 28                   # erdos_renyi rejection sampling
       hub: 0                     # star

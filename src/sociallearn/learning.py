@@ -371,7 +371,7 @@ def network_average_true_belief(
     """Agent-average belief in the true state from log ratios, over the last
     axis, the kernel's agents axis: one value for an ``(n,)`` state, one per
     row for an ``(S, n)`` stack of seed states (``run_finals``' matrix, or an
-    experiment's finals).
+    experiment's finals), a ``(g, S)`` table for a sweep chunk's ``(g, S, n)``.
 
     The belief in theta2 is the logistic of ``-lam``, never ``1 - sigmoid(lam)``,
     so a deceived network's vanishing belief keeps its digits. The beliefs are

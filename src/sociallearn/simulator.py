@@ -51,7 +51,6 @@ from .errors import ConfigValidationError, NoSignChangeError, OutputIOError
 
 __all__ = [
     "ExperimentResult",
-    "SweepPoint",
     "SweepResult",
     "run_experiment",
     "run_sweep",
@@ -152,56 +151,47 @@ def _in_chunks(fn, items: Sequence, jobs: int) -> list:
 # --- sweeps -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    adversary_centrality: float
-    margin_true: float
-    per_seed_final: tuple[float, ...]
-
-    @property
-    def mean_final(self) -> float:
-        return float(np.mean(self.per_seed_final))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's config and its grid as the kernel lays it out: at grid value
+    ``config.sweep.values[g]``, ``adversary_centrality[g]`` is the adversaries'
+    aggregate centrality, ``margin_true[g]`` the closed-form margin of the true
+    state and ``final_true_beliefs[g, s]`` the network-average final belief in
+    it under seed ``config.experiment.seeds[s]``. The crossing and the root are
+    on the sweep axis (see ``run_sweep``)."""
+
     config: ExperimentConfig
-    parameter: str
-    points: tuple[SweepPoint, ...]
+    adversary_centrality: np.ndarray
+    margin_true: np.ndarray
+    final_true_beliefs: np.ndarray
     empirical_crossing: float | None
     theory_root: float | None
 
 
-def _grid_points(e: ExperimentSpec, grid: Sequence[tuple[float, Scenario]]) -> list[SweepPoint]:
-    """The points of a chunk of ``(value, scenario)`` pairs, from one log-ratio table:
-    the kernel steps them and ``analysis._reports`` reads their margins from it;
-    each point's ``(S, n)`` finals are averaged over agents as the kernel gives them."""
-    values, scenarios = zip(*grid)
-    theta = scenarios[0].theta_true
-    nets = [s.net for s in scenarios]
-    table = learning.log_ratio_table([s.agents for s in scenarios])
+def _grid_points(e: ExperimentSpec, grid: Sequence[Scenario]) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk of grid scenarios' ``(g,)`` true-state margins and ``(g, S)`` final
+    true-state beliefs, from one log-ratio table: the kernel steps them,
+    ``analysis._reports`` reads the margins from it, and one
+    ``network_average_true_belief`` call averages the kernel's ``(g, S, n)`` finals."""
+    theta = grid[0].theta_true
+    nets = [s.net for s in grid]
+    table = learning.log_ratio_table([s.agents for s in grid])
     _, _, finals = learning._simulate(
         nets, table, theta, e.horizon, e.seeds, 0, e.initial_belief_theta1
     )
-    reports = _reports(nets, table, np.stack([s.perron for s in scenarios]))
-    return [
-        SweepPoint(
-            value=float(value),
-            adversary_centrality=scenario.adversary_centrality,
-            margin_true=report.margin(theta),
-            per_seed_final=tuple(map(float, learning.network_average_true_belief(lam, theta))),
-        )
-        for value, scenario, report, lam in zip(values, scenarios, reports, finals)
-    ]
+    reports = _reports(nets, table, np.stack([s.perron for s in grid]))
+    margins = np.array([report.margin(theta) for report in reports])
+    return margins, learning.network_average_true_belief(finals, theta)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Evaluate every grid point (all seeds each) plus the theory root.
 
     The grid points x seeds are one stack: one log-ratio table, read by one kernel
-    call and one ``analysis._reports`` call (per chunk with ``jobs > 1``); each point's
-    finals and margin are its ``run_finals`` and ``deception_verdict`` ones, bit for bit.
+    call and one ``analysis._reports`` call (per chunk with ``jobs > 1``, the
+    chunks' arrays joined in grid order by one ``np.concatenate`` each); each
+    point's finals and margin are its ``run_finals`` and ``deception_verdict``
+    ones, bit for bit.
 
     The empirical crossing is the linear interpolation of the mean final
     true-state belief through 0.5 at the first adjacent grid pair where it
@@ -212,21 +202,18 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     if cfg.sweep is None:
         raise ConfigValidationError(["sweep must be given to run a sweep"])
     scenario_at = sweep_scenarios(cfg)
-    grid = [(v, scenario_at(v)) for v in cfg.sweep.values]
-    points = tuple(chain(*_in_chunks(partial(_grid_points, cfg.experiment), grid, jobs)))
-
-    axis = [
-        p.adversary_centrality if cfg.sweep.parameter == "adversary_centrality" else p.value
-        for p in points
-    ]
-    crossing = _interp_crossing(axis, [p.mean_final for p in points])
-    root = _theory_root(cfg, scenario_at)
+    grid = [scenario_at(v) for v in cfg.sweep.values]
+    margins, finals = zip(*_in_chunks(partial(_grid_points, cfg.experiment), grid, jobs))
+    centrality = np.array([s.adversary_centrality for s in grid])
+    final_true_beliefs = np.concatenate(finals)
+    axis = centrality if cfg.sweep.parameter == "adversary_centrality" else cfg.sweep.values
     return SweepResult(
         config=cfg,
-        parameter=cfg.sweep.parameter,
-        points=points,
-        empirical_crossing=crossing,
-        theory_root=root,
+        adversary_centrality=centrality,
+        margin_true=np.concatenate(margins),
+        final_true_beliefs=final_true_beliefs,
+        empirical_crossing=_interp_crossing(axis, final_true_beliefs.mean(axis=1)),
+        theory_root=_theory_root(cfg, scenario_at),
     )
 
 
@@ -396,32 +383,36 @@ def emit_results(result: ExperimentResult, out_dir: str) -> list[str]:
 
 
 def emit_sweep_results(result: SweepResult, out_dir: str) -> list[str]:
+    """Write ``sweep.csv`` (one row per grid point and seed) and ``sweep.json``
+    (one point per grid value); returns their paths (deterministic bytes)."""
+    sweep = result.config.sweep
+    seeds = result.config.experiment.seeds
+    values = list(map(float, sweep.values))
+    centrality = result.adversary_centrality.tolist()
+    margins = result.margin_true.tolist()
+    finals = result.final_true_beliefs.tolist()
+    means = result.final_true_beliefs.mean(axis=1).tolist()
     with _result_file(out_dir, "sweep.csv") as fh:
         fh.write(
             "parameter,value,adversary_centrality,margin_true,seed,final_true_belief\n"
         )
-        seeds = result.config.experiment.seeds
-        for p in result.points:
-            head = (
-                f"{result.parameter},{float(p.value)!r},"
-                f"{float(p.adversary_centrality)!r},{float(p.margin_true)!r}"
-            )
-            finals = map(repr, map(float, p.per_seed_final))
-            fh.write("".join([f"{head},{seed},{final}\n" for seed, final in zip(seeds, finals)]))
+        for value, cent, margin, row in zip(values, centrality, margins, finals):
+            head = f"{sweep.parameter},{value!r},{cent!r},{margin!r}"
+            fh.write("".join([f"{head},{seed},{final!r}\n" for seed, final in zip(seeds, row)]))
     doc = {
         "config": result.config.to_dict(),
-        "parameter": result.parameter,
+        "parameter": sweep.parameter,
         "empirical_crossing": result.empirical_crossing,
         "theory_root": result.theory_root,
         "points": [
             {
-                "value": p.value,
-                "adversary_centrality": p.adversary_centrality,
-                "margin_true": p.margin_true,
-                "mean_final_true_belief": p.mean_final,
-                "per_seed_final": list(p.per_seed_final),
+                "value": value,
+                "adversary_centrality": cent,
+                "margin_true": margin,
+                "mean_final_true_belief": mean,
+                "per_seed_final": row,
             }
-            for p in result.points
+            for value, cent, margin, mean, row in zip(values, centrality, margins, means, finals)
         ],
     }
     return [os.path.join(out_dir, "sweep.csv"), write_json(doc, out_dir, "sweep.json")]

@@ -196,7 +196,7 @@ def test_05_phase_transition_cross_check():
     result = run_sweep(cfg)
     crossing = result.empirical_crossing
     root = result.theory_root
-    above = [p.mean_final > 0.5 for p in result.points]
+    above = (result.final_true_beliefs.mean(axis=1) > 0.5).tolist()
     ok = (
         crossing is not None
         and root is not None

@@ -375,6 +375,19 @@ class TestCriticalParameter:
         with pytest.raises(NoSignChangeError):
             critical_parameter(lambda x: 1.0 + x * x, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bracket", [(0.25, 1.0), (-1.0, 0.25)])
+    def test_end_within_tolerance_is_the_root(self, bracket):
+        # the margin touches zero at 0.25 without changing sign: an end whose
+        # |margin| is below 1e-10 is the root, read from the two end evaluations
+        calls = []
+
+        def margin(x):
+            calls.append(x)
+            return (x - 0.25) ** 2 + 5e-11
+
+        assert critical_parameter(margin, bracket) == 0.25
+        assert calls == list(bracket)
+
     def test_margin_at_zero_centrality(self):
         m = bsc_model(0.8)
         forged = unknown_divergence_attack(m, 1e-3)

@@ -346,19 +346,18 @@ class TestKnownDivergenceAttack:
     def test_floor_infeasible_fallback_still_deceives(self):
         # frozen instance where the wedge only meets the box below the floor:
         # the relaxed construction must still clear both thresholds and be
-        # flagged
-        m = make_model(
-            [0.6938267132471291, 0.30617328675287087],
-            [0.8734007302956696, 0.12659926970433033],
-        )
+        # flagged; with its symbols swapped the wedge opens the other way (d_k > 0)
+        p, q = [0.6938267132471291, 0.30617328675287087], [0.8734007302956696, 0.12659926970433033]
         u, s1, s2 = 0.3538172813515632, 0.22952856180400527, 0.02135837253422679
         eps = 0.016329307825644363
-        entry = known_divergence_attack(m, u, s1, s2, eps)
-        assert not entry.params["floor_satisfied"]
-        assert adversary_contribution(u, m, entry.forged, 1) > s1
-        assert adversary_contribution(u, m, entry.forged, 2) > s2
-        assert np.all(entry.forged.given_theta1.as_array() > 0.0)
-        assert np.all(entry.forged.given_theta2.as_array() > 0.0)
+        for m, side in ((make_model(p, q), -1), (make_model(p[::-1], q[::-1]), 1)):
+            entry = known_divergence_attack(m, u, s1, s2, eps)
+            assert not entry.params["floor_satisfied"]
+            assert np.sign(entry.params["d_k"]) == side
+            assert adversary_contribution(u, m, entry.forged, 1) > s1
+            assert adversary_contribution(u, m, entry.forged, 2) > s2
+            assert np.all(entry.forged.given_theta1.as_array() > 0.0)
+            assert np.all(entry.forged.given_theta2.as_array() > 0.0)
 
     def test_entry_below_the_floor(self):
         # past the box (x1 > x_plus) a forged mass falls below the floor: an
@@ -648,7 +647,7 @@ class TestFloorFeasiblePoint:
         assert found > 250
 
     def test_fallback_instance_has_no_slack(self):
-        # the instance of test_floor_infeasible_fallback_still_deceives: the
+        # the first instance of test_floor_infeasible_fallback_still_deceives: the
         # wedge midpoint runs only because no pair has a floor-feasible point
         from sociallearn.attacks import _candidate_pairs, _pair_geometry
 

@@ -29,7 +29,6 @@ from sociallearn.config import apply_sweep_value, build_plan, sweep_scenarios
 from sociallearn.errors import ConfigParseError, ConfigValidationError, InfiniteDivergenceError
 from sociallearn.learning import log_ratio_table, network_average_true_belief
 from sociallearn.simulator import (
-    SweepPoint,
     attack_document,
     emit_results,
     emit_sweep_results,
@@ -352,6 +351,14 @@ def _rebuilt_per_value(cfg):
         return run_sweep(cfg)
 
 
+def _same_points(a, b) -> bool:
+    """Whether two sweeps give every grid point the same centrality, margin and finals."""
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("adversary_centrality", "margin_true", "final_true_beliefs")
+    )
+
+
 class TestSweepTopology:
     @pytest.mark.parametrize("attack, values, crosses", [
         ("unknown_divergences", [1.0e-4, 1.0e-2, 0.1, 0.3], True),
@@ -365,7 +372,7 @@ class TestSweepTopology:
         counts = _count_topology_builds(monkeypatch)
         result = run_sweep(cfg)
         assert counts == {"build_network": 1, "perron_vector": 1}
-        assert result.points == want.points
+        assert _same_points(result, want)
         assert result.theory_root == want.theory_root
         assert (result.theory_root is not None) == crosses
 
@@ -376,7 +383,7 @@ class TestSweepTopology:
         counts = _count_topology_builds(monkeypatch)
         result = run_sweep(cfg)
         assert counts == {"build_network": 1, "perron_vector": 1}
-        assert result.points == want.points
+        assert _same_points(result, want)
         assert result.theory_root == want.theory_root is not None
 
     def test_centrality_sweep_builds_one_topology_per_value(self, monkeypatch):
@@ -395,7 +402,7 @@ class TestSweepTopology:
         builds = len(cfg.sweep.values) + len(evals) + 1
         assert len(evals) > 2
         assert counts == {"build_network": builds, "perron_vector": builds}
-        assert result.points == want.points
+        assert _same_points(result, want)
         assert result.theory_root == want.theory_root is not None
 
     @pytest.mark.parametrize("attack, forgeries", [
@@ -417,8 +424,33 @@ class TestSweepTopology:
         monkeypatch.setattr(config, "build_plan", lambda *a: plans.append(1) or build_plan(*a))
         result = run_sweep(cfg)
         assert len(calls) == forgeries and len(plans) == 1
-        assert result.points == want.points
+        assert _same_points(result, want)
         assert result.theory_root == want.theory_root
+
+    def test_known_divergence_centrality_sweep_forges_per_value(self, monkeypatch):
+        # a known_divergences plan reads the Perron vector, so a centrality sweep
+        # forges at each grid value and each root evaluation; every margin is
+        # positive, so the root search stops at its two ends
+        text = read_config("sweep_centrality.yaml").replace(
+            "strategy: unknown_divergences\n  epsilon: 5.0e-3",
+            "strategy: known_divergences\n  epsilon: 1.0e-6\n  aggregate_centrality: true",
+        ).replace("start: 0.02", "start: 0.12")
+        cfg = _with(load_config(text), horizon=20, seeds=(0,))
+        assert len(cfg.sweep.values) == 25
+        plans, evals = [], []
+        monkeypatch.setattr(config, "build_plan", lambda *a: plans.append(1) or build_plan(*a))
+
+        def counted_root(margin_of, bracket):
+            return critical_parameter(lambda x: evals.append(x) or margin_of(x), bracket)
+
+        monkeypatch.setattr(simulator, "critical_parameter", counted_root)
+        result = run_sweep(cfg)
+        assert len(evals) == 2 and len(plans) == len(cfg.sweep.values) + len(evals)
+        assert result.empirical_crossing is None and result.theory_root is None
+        assert result.margin_true.min() > 0.27
+        for value, margin in zip(cfg.sweep.values, result.margin_true.tolist()):
+            scenario = build_scenario(apply_sweep_value(cfg, value))
+            assert margin == scenario.report().margin(scenario.theta_true)
 
 
 def _count_forgeries(monkeypatch) -> list:
@@ -566,6 +598,18 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.report.verdict1 is Verdict.LEARNS_TRUTH
         assert all(row["agrees"] for row in result.prediction_table())
+
+    def test_uninformative_network_is_a_boundary_that_agrees(self):
+        # bsc p = 0.5 tells the states apart nowhere: the margin is 0, the verdict
+        # a boundary, and a boundary agrees with any final belief
+        cfg = load_config(read_config("minimal_no_attack.yaml").replace("p: 0.8", "p: 0.5"))
+        result = run_experiment(cfg)
+        assert result.report.margin1 == 0.0 and result.report.verdict1 is Verdict.BOUNDARY
+        assert all(row["agrees"] for row in result.prediction_table())
+        for belief in (0.0, 0.5, 1.0):
+            assert analysis.predicted_and_empirical_agree(
+                result.report, result.scenario.theta_true, belief
+            )
 
     def test_bundled_configs_verdicts_match_simulation(self):
         # every bundled experiment config with a decisive margin must agree
@@ -775,8 +819,8 @@ class TestRunSweep:
         cfg = load_config(text)
         cfg = _with(cfg, horizon=200, seeds=(0,))
         result = run_sweep(cfg)
-        assert len(result.points) == 1
-        assert len(result.points[0].per_seed_final) == 1
+        assert result.adversary_centrality.shape == result.margin_true.shape == (1,)
+        assert result.final_true_beliefs.shape == (1, 1)
 
     def test_coarse_phase_curve(self, tmp_path):
         text = read_config("sweep_bsc_p.yaml").replace(
@@ -786,7 +830,7 @@ class TestRunSweep:
         cfg = load_config(text)
         cfg = _with(cfg, horizon=1500, seeds=tuple(range(5)))
         result = run_sweep(cfg)
-        means = [p.mean_final for p in result.points]
+        means = result.final_true_beliefs.mean(axis=1).tolist()
         assert means[0] < 0.05 and means[-1] > 0.95
         above = [m > 0.5 for m in means]
         assert sum(a != b for a, b in zip(above, above[1:])) == 1  # one crossing
@@ -795,27 +839,34 @@ class TestRunSweep:
         assert abs(result.empirical_crossing - result.theory_root) <= 0.05
         paths = emit_sweep_results(result, str(tmp_path))
         doc = json.loads((tmp_path / "sweep.json").read_text())
-        assert len(doc["points"]) == len(result.points)
+        grid, seeds = len(cfg.sweep.values), len(cfg.experiment.seeds)
+        assert result.final_true_beliefs.shape == (grid, seeds)
+        assert len(doc["points"]) == grid
         csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(csv_lines) == 1 + len(result.points) * len(cfg.experiment.seeds)
+        assert len(csv_lines) == 1 + grid * seeds
+
+    @pytest.mark.parametrize("means, crossing", [([0.2, 0.5, 0.3], 0.2), ([0.5, 0.3, 0.1], 0.1)])
+    def test_a_mean_of_one_half_is_the_crossing(self, means, crossing):
+        # a grid mean of exactly 0.5 is the crossing, at its own grid value, even
+        # where the means then turn back (neither neighbour pair changes side)
+        assert simulator._interp_crossing([0.1, 0.2, 0.3], np.array(means)) == crossing
 
     def test_sweep_csv_renders_numpy_scalars_as_floats(self, tmp_path):
-        import dataclasses
-
+        # the grid values are written as the config holds them, numpy scalars when a
+        # caller builds them by numpy (as demo 05 does); the rest are the result's arrays
         cfg = _with(load_config(read_config("sweep_bsc_p.yaml")), horizon=50, seeds=(0, 1))
         result = run_sweep(_with_sweep_values(cfg, [0.7, 0.9]))
-        as_numpy = dataclasses.replace(result, points=tuple(
-            SweepPoint(
-                *map(np.float64, (p.value, p.adversary_centrality, p.margin_true)),
-                tuple(map(np.float64, p.per_seed_final)),
-            )
-            for p in result.points
-        ))
+        as_numpy = replace(
+            result, config=_with_sweep_values(result.config, map(np.float64, [0.7, 0.9]))
+        )
+        assert all(type(v) is np.float64 for v in as_numpy.config.sweep.values)
         for name, res in (("floats", result), ("numpy", as_numpy)):
             emit_sweep_results(res, str(tmp_path / name))
         csv = (tmp_path / "numpy" / "sweep.csv").read_bytes()
         assert csv == (tmp_path / "floats" / "sweep.csv").read_bytes()
         assert b"np." not in csv
+        doc = (tmp_path / "numpy" / "sweep.json").read_bytes()
+        assert doc == (tmp_path / "floats" / "sweep.json").read_bytes()
 
     def test_centrality_sweep_family(self):
         cfg = load_config(read_config("sweep_centrality.yaml"))
@@ -824,9 +875,9 @@ class TestRunSweep:
         cfg = _with_sweep_values(cfg, text_values)
         result = run_sweep(cfg)
         # centrality increases with trust weight; beliefs flip truth -> deceived
-        cents = [p.adversary_centrality for p in result.points]
+        cents = result.adversary_centrality.tolist()
         assert all(b > a for a, b in zip(cents, cents[1:]))
-        means = [p.mean_final for p in result.points]
+        means = result.final_true_beliefs.mean(axis=1).tolist()
         assert means[0] > 0.95 and means[-1] < 0.05
         # the root is in centrality units, where the shared-model margin is linear
         adversary = build_scenario(apply_sweep_value(cfg, cfg.sweep.values[0])).agents[0]
@@ -844,7 +895,7 @@ class TestRunSweep:
         )
         cfg = _with(load_config(text), horizon=50, seeds=(0,))
         result = run_sweep(cfg)
-        assert all(p.margin_true > 0.0 for p in result.points)
+        assert all(m > 0.0 for m in result.margin_true.tolist())
         assert result.theory_root is None
 
     def test_stacked_sweep_matches_per_point_run_finals(self):
@@ -867,12 +918,12 @@ sweep: {parameter: epsilon, values: [1.0e-3, 1.0e-2, 5.0e-2]}
         cfg = load_config(text)
         result = run_sweep(cfg)
         e = cfg.experiment
-        for point in result.points:
-            scenario = build_scenario(apply_sweep_value(cfg, point.value))
+        for value, finals in zip(cfg.sweep.values, result.final_true_beliefs.tolist()):
+            scenario = build_scenario(apply_sweep_value(cfg, value))
             lam = run_finals(scenario.net, scenario.agents, scenario.theta_true,
                              horizon=e.horizon, seeds=e.seeds)
             want = network_average_true_belief(lam, scenario.theta_true)
-            assert point.per_seed_final == tuple(float(x) for x in want)
+            assert finals == want.tolist()
 
     @pytest.mark.parametrize(
         "name, tables", [("sweep_bsc_p.yaml", 33), ("sweep_centrality.yaml", 32)]
@@ -973,10 +1024,11 @@ sweep: {parameter: bsc_p, grid: {start: 0.55, stop: 0.949, step: 0.001}}
             cfg, experiment=dataclasses.replace(cfg.experiment, theta_true="theta2")
         )
         result = run_sweep(cfg)
-        assert result.points[0].mean_final < 0.5  # deceived: true-state belief vanishes
-        for point in result.points:
-            scenario = build_scenario(apply_sweep_value(cfg, point.value))
-            for seed, final in zip(cfg.experiment.seeds, point.per_seed_final):
+        # deceived: true-state belief vanishes
+        assert result.final_true_beliefs[0].mean() < 0.5
+        for value, finals in zip(cfg.sweep.values, result.final_true_beliefs.tolist()):
+            scenario = build_scenario(apply_sweep_value(cfg, value))
+            for seed, final in zip(cfg.experiment.seeds, finals):
                 traj = run(scenario.net, scenario.agents, scenario.theta_true,
                            horizon=100, seed=seed, stride=0)
                 assert final == traj.final_network_average_true_belief()
