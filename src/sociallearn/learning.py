@@ -44,15 +44,17 @@ product to gemv, whose bits differ from dgemm's. The bits promise two tiers:
   the BLAS at hand.
 
 Symbols are drawn and turned into log-likelihood ratios a block of steps at
-a time, with two block lengths per seed group. A *draw block* of each (seed,
-agent) stream's uniforms is drawn by one generator call per stream into a
-``(steps, n, w)`` array; a *ratio block*, a ``(G', steps, n, w)`` array of
-log-likelihood ratios, is mapped from a slice of it, so each step's ratios
-are one contiguous slice. Each length is at most ``_BLOCK_STEPS`` steps and
-at most ``_BLOCK_ELEMENTS`` values (one step when a step alone is more), and
-a draw block is a whole number of ratio blocks. So working memory is
-O(_BLOCK_ELEMENTS + G * n * _SEED_COLUMNS) besides the returned records and
-finals, whatever the horizon and the seed count. Every scenario maps the
+a time, with two block lengths per seed group. Each seed owns one stream of
+uniforms, which its agents read step-major: agent ``k`` at step ``t`` takes
+uniform ``t * n + k``. A *draw block* takes ``(steps, n)`` uniforms from each
+seed's stream by one generator call into a ``(steps, n, w)`` array; a *ratio
+block*, a ``(G', steps, n, w)`` array of log-likelihood ratios, is mapped from
+a slice of it, so each step's ratios are one contiguous slice. Each length
+is at most ``_BLOCK_STEPS`` steps and at most ``_BLOCK_ELEMENTS`` values (one
+step when a step alone is more), and a draw block is a whole number of ratio
+blocks. So working memory is O(_BLOCK_ELEMENTS + G * n * _SEED_COLUMNS)
+besides the returned records and finals, whatever the horizon and the seed
+count. Every scenario maps the
 uniforms through its own inverse CDF (``probability._inverse_cdf``, the one
 ``sample`` uses), which selects log-likelihood ratios out of the
 ``LogRatioTable`` bit for bit, without arithmetic, along whole (agent, seed)
@@ -62,11 +64,12 @@ stack when every scenario's agents are equal (say, a grid that moves only the
 network), so one ratio block then serves the whole stack by broadcasting; the
 closed forms compared with the kernel's output (``analysis``) read the same
 table. No block length changes the bits: a stream's uniforms are the same
-however they are split. The check for a
-realized symbol of zero likelihood scans each block only when some table
-entry is infinite, since otherwise no realized ratio can be.
+however they are split, and whatever group or chunk its seed falls in. The
+check for a realized symbol of zero likelihood scans each block only when
+some table entry is infinite, since otherwise no realized ratio can be.
 
-Sampling is reproducible: agent ``k`` of a run draws from ``default_rng((seed, k))``.
+Sampling is reproducible: seed ``s`` draws from ``default_rng(SeedSequence(s,
+spawn_key=(0,)))``, never the topology's or the attack's stream.
 """
 
 from __future__ import annotations
@@ -277,7 +280,9 @@ def _simulate(
     at = np.stack([net.combination for net in (nets[:1] if shared else nets)]).swapaxes(-1, -2)
     for c in range(0, n_seeds, _SEED_COLUMNS):
         group = seeds[c : c + _SEED_COLUMNS]
-        rngs = [[np.random.default_rng((seed, k)) for k in range(n)] for seed in group]
+        # the spawn key makes the entropy the seed's words, padded to four, then a zero
+        # word; no integer's entropy ends so, so it is no topology's or attack's stream
+        rngs = [np.random.default_rng(np.random.SeedSequence(s, spawn_key=(0,))) for s in group]
         w = len(rngs)
         cum, tables, finite = _symbol_tables(table, theta_true, w)
         # the group's columns, then a zero column beside a lone seed, so every product is a dgemm
@@ -287,15 +292,14 @@ def _simulate(
         summed = np.zeros_like(lam)
         summed_cols = summed[..., :w]
         ratio, draw = _block_lengths(tables.shape[1], w * n, horizon)
-        u = np.empty((n, draw))
+        u = np.empty((draw, n))
         uniforms = np.empty((draw, n, w))
         llr = np.empty((tables.shape[1], ratio, n, w))
         for start in range(0, horizon, draw):
             drawn = min(draw, horizon - start)
-            for s, seed_rngs in enumerate(rngs):
-                for k, rng in enumerate(seed_rngs):
-                    rng.random(out=u[k, :drawn])
-                uniforms[:drawn, :, s] = u[:, :drawn].T
+            for s, rng in enumerate(rngs):
+                rng.random(out=u[:drawn])
+                uniforms[:drawn, :, s] = u[:drawn]
             for off in range(0, drawn, ratio):
                 size = min(ratio, drawn - off)
                 _inverse_cdf(cum, tables, uniforms[off : off + size], llr[:, :size])

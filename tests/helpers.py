@@ -75,12 +75,19 @@ def agents_for(net, models, forged=None) -> tuple[AgentConfig, ...]:
     return tuple(AgentConfig(models[k], forged.get(k)) for k in range(net.n_agents))
 
 
+def seed_stream(seed) -> np.random.Generator:
+    """A Monte Carlo seed's one observation stream: entropy ``seed``, spawn key ``(0,)``."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+
+
 def draw_symbols(agents, theta_true, horizon, seed) -> list[np.ndarray]:
-    """Whole-horizon observation block per agent ``k``, from ``default_rng((seed, k))``."""
-    return [
-        sample(a.true_model.given(theta_true), np.random.default_rng((int(seed), k)), horizon)
-        for k, a in enumerate(agents)
-    ]
+    """Whole-horizon observation block per agent, one ``sample`` call per (step,
+    agent) in step-major order from ``seed_stream(seed)``: agent ``k`` at step
+    ``t`` takes the stream's uniform ``t * n + k``."""
+    rng = seed_stream(seed)
+    pmfs = [a.true_model.given(theta_true) for a in agents]
+    symbols = [[sample(p, rng) for p in pmfs] for _ in range(horizon)]
+    return list(np.array(symbols, dtype=np.int64).reshape(horizon, len(pmfs)).T)
 
 
 def reference_run(net, agents, theta_true, horizon, seed, stride):

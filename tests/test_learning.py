@@ -30,6 +30,7 @@ from sociallearn.learning import (
     log_ratio_table,
     network_average_true_belief,
 )
+from sociallearn.probability import _inverse_cdf
 
 from helpers import (
     BeliefState,
@@ -40,6 +41,7 @@ from helpers import (
     random_model,
     random_network,
     reference_run,
+    seed_stream,
     step,
 )
 
@@ -343,15 +345,52 @@ def lone_agent(model):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("k", [0, 1, 199])
 def test_stream_entropy_draws_as_the_seed_tuple(seed, k):
-    # agent k draws from default_rng((seed, k)), multi-word ints included; with
-    # the identity combination each agent sums its own log-likelihood ratios
+    # the seed's one stream, keyed (seed, spawn key 0), multi-word ints included:
+    # agent k of n = k + 1 takes uniform t * n + k at step t; with the identity
+    # combination each agent sums its own log-likelihood ratios
     model = bsc_model(0.7)
-    net = make_network(np.eye(k + 1), 0)
-    agents = [AgentConfig(model)] * (k + 1)
+    n = k + 1
+    net = make_network(np.eye(n), 0)
+    agents = [AgentConfig(model)] * n
     traj = run(net, agents, Hypothesis.THETA1, 16, seed=seed)
-    symbols = sample(model.given_theta1, np.random.default_rng((seed, k)), 16)
+    symbols = sample(model.given_theta1, seed_stream(seed), 16 * n)[k::n]
     llr = np.log(model.given_theta1.as_array()) - np.log(model.given_theta2.as_array())
     assert np.array_equal(traj.log_ratio[:, k], np.cumsum(llr[symbols]))
+
+
+def test_one_generator_per_seed(monkeypatch):
+    # the generator constructor as learning sees it, counted over 3 seeds of 20 agents
+    net, agents = er_scenario(20, 0.3, 5)
+    default_rng, built = np.random.default_rng, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(learning.np.random, "default_rng", counting)
+    run_finals(net, agents, Hypothesis.THETA1, 10, seeds=[3, 4, 5])
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 3])
+def test_observation_stream_is_no_topology_or_attack_stream(seed, monkeypatch):
+    # default_rng(s) seeds the ER topology and the adversary draw of seed s, and
+    # default_rng(s + 2**32) is default_rng((s, 1)) for s < 2**32: the kernel's
+    # uniforms share no value with either
+    drawn = []
+
+    def recording(cum, values, u, out):
+        drawn.append(u[:, :, 0].copy())
+        return _inverse_cdf(cum, values, u, out)
+
+    net, agents = er_scenario(2, 1.0, 1)
+    monkeypatch.setattr(learning, "_inverse_cdf", recording)
+    horizon = 40
+    run_finals(net, agents, Hypothesis.THETA1, horizon, seeds=[seed])
+    uniforms = np.concatenate(drawn)
+    assert uniforms.shape == (horizon, 2)
+    for x in (seed, seed + 2**32):
+        assert not np.isin(uniforms, np.random.default_rng(x).random(2 * horizon)).any()
 
 
 def test_negative_stream_seed_refused():
